@@ -103,20 +103,20 @@ class QuantConfig:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise InvalidConfig(f"config is not valid JSON: {e}") from e
+        if not isinstance(doc, dict):
+            raise InvalidConfig("config must be a JSON object")
         required = {"scale", "low_threshold", "high_threshold",
                     "fine_divisor", "coarse_multiplier"}
         missing = required - doc.keys()
         if missing:
             raise InvalidConfig(f"config missing keys: {sorted(missing)}")
-        return cls(
-            scale=float(doc["scale"]),
-            low_threshold=float(doc["low_threshold"]),
-            high_threshold=float(doc["high_threshold"]),
-            fine_divisor=float(doc["fine_divisor"]),
-            coarse_multiplier=float(doc["coarse_multiplier"]),
-            percentile=float(doc.get("percentile", 100.0)),
-            calib_count=int(doc.get("calib_count", 0)),
-        )
+        try:
+            numbers = {k: float(doc[k]) for k in required}
+            numbers["percentile"] = float(doc.get("percentile", 100.0))
+            numbers["calib_count"] = int(doc.get("calib_count", 0))
+        except (TypeError, ValueError, OverflowError) as e:
+            raise InvalidConfig(f"config field is not a number: {e}") from e
+        return cls(**numbers)
 
 
 def percentile_abs(values, p: float) -> float:

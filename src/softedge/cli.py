@@ -12,11 +12,12 @@ import csv
 import io
 import math
 import sys
+import traceback
 
 import numpy as np
 
 from . import calibration, codec, metrics, ssm, synth, tensor_io
-from .errors import IoFailure, SoftEdgeError, ValidationError
+from .errors import IoFailure, ValidationError
 
 SWEEP_COLUMNS = [
     "percentile", "fine_divisor", "coarse_multiplier", "scale", "L", "H",
@@ -43,11 +44,7 @@ def _load_config(path) -> calibration.QuantConfig:
 
 
 def _write_text(path, text: str):
-    try:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
-    except OSError as e:
-        raise IoFailure(f"cannot write {path}: {e}") from e
+    tensor_io._write_bytes(path, text.encode("utf-8"))
 
 
 def cmd_calibrate(args) -> int:
@@ -268,8 +265,9 @@ def main(argv=None) -> int:
     except ValidationError as e:
         print(str(e), file=sys.stderr)
         return 2
-    except SoftEdgeError as e:
-        print(f"internal error: {e}", file=sys.stderr)
+    except Exception as e:  # anything else is a defect in this program
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
 
 

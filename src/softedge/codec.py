@@ -136,17 +136,27 @@ class TraceRecord:
     abs_error: float
 
 
-def _check_finite(x: np.ndarray):
+def _check_finite(x: np.ndarray, error=NonFiniteInput, where: str = ""):
+    """Raise ``error`` naming the first NaN or infinity in ``x``, if any."""
     bad = ~np.isfinite(x)
     if bad.any():
         idx = int(np.argmax(bad))
-        raise NonFiniteInput(f"non-finite value at index {idx}", index=idx)
+        raise error(f"{where}non-finite value at index {idx}", index=idx)
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
     return np.copysign(np.floor(np.abs(x) + 0.5), x)
 
 
+# Huge finite inputs overflow the quotients below to +/-inf, which the clip
+# maps to the top code; that overflow is expected, not an error.
+@np.errstate(over="ignore")
+def _int8_round(x, cfg: QuantConfig):
+    """Standard symmetric INT8 code of x, as a float in [-127, 127]."""
+    return np.clip(_round_half_away(x / cfg.scale), -MAX_STANDARD, MAX_STANDARD)
+
+
+@np.errstate(over="ignore")
 def _encode_arrays(x: np.ndarray, cfg: QuantConfig):
     """Vectorized encoder core; returns (flags bool[n], codes uint8[n])."""
     ax = np.abs(x)
@@ -163,7 +173,7 @@ def _encode_arrays(x: np.ndarray, cfg: QuantConfig):
     codes = np.where(small, m_small | np.where(neg_small, SIGN_BIT, 0), codes)
 
     # medium: standard symmetric INT8, two's complement byte
-    q_med = np.clip(_round_half_away(x / cfg.scale), -MAX_STANDARD, MAX_STANDARD)
+    q_med = _int8_round(x, cfg)
     codes = np.where(medium, q_med.astype(np.int64).astype(np.uint8), codes)
 
     # large: offset-encoded 6-bit magnitude at the coarse step
@@ -231,9 +241,7 @@ def se_decode(c: SoftEdgeCode, cfg: QuantConfig, strict: bool = True) -> float:
 def int8_encode(x: float, cfg: QuantConfig) -> int:
     if not math.isfinite(x):
         raise NonFiniteInput(f"non-finite input {x!r}")
-    q = math.floor(abs(x) / cfg.scale + 0.5)
-    q = min(q, MAX_STANDARD)
-    return -q if x < 0 else q
+    return int(_int8_round(np.float64(x), cfg))
 
 
 def int8_decode(b: int, cfg: QuantConfig) -> float:
@@ -264,8 +272,7 @@ def fake_quant(values, cfg: QuantConfig, which: str = "soft_edge") -> np.ndarray
         flags, codes = _encode_arrays(x, cfg)
         out = _decode_arrays(flags, codes, cfg)
     elif which == "int8":
-        q = np.clip(_round_half_away(x / cfg.scale), -MAX_STANDARD, MAX_STANDARD)
-        out = q * cfg.scale
+        out = _int8_round(x, cfg) * cfg.scale
     else:
         raise ValueError(f"unknown quantizer {which!r}")
     return out.astype(np.float32)

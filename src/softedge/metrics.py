@@ -63,33 +63,19 @@ class ComparisonReport:
     delta_max_abs_err: float
 
     def to_dict(self) -> dict:
-        def num(v):
-            if isinstance(v, float) and not math.isfinite(v):
-                return repr(v)  # "inf" / "-inf" / "nan"
-            return v
-
         return {
             "config": asdict(self.config),
             "n": self.n,
             "quantizers": {
-                "soft_edge": {k: num(v) for k, v in asdict(self.soft_edge).items()},
-                "int8": {k: num(v) for k, v in asdict(self.int8).items()},
+                name: {k: _json_number(v) for k, v in asdict(q).items()}
+                for name, q in (("soft_edge", self.soft_edge), ("int8", self.int8))
             },
-            "regions": [
-                {
-                    "region": r.region.value,
-                    "count": r.count,
-                    "fraction": r.fraction,
-                    "mse": r.mse,
-                    "max_abs_err": r.max_abs_err,
-                    "mean_abs_err": r.mean_abs_err,
-                }
-                for r in self.regions
-            ],
+            "regions": [{**asdict(r), "region": r.region.value}
+                        for r in self.regions],
             "deltas": {
-                "mse": num(self.delta_mse),
-                "sqnr_db": num(self.delta_sqnr_db),
-                "max_abs_err": num(self.delta_max_abs_err),
+                "mse": _json_number(self.delta_mse),
+                "sqnr_db": _json_number(self.delta_sqnr_db),
+                "max_abs_err": _json_number(self.delta_max_abs_err),
             },
         }
 
@@ -126,6 +112,22 @@ def mse(ref, approx) -> float:
     return float(np.mean(d * d))
 
 
+def _json_number(v):
+    """JSON spelling of a float: non-finite values become "inf" / "-inf" / "nan"."""
+    if isinstance(v, float) and not math.isfinite(v):
+        return repr(v)
+    return v
+
+
+def _sqnr(signal: float, noise: float) -> float:
+    """10*log10(signal / noise): +inf for zero noise, -inf for zero signal."""
+    if noise == 0:
+        return math.inf
+    if signal <= 0:
+        return -math.inf
+    return 10.0 * math.log10(signal / noise)
+
+
 def sqnr_db(ref, approx) -> float:
     """10*log10(signal power / error power); +inf when the error is zero."""
     r = np.asarray(ref, dtype=np.float64)
@@ -135,20 +137,23 @@ def sqnr_db(ref, approx) -> float:
     if signal <= 0:
         raise ZeroSignal("reference tensor has zero power")
     d = r - a
-    noise = float(np.sum(d * d))
-    if noise == 0:
-        return math.inf
-    return 10.0 * math.log10(signal / noise)
+    return _sqnr(signal, float(np.sum(d * d)))
 
 
-def region_breakdown(values, cfg: QuantConfig):
-    """Soft-edge error statistics bucketed by region.
+def _error_stats(ref: np.ndarray, err: np.ndarray) -> QuantizerStats:
+    """MSE, SQNR and max error of an approximation of ``ref`` whose
+    absolute error is ``err``."""
+    if err.size == 0:
+        raise EmptyTensor("metrics need at least one element")
+    noise = float(np.sum(err * err))
+    return QuantizerStats(
+        mse=noise / err.size,
+        sqnr_db=_sqnr(float(np.sum(ref * ref)), noise),
+        max_abs_err=float(np.max(err)),
+    )
 
-    Returns (small, medium, large) RegionStats; counts sum to n.
-    """
-    x = np.asarray(values, dtype=np.float64)
-    fq = fake_quant(x, cfg, "soft_edge").astype(np.float64)
-    err = np.abs(x - fq)
+
+def _region_stats(x: np.ndarray, err: np.ndarray, cfg: QuantConfig):
     ax = np.abs(x)
     masks = {
         RegionClass.SMALL: ax < cfg.low_threshold,
@@ -175,22 +180,13 @@ def region_breakdown(values, cfg: QuantConfig):
     return tuple(out)
 
 
-def _quantizer_stats(x: np.ndarray, cfg: QuantConfig, which: str) -> QuantizerStats:
-    fq = fake_quant(x, cfg, which).astype(np.float64)
-    err = np.abs(x - fq)
-    signal = float(np.sum(x * x))
-    noise = float(np.sum((x - fq) ** 2))
-    if noise == 0:
-        s = math.inf
-    elif signal <= 0:
-        s = -math.inf
-    else:
-        s = 10.0 * math.log10(signal / noise)
-    return QuantizerStats(
-        mse=float(np.mean(err * err)),
-        sqnr_db=s,
-        max_abs_err=float(np.max(err)),
-    )
+def region_breakdown(values, cfg: QuantConfig):
+    """Soft-edge error statistics bucketed by region.
+
+    Returns (small, medium, large) RegionStats; counts sum to n.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    return _region_stats(x, np.abs(x - fake_quant(x, cfg, "soft_edge")), cfg)
 
 
 def _delta(a: float, b: float) -> float:
@@ -205,14 +201,15 @@ def compare_quantizers(values, cfg: QuantConfig) -> ComparisonReport:
     x = np.asarray(values, dtype=np.float64)
     if x.size == 0:
         raise EmptyTensor("comparison needs at least one element")
-    se = _quantizer_stats(x, cfg, "soft_edge")
-    base = _quantizer_stats(x, cfg, "int8")
+    se_err = np.abs(x - fake_quant(x, cfg, "soft_edge"))
+    se = _error_stats(x, se_err)
+    base = _error_stats(x, np.abs(x - fake_quant(x, cfg, "int8")))
     return ComparisonReport(
         config=cfg,
         n=int(x.size),
         soft_edge=se,
         int8=base,
-        regions=region_breakdown(x, cfg),
+        regions=_region_stats(x, se_err, cfg),
         delta_mse=_delta(se.mse, base.mse),
         delta_sqnr_db=_delta(se.sqnr_db, base.sqnr_db),
         delta_max_abs_err=_delta(se.max_abs_err, base.max_abs_err),

@@ -9,7 +9,6 @@ channel. Everything runs in float64.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,10 +79,7 @@ class SsmRunReport:
     input_max_abs_err_int8: float
 
     def to_json(self) -> str:
-        doc = {
-            k: (repr(v) if isinstance(v, float) and not math.isfinite(v) else v)
-            for k, v in self.__dict__.items()
-        }
+        doc = {k: metrics._json_number(v) for k, v in self.__dict__.items()}
         return json.dumps(doc, indent=2)
 
 
@@ -125,29 +121,22 @@ def ssm_forward_quantized(params: SsmParams, x, cfg: QuantConfig,
 
 
 def run_report(params: SsmParams, x, cfg: QuantConfig) -> SsmRunReport:
-    """Full-precision vs soft-edge vs INT8 runs, aggregated into one report."""
+    """Full-precision vs soft-edge vs INT8 runs, aggregated into one report.
+
+    Each input is fake-quantized once; the same array drives its SSM run and
+    its input-error statistics.
+    """
     xs = np.asarray(x, dtype=np.float64)
     y_ref = ssm_forward(params, xs)
-    y_se = ssm_forward_quantized(params, xs, cfg, "soft_edge")
-    y_i8 = ssm_forward_quantized(params, xs, cfg, "int8")
-    xq_se = fake_quant(xs, cfg, "soft_edge").astype(np.float64)
-    xq_i8 = fake_quant(xs, cfg, "int8").astype(np.float64)
-    return SsmRunReport(
-        seq_len=int(xs.size),
-        state_dim=params.state_dim,
-        output_mse_soft_edge=metrics.mse(y_ref, y_se),
-        output_sqnr_db_soft_edge=_safe_sqnr(y_ref, y_se),
-        output_mse_int8=metrics.mse(y_ref, y_i8),
-        output_sqnr_db_int8=_safe_sqnr(y_ref, y_i8),
-        input_mse_soft_edge=metrics.mse(xs, xq_se),
-        input_max_abs_err_soft_edge=float(np.max(np.abs(xs - xq_se))),
-        input_mse_int8=metrics.mse(xs, xq_i8),
-        input_max_abs_err_int8=float(np.max(np.abs(xs - xq_i8))),
-    )
-
-
-def _safe_sqnr(ref, approx) -> float:
-    ref = np.asarray(ref, dtype=np.float64)
-    if float(np.sum(ref * ref)) <= 0:
-        return math.inf if np.array_equal(ref, np.asarray(approx)) else -math.inf
-    return metrics.sqnr_db(ref, approx)
+    fields = {}
+    for which in ("soft_edge", "int8"):
+        xq = fake_quant(xs, cfg, which).astype(np.float64)
+        inp = metrics._error_stats(xs, np.abs(xs - xq))
+        out = metrics._error_stats(y_ref, np.abs(y_ref - ssm_forward(params, xq)))
+        fields.update({
+            f"output_mse_{which}": out.mse,
+            f"output_sqnr_db_{which}": out.sqnr_db,
+            f"input_mse_{which}": inp.mse,
+            f"input_max_abs_err_{which}": inp.max_abs_err,
+        })
+    return SsmRunReport(seq_len=int(xs.size), state_dim=params.state_dim, **fields)

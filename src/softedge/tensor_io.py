@@ -18,12 +18,14 @@ host endianness.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 
 import numpy as np
 
 from .calibration import QuantConfig
-from .codec import QuantizedTensor
+from .codec import QuantizedTensor, _check_finite
 from .errors import (
     BadMagic,
     InvalidConfig,
@@ -51,10 +53,21 @@ def _read_bytes(path) -> bytes:
 
 
 def _write_bytes(path, data: bytes) -> int:
+    """Write via a temporary file beside the target and os.replace, so a failed
+    write leaves no partial file. Targets that exist but are not regular files
+    (symlinks such as /dev/stdout, devices, directories) are opened in place."""
+    atomic = not os.path.lexists(path) or (
+        os.path.isfile(path) and not os.path.islink(path))
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp" if atomic else path
     try:
-        with open(path, "wb") as f:
+        with open(tmp, "wb") as f:
             f.write(data)
+        if atomic:
+            os.replace(tmp, path)
     except OSError as e:
+        if atomic:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
         raise IoFailure(f"cannot write {path}: {e}") from e
     return len(data)
 
@@ -73,10 +86,7 @@ def _parse_header(data: bytes, magic: bytes, path) -> int:
 def write_tensor(path, values) -> int:
     """Write a float tensor as QSEF; returns the byte count written."""
     v = np.asarray(values, dtype=np.float64)
-    bad = ~np.isfinite(v)
-    if bad.any():
-        idx = int(np.argmax(bad))
-        raise NonFiniteValue(f"non-finite value at index {idx}", index=idx)
+    _check_finite(v, NonFiniteValue)
     payload = v.astype("<f4").tobytes()
     data = HEADER.pack(FLOAT_MAGIC, VERSION, v.size) + payload
     return _write_bytes(path, data)
@@ -92,10 +102,7 @@ def read_tensor(path) -> np.ndarray:
             f"{path}: header says {n} elements, payload holds {len(payload) // 4}"
         )
     v = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    bad = ~np.isfinite(v)
-    if bad.any():
-        idx = int(np.argmax(bad))
-        raise NonFiniteValue(f"{path}: non-finite value at index {idx}", index=idx)
+    _check_finite(v, NonFiniteValue, f"{path}: ")
     return v
 
 

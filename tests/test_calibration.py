@@ -149,10 +149,13 @@ class TestQuantConfig:
         }
 
     def test_bad_json_rejected(self):
-        with pytest.raises(InvalidConfig):
-            QuantConfig.from_json("not json")
-        with pytest.raises(InvalidConfig):
-            QuantConfig.from_json('{"scale": 1.0}')
+        good = json.loads(derive_config(1.0).to_json())
+        for text in ("not json", '{"scale": 1.0}', "[1, 2, 3]", "null",
+                     json.dumps({**good, "scale": "abc"}),
+                     json.dumps({**good, "fine_divisor": None}),
+                     json.dumps({**good, "calib_count": math.inf})):
+            with pytest.raises(InvalidConfig):
+                QuantConfig.from_json(text)
 
 
 def test_calibrate_records_provenance():

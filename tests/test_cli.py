@@ -1,6 +1,7 @@
 """Differential tests: every subcommand is a thin shell over the library."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -80,6 +81,43 @@ class TestQuantizeDequantize:
         rc = run("quantize", "--input", mixture_file, "--config", bad,
                  "--out", tmp_path / "o.qse")
         assert rc == 2
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("text", [
+        se.derive_config(1.0).to_json().replace('"scale": 1.0', '"scale": "abc"'),
+        se.derive_config(1.0).to_json().replace('"scale": 1.0', '"scale": null'),
+        "[1, 2, 3]",
+    ], ids=["string_field", "null_field", "array_document"])
+    def test_malformed_config_exit_2(self, tmp_path, text, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert run("trace", "--value", "1.0", "--config", bad) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_unexpected_exception_exit_3(self, unit_cfg_file, monkeypatch,
+                                         capsys):
+        def broken(x, cfg):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(se.codec, "hardware_trace", broken)
+        assert run("trace", "--value", "1.0", "--config", unit_cfg_file) == 3
+        assert "internal error: RuntimeError: boom" in capsys.readouterr().err
+
+    def test_failed_write_keeps_previous_output(self, tmp_path, mixture_file,
+                                                unit_cfg_file, monkeypatch):
+        out = tmp_path / "r.json"
+        out.write_text("previous")
+
+        def fail(src, dst):
+            raise OSError("simulated failure")
+
+        monkeypatch.setattr(os, "replace", fail)
+        assert run("eval", "--input", mixture_file, "--config", unit_cfg_file,
+                   "--out", out) == 1
+        assert out.read_text() == "previous"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "mix.qsef", "r.json", "unit.json"]
 
 
 class TestEval:

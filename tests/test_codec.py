@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,36 @@ class TestFakeQuant:
     def test_unknown_quantizer(self, unit_cfg):
         with pytest.raises(ValueError):
             fake_quant([1.0], unit_cfg, "int4")
+
+    def test_huge_finite_inputs_raise_no_warning(self, unit_cfg):
+        top = np.finfo(float).max
+        x = [1e308, -1e308, top, -top]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            decoded = decode_tensor(encode_tensor(x, unit_cfg))
+            se = fake_quant(x, unit_cfg, "soft_edge")
+            i8 = fake_quant(x, unit_cfg, "int8")
+            traces = [hardware_trace(v, unit_cfg) for v in x]
+            codes = [int8_encode(v, unit_cfg) for v in x]
+        np.testing.assert_array_equal(decoded, [379, -379, 379, -379])
+        np.testing.assert_array_equal(se, np.float32([379, -379, 379, -379]))
+        np.testing.assert_array_equal(i8, np.float32([127, -127, 127, -127]))
+        assert [t.reconstructed for t in traces] == [379, -379, 379, -379]
+        assert codes == [127, -127, 127, -127]
+
+
+def test_fine_codebook_edge(unit_cfg):
+    # |x| in [15.875, 16) rounds to m = 64 and clips to the top fine code 63:
+    # error up to one full fine step, not the half step of other fine codes
+    for mag in (15.875, 15.9, 15.99, float(np.nextafter(16.0, 0.0))):
+        for x in (mag, -mag):
+            c = se_encode(x, unit_cfg)
+            assert (c.se_flag, c.region_bit, c.magnitude) == (1, 0, 63)
+            recon = se_decode(c, unit_cfg)
+            assert recon == math.copysign(15.75, x)
+            assert 0.125 <= abs(x - recon) < 0.25
+    assert abs(float(np.nextafter(16.0, 0.0)) - 15.75) > 0.2499
+    assert classify(16.0, unit_cfg) is RegionClass.MEDIUM
 
 
 class TestTensorCodec:

@@ -1,0 +1,75 @@
+"""Frozen report bytes and the number of fake-quant passes per report.
+
+The digests pin the eval JSON and CSV, a 2x2x2 sweep CSV and the SSM report
+JSON on a small seeded input, so a refactor of the metrics or SSM code that
+changes any output bit fails here.
+"""
+
+import hashlib
+
+import pytest
+
+import softedge as se
+from softedge import metrics, ssm
+from softedge.cli import main
+
+GOLDEN_SHA256 = {
+    "eval.json":
+        "d6ffae3a8fc2a1eece289431a89c26f34eab40060f63540dd3ecbd2e4faa2be2",
+    "eval.csv":
+        "e11fb6ca6e04757e50554bdccd546a1e16e6960b1f0bd61d74d925eda81229fe",
+    "sweep.csv":
+        "284e50602de3160844ab732405e3ea0e880a90d85c3ea6a632a4f7f5e879d485",
+    "ssm.json":
+        "e2289c9927aeab76d55bec6d32dce60cc43023ef99ee55b2f5d18b013d405128",
+}
+
+
+@pytest.fixture(scope="module")
+def reports(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+
+    def run(*argv):
+        assert main([str(a) for a in argv]) == 0
+
+    run("synth", "--dist", "outlier_mixture", "--n", 4096, "--seed", 0,
+        "--out", d / "x.qsef")
+    run("calibrate", "--input", d / "x.qsef", "--percentile", 99.9,
+        "--out", d / "cfg.json")
+    for fmt in ("json", "csv"):
+        run("eval", "--input", d / "x.qsef", "--config", d / "cfg.json",
+            "--format", fmt, "--out", d / f"eval.{fmt}")
+    run("sweep", "--input", d / "x.qsef", "--percentiles", "99.9,100",
+        "--fine-divisors", "2,4", "--coarse-multipliers", "4,8",
+        "--out", d / "sweep.csv")
+    run("ssm", "--seq-len", 4096, "--state-dim", 8, "--seed", 0,
+        "--config", d / "cfg.json", "--report", d / "ssm.json")
+    return {name: (d / name).read_bytes() for name in GOLDEN_SHA256}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_report_digest(reports, name):
+    assert hashlib.sha256(reports[name]).hexdigest() == GOLDEN_SHA256[name]
+
+
+@pytest.fixture
+def fake_quant_calls(monkeypatch):
+    calls = []
+    real = se.fake_quant
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "fake_quant", counting)
+    monkeypatch.setattr(ssm, "fake_quant", counting)
+    return calls
+
+
+def test_one_fake_quant_per_quantizer(fake_quant_calls, unit_cfg):
+    x = se.generate(se.DistSpec(kind="outlier_mixture", n=2048, seed=1))
+    se.compare_quantizers(x, unit_cfg)
+    assert len(fake_quant_calls) == 2
+    fake_quant_calls.clear()
+    se.run_report(se.make_params(4, 1), x, unit_cfg)
+    assert len(fake_quant_calls) == 2

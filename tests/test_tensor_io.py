@@ -1,4 +1,5 @@
 import hashlib
+import os
 import struct
 
 import numpy as np
@@ -172,6 +173,32 @@ class TestPackedFormat:
         assert digest == (
             "aef737a38b0eb3d7251dbbfb3fb4b7cb6afced2ef5cfba3874ebe5fc18601920"
         )
+
+
+class TestAtomicWrite:
+    def test_directory_target(self, tmp_path):
+        target = tmp_path / "out"
+        target.mkdir()
+        (target / "keep").write_bytes(b"old")
+        with pytest.raises(IoFailure):
+            write_tensor(target, [1.0])
+        assert os.listdir(tmp_path) == ["out"]
+        assert os.listdir(target) == ["keep"]
+        assert (target / "keep").read_bytes() == b"old"
+
+    def test_failed_replace_keeps_previous_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "t.qsef"
+        write_tensor(p, [1.0])
+        before = p.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("simulated failure")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(IoFailure):
+            write_tensor(p, [2.0, 3.0])
+        assert p.read_bytes() == before
+        assert os.listdir(tmp_path) == ["t.qsef"]
 
 
 def test_quantized_tensor_length_mismatch():
