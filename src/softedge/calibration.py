@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -26,6 +26,9 @@ from .errors import (
 )
 
 MAX_STANDARD_CODE = 127
+# The fields the codec reads, in the order QSE1 stores them.
+CODEC_FIELDS = ("scale", "low_threshold", "high_threshold", "fine_divisor",
+                "coarse_multiplier")
 
 __all__ = [
     "QuantConfig",
@@ -56,14 +59,7 @@ class QuantConfig:
         self.validate()
 
     def validate(self):
-        fields = (
-            self.scale,
-            self.low_threshold,
-            self.high_threshold,
-            self.fine_divisor,
-            self.coarse_multiplier,
-        )
-        if not all(math.isfinite(v) for v in fields):
+        if not all(math.isfinite(v) for v in self.codec_fields):
             raise InvalidConfig("non-finite config field")
         if self.scale <= 0:
             raise InvalidConfig(f"scale must be > 0, got {self.scale}")
@@ -75,6 +71,11 @@ class QuantConfig:
             raise InvalidConfig("fine_divisor and coarse_multiplier must be >= 1")
 
     @property
+    def codec_fields(self) -> tuple:
+        """The values of CODEC_FIELDS, in that order."""
+        return tuple(getattr(self, f) for f in CODEC_FIELDS)
+
+    @property
     def fine_step(self) -> float:
         return self.scale / self.fine_divisor
 
@@ -84,15 +85,9 @@ class QuantConfig:
 
     def scaled(self, c: float) -> "QuantConfig":
         """Config with scale and both thresholds multiplied by c > 0."""
-        return QuantConfig(
-            scale=self.scale * c,
-            low_threshold=self.low_threshold * c,
-            high_threshold=self.high_threshold * c,
-            fine_divisor=self.fine_divisor,
-            coarse_multiplier=self.coarse_multiplier,
-            percentile=self.percentile,
-            calib_count=self.calib_count,
-        )
+        return replace(self, scale=self.scale * c,
+                       low_threshold=self.low_threshold * c,
+                       high_threshold=self.high_threshold * c)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -105,13 +100,11 @@ class QuantConfig:
             raise InvalidConfig(f"config is not valid JSON: {e}") from e
         if not isinstance(doc, dict):
             raise InvalidConfig("config must be a JSON object")
-        required = {"scale", "low_threshold", "high_threshold",
-                    "fine_divisor", "coarse_multiplier"}
-        missing = required - doc.keys()
+        missing = set(CODEC_FIELDS) - doc.keys()
         if missing:
             raise InvalidConfig(f"config missing keys: {sorted(missing)}")
         try:
-            numbers = {k: float(doc[k]) for k in required}
+            numbers = {k: float(doc[k]) for k in CODEC_FIELDS}
             numbers["percentile"] = float(doc.get("percentile", 100.0))
             numbers["calib_count"] = int(doc.get("calib_count", 0))
         except (TypeError, ValueError, OverflowError) as e:

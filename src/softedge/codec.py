@@ -14,19 +14,25 @@ byte is a two's-complement INT8 code in [-127, 127]. Flag 1 means the byte is
 Zero always encodes as flag 1, byte 0x00; the negative-zero pattern
 (sign=1, region=0, m=0) is never emitted and rejected on strict decode.
 
-Rounding is half away from zero throughout. A plain symmetric INT8 quantizer
-(hard clip at +/-127*scale) is provided as the comparison baseline.
+One kernel does all of it. ``_region_index`` picks the region, the region's
+(offset, step, top) row gives the magnitude m = min(floor((|x| - offset) /
+step + 0.5), top), rounding half away from zero, and the decoder gathers
+sign * (offset + m * step) from a 512-entry table indexed by flag<<8 | byte.
+A plain symmetric INT8 quantizer (hard clip at +/-127*scale) is provided as
+the comparison baseline; it rounds with the medium row.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .calibration import QuantConfig
+from .calibration import MAX_STANDARD_CODE, QuantConfig
 from .errors import LengthMismatch, NonCanonicalCode, NonFiniteInput
 
 __all__ = [
@@ -49,13 +55,16 @@ SIGN_BIT = 0x80
 REGION_BIT = 0x40
 MAGNITUDE_MASK = 0x3F
 MAX_MAGNITUDE = 63
-MAX_STANDARD = 127
+NEGATIVE_ZERO = 0x100 | SIGN_BIT  # flag<<8 | byte of the non-canonical code
 
 
 class RegionClass(Enum):
     SMALL = "Small"
     MEDIUM = "Medium"
     LARGE = "Large"
+
+
+_REGIONS = tuple(RegionClass)  # by region index: small, medium, large
 
 
 @dataclass(frozen=True)
@@ -105,16 +114,8 @@ class QuantizedTensor:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuantizedTensor):
             return NotImplemented
-        a, b = self.config, other.config
-        same_cfg = (
-            a.scale == b.scale
-            and a.low_threshold == b.low_threshold
-            and a.high_threshold == b.high_threshold
-            and a.fine_divisor == b.fine_divisor
-            and a.coarse_multiplier == b.coarse_multiplier
-        )
         return (
-            same_cfg
+            self.config.codec_fields == other.config.codec_fields
             and np.array_equal(self.flags, other.flags)
             and np.array_equal(self.codes, other.codes)
         )
@@ -144,71 +145,102 @@ def _check_finite(x: np.ndarray, error=NonFiniteInput, where: str = ""):
         raise error(f"{where}non-finite value at index {idx}", index=idx)
 
 
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    return np.copysign(np.floor(np.abs(x) + 0.5), x)
+def _region_index(ax, cfg: QuantConfig):
+    """Region of each magnitude |x|: 0 small (< L), 1 medium, 2 large (> H).
+    The boundaries |x| = L and |x| = H are medium."""
+    return np.add(ax >= cfg.low_threshold, ax > cfg.high_threshold,
+                  dtype=np.uint8)
 
 
-# Huge finite inputs overflow the quotients below to +/-inf, which the clip
-# maps to the top code; that overflow is expected, not an error.
+class _Tables(NamedTuple):
+    """Per-config kernel tables; region rows are (small, medium, large)."""
+
+    offset: np.ndarray
+    step: np.ndarray
+    top: np.ndarray
+    decode: np.ndarray  # float64 reconstruction of each flag<<8 | byte
+    decode32: np.ndarray  # the same, cast to binary32
+
+
+# The index encoding (region, negative, m) at [region << 8 | negative << 7 | m]
+# as flag<<8 | byte. Small and large magnitudes stop at 63, so the entries
+# past it are never read; a small zero is +0 whatever the sign.
+_m = np.arange(128)
+_six = 0x100 | (_m & MAGNITUDE_MASK)
+_CODE_INDEX = np.concatenate([
+    _six, np.where(_m > 0, _six | SIGN_BIT, _six),
+    _m, -_m & 0xFF,
+    _six | REGION_BIT, _six | REGION_BIT | SIGN_BIT,
+]).astype(np.uint16)
+_CODE_INDEX.flags.writeable = False
+del _m, _six
+
+
+# The decode table holds all 512 indices: also -128 (flag 0, byte 0x80), never
+# emitted but accepted, and values that overflow or do not fit binary32, which
+# are read only if their code occurs.
+@functools.lru_cache(maxsize=256)
+@np.errstate(over="ignore", invalid="ignore")
+def _tables(cfg: QuantConfig) -> _Tables:
+    offset = np.array([0.0, 0.0, cfg.high_threshold])
+    step = np.array([cfg.fine_step, cfg.scale, cfg.coarse_step])
+    top = np.array([MAX_MAGNITUDE, MAX_STANDARD_CODE, MAX_MAGNITUDE], float)
+    key = np.arange(512)
+    flag, byte = key >> 8, key & 0xFF
+    region = np.where(flag == 0, 1, np.where(byte & REGION_BIT, 2, 0))
+    m = np.where(flag == 0, np.where(byte & SIGN_BIT, 256 - byte, byte),
+                 byte & MAGNITUDE_MASK)
+    sign = np.where(byte & SIGN_BIT, -1.0, 1.0)
+    decode = sign * (offset[region] + m * step[region])
+    tables = _Tables(offset, step, top, decode, decode.astype(np.float32))
+    for a in tables:
+        a.flags.writeable = False
+    return tables
+
+
+# Huge finite inputs overflow the quotient to +inf, which the minimum clamps
+# to the top code; that overflow is expected, not an error.
 @np.errstate(over="ignore")
-def _int8_round(x, cfg: QuantConfig):
-    """Standard symmetric INT8 code of x, as a float in [-127, 127]."""
-    return np.clip(_round_half_away(x / cfg.scale), -MAX_STANDARD, MAX_STANDARD)
+def _round(ax: np.ndarray, offset, step, top) -> np.ndarray:
+    """The one rounding rule, min(floor((|x| - offset) / step + 0.5), top),
+    computed in place over the float64 magnitudes ``ax`` (>= offset), so it
+    rounds half away from zero."""
+    np.subtract(ax, offset, out=ax)
+    np.divide(ax, step, out=ax)
+    np.add(ax, 0.5, out=ax)
+    np.floor(ax, out=ax)
+    return np.minimum(ax, top, out=ax)
 
 
-@np.errstate(over="ignore")
-def _encode_arrays(x: np.ndarray, cfg: QuantConfig):
-    """Vectorized encoder core; returns (flags bool[n], codes uint8[n])."""
+def _encode_index(x: np.ndarray, cfg: QuantConfig) -> np.ndarray:
+    """Encoder kernel: flag<<8 | byte (uint16) of each element of x."""
     ax = np.abs(x)
-    small = ax < cfg.low_threshold
-    large = ax > cfg.high_threshold
-    medium = ~small & ~large
+    region = _region_index(ax, cfg)
+    t = _tables(cfg)
+    m = _round(ax, t.offset[region], t.step[region], t.top[region])
+    key = np.left_shift(region, 8, dtype=np.uint16)
+    key |= np.left_shift(x < 0, 7, dtype=np.uint16)
+    key |= m.astype(np.uint16)
+    return _CODE_INDEX[key]
 
-    codes = np.zeros(x.shape, dtype=np.uint8)
 
-    # small: 6-bit sign-magnitude at the fine step; zero is canonical +0
-    m_small = np.clip(_round_half_away(ax / cfg.fine_step), 0, MAX_MAGNITUDE)
-    m_small = m_small.astype(np.uint8)
-    neg_small = (x < 0) & (m_small > 0)
-    codes = np.where(small, m_small | np.where(neg_small, SIGN_BIT, 0), codes)
-
-    # medium: standard symmetric INT8, two's complement byte
-    q_med = _int8_round(x, cfg)
-    codes = np.where(medium, q_med.astype(np.int64).astype(np.uint8), codes)
-
-    # large: offset-encoded 6-bit magnitude at the coarse step
-    m_large = np.clip(
-        _round_half_away((ax - cfg.high_threshold) / cfg.coarse_step),
-        0,
-        MAX_MAGNITUDE,
-    ).astype(np.uint8)
-    codes = np.where(
-        large, m_large | REGION_BIT | np.where(x < 0, SIGN_BIT, 0), codes
-    )
-
-    flags = small | large
-    return flags, codes.astype(np.uint8)
+def _int8_round(x: np.ndarray, cfg: QuantConfig) -> np.ndarray:
+    """Standard symmetric INT8 code of x, as a float in [-127, 127]."""
+    t = _tables(cfg)
+    return np.copysign(_round(np.abs(x), t.offset[1], t.step[1], t.top[1]), x)
 
 
 def _decode_arrays(flags: np.ndarray, codes: np.ndarray, cfg: QuantConfig,
                    strict: bool = True) -> np.ndarray:
     """Vectorized decoder core; returns float64 reconstructions."""
+    key = np.left_shift(flags, 8, dtype=np.uint16)
+    key |= codes
     if strict:
-        neg_zero = flags & (codes == SIGN_BIT)
+        neg_zero = key == NEGATIVE_ZERO
         if np.any(neg_zero):
             idx = int(np.argmax(neg_zero))
-            raise NonCanonicalCode(
-                f"negative-zero small code at index {idx}"
-            )
-    sign = np.where(codes & SIGN_BIT, -1.0, 1.0)
-    m = (codes & MAGNITUDE_MASK).astype(np.float64)
-    small_val = sign * m * cfg.fine_step
-    large_val = sign * (cfg.high_threshold + m * cfg.coarse_step)
-    se_val = np.where(codes & REGION_BIT, large_val, small_val)
-    int8 = codes.astype(np.int64)
-    int8 = np.where(int8 >= 128, int8 - 256, int8)  # -128 accepted defensively
-    med_val = int8.astype(np.float64) * cfg.scale
-    return np.where(flags, se_val, med_val)
+            raise NonCanonicalCode(f"negative-zero small code at index {idx}")
+    return _tables(cfg).decode[key]
 
 
 def classify(x: float, cfg: QuantConfig) -> RegionClass:
@@ -216,20 +248,14 @@ def classify(x: float, cfg: QuantConfig) -> RegionClass:
     Medium."""
     if not math.isfinite(x):
         raise NonFiniteInput(f"non-finite input {x!r}")
-    ax = abs(x)
-    if ax < cfg.low_threshold:
-        return RegionClass.SMALL
-    if ax > cfg.high_threshold:
-        return RegionClass.LARGE
-    return RegionClass.MEDIUM
+    return _REGIONS[_region_index(abs(x), cfg)]
 
 
 def se_encode(x: float, cfg: QuantConfig) -> SoftEdgeCode:
     if not math.isfinite(x):
         raise NonFiniteInput(f"non-finite input {x!r}")
-    arr = np.asarray([x], dtype=np.float64)
-    flags, codes = _encode_arrays(arr, cfg)
-    return SoftEdgeCode(se_flag=int(flags[0]), byte=int(codes[0]))
+    key = int(_encode_index(np.asarray([x], dtype=np.float64), cfg)[0])
+    return SoftEdgeCode(se_flag=key >> 8, byte=key & 0xFF)
 
 
 def se_decode(c: SoftEdgeCode, cfg: QuantConfig, strict: bool = True) -> float:
@@ -241,7 +267,7 @@ def se_decode(c: SoftEdgeCode, cfg: QuantConfig, strict: bool = True) -> float:
 def int8_encode(x: float, cfg: QuantConfig) -> int:
     if not math.isfinite(x):
         raise NonFiniteInput(f"non-finite input {x!r}")
-    return int(_int8_round(np.float64(x), cfg))
+    return int(_int8_round(np.asarray([x], dtype=np.float64), cfg)[0])
 
 
 def int8_decode(b: int, cfg: QuantConfig) -> float:
@@ -251,8 +277,9 @@ def int8_decode(b: int, cfg: QuantConfig) -> float:
 def encode_tensor(values, cfg: QuantConfig) -> QuantizedTensor:
     x = np.asarray(values, dtype=np.float64)
     _check_finite(x)
-    flags, codes = _encode_arrays(x, cfg)
-    return QuantizedTensor(config=cfg, flags=flags, codes=codes)
+    key = _encode_index(x, cfg)
+    return QuantizedTensor(config=cfg, flags=key > 0xFF,
+                           codes=key.astype(np.uint8))
 
 
 def decode_tensor(q: QuantizedTensor, strict: bool = True) -> np.ndarray:
@@ -269,13 +296,10 @@ def fake_quant(values, cfg: QuantConfig, which: str = "soft_edge") -> np.ndarray
     x = np.asarray(values, dtype=np.float64)
     _check_finite(x)
     if which == "soft_edge":
-        flags, codes = _encode_arrays(x, cfg)
-        out = _decode_arrays(flags, codes, cfg)
-    elif which == "int8":
-        out = _int8_round(x, cfg) * cfg.scale
-    else:
-        raise ValueError(f"unknown quantizer {which!r}")
-    return out.astype(np.float32)
+        return _tables(cfg).decode32[_encode_index(x, cfg)]
+    if which == "int8":
+        return (_int8_round(x, cfg) * cfg.scale).astype(np.float32)
+    raise ValueError(f"unknown quantizer {which!r}")
 
 
 def hardware_trace(x: float, cfg: QuantConfig) -> TraceRecord:
@@ -283,11 +307,6 @@ def hardware_trace(x: float, cfg: QuantConfig) -> TraceRecord:
     region = classify(x, cfg)
     code = se_encode(x, cfg)
     recon = se_decode(code, cfg)
-    step = {
-        RegionClass.SMALL: cfg.fine_step,
-        RegionClass.MEDIUM: cfg.scale,
-        RegionClass.LARGE: cfg.coarse_step,
-    }[region]
     if code.se_flag:
         sign_bit, region_bit, magnitude = (
             code.sign_bit, code.region_bit, code.magnitude,
@@ -299,7 +318,7 @@ def hardware_trace(x: float, cfg: QuantConfig) -> TraceRecord:
     return TraceRecord(
         value=float(x),
         region=region,
-        selected_step=step,
+        selected_step=float(_tables(cfg).step[_REGIONS.index(region)]),
         se_flag=code.se_flag,
         sign_bit=sign_bit,
         region_bit=region_bit,

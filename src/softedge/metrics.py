@@ -20,7 +20,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .calibration import QuantConfig
-from .codec import RegionClass, fake_quant
+from .codec import RegionClass, _region_index, fake_quant
 from .errors import EmptyTensor, LengthMismatch, ZeroSignal
 
 __all__ = [
@@ -154,15 +154,11 @@ def _error_stats(ref: np.ndarray, err: np.ndarray) -> QuantizerStats:
 
 
 def _region_stats(x: np.ndarray, err: np.ndarray, cfg: QuantConfig):
-    ax = np.abs(x)
-    masks = {
-        RegionClass.SMALL: ax < cfg.low_threshold,
-        RegionClass.MEDIUM: (ax >= cfg.low_threshold) & (ax <= cfg.high_threshold),
-        RegionClass.LARGE: ax > cfg.high_threshold,
-    }
+    index = _region_index(np.abs(x), cfg)
     out = []
     n = x.size
-    for region, mask in masks.items():
+    for i, region in enumerate(RegionClass):
+        mask = index == i
         count = int(np.count_nonzero(mask))
         if count:
             e = err[mask]

@@ -17,7 +17,7 @@ from .calibration import QuantConfig
 from .codec import fake_quant
 from .errors import InvalidParams
 from . import metrics
-from .synth import gaussians, uniforms
+from .synth import _gaussian_counters, gaussians, uniforms
 
 __all__ = [
     "SsmParams",
@@ -91,7 +91,7 @@ def make_params(state_dim: int, seed: int) -> SsmParams:
         raise InvalidParams("state_dim must be >= 1")
     n = state_dim
     a = 0.5 + 0.49 * uniforms(seed, 0, n)
-    gk = 2 * ((n + 1) // 2)
+    gk = _gaussian_counters(n)
     b = gaussians(seed, n, n)
     c = gaussians(seed, n + gk, n)
     return SsmParams(a=a, b=b, c=c)

@@ -24,7 +24,7 @@ import struct
 
 import numpy as np
 
-from .calibration import QuantConfig
+from .calibration import CODEC_FIELDS, QuantConfig
 from .codec import QuantizedTensor, _check_finite
 from .errors import (
     BadMagic,
@@ -108,18 +108,10 @@ def read_tensor(path) -> np.ndarray:
 
 def write_packed(path, q: QuantizedTensor) -> int:
     """Write a quantized tensor as QSE1; returns the byte count written."""
-    cfg = q.config
-    n = len(q)
     bitmap = np.packbits(q.flags, bitorder="little").tobytes()
     data = (
-        HEADER.pack(PACKED_MAGIC, VERSION, n)
-        + CONFIG_FIELDS.pack(
-            cfg.scale,
-            cfg.low_threshold,
-            cfg.high_threshold,
-            cfg.fine_divisor,
-            cfg.coarse_multiplier,
-        )
+        HEADER.pack(PACKED_MAGIC, VERSION, len(q))
+        + CONFIG_FIELDS.pack(*q.config.codec_fields)
         + bitmap
         + q.codes.tobytes()
     )
@@ -133,16 +125,10 @@ def read_packed(path) -> QuantizedTensor:
     off = HEADER.size
     if len(data) < off + CONFIG_FIELDS.size:
         raise TruncatedPayload(f"{path}: truncated config block")
-    scale, low, high, fine_div, coarse_mul = CONFIG_FIELDS.unpack_from(data, off)
+    fields = CONFIG_FIELDS.unpack_from(data, off)
     off += CONFIG_FIELDS.size
     try:
-        cfg = QuantConfig(
-            scale=scale,
-            low_threshold=low,
-            high_threshold=high,
-            fine_divisor=fine_div,
-            coarse_multiplier=coarse_mul,
-        )
+        cfg = QuantConfig(**dict(zip(CODEC_FIELDS, fields)))
     except InvalidConfig as e:
         raise InvalidConfig(f"{path}: {e}") from e
     bitmap_len = (n + 7) // 8

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softedge import (
+    QuantConfig,
+    QuantizedTensor,
     RegionClass,
     SoftEdgeCode,
     classify,
@@ -17,6 +19,7 @@ from softedge import (
     hardware_trace,
     int8_decode,
     int8_encode,
+    region_breakdown,
     se_decode,
     se_encode,
 )
@@ -196,6 +199,29 @@ def test_fine_codebook_edge(unit_cfg):
     assert classify(16.0, unit_cfg) is RegionClass.MEDIUM
 
 
+@pytest.mark.parametrize("cfg", [
+    derive_config(1.0),
+    derive_config(0.713),
+    QuantConfig(scale=1, low_threshold=0.3, high_threshold=2.5,
+                fine_divisor=1000, coarse_multiplier=1),
+])
+def test_region_rule_agrees_at_thresholds(cfg):
+    # classify, the encoder's (flag, region bit) and region_breakdown's
+    # counts put each threshold neighbour in the same region
+    L, H = cfg.low_threshold, cfg.high_threshold
+    mags = [float(np.nextafter(L, 0)), L, H, float(np.nextafter(H, np.inf))]
+    xs = [0.0] + [s * m for m in mags for s in (1.0, -1.0)]
+    regions = [classify(x, cfg) for x in xs]
+    assert regions == [RegionClass.SMALL] * 3 + [RegionClass.MEDIUM] * 4 + [
+        RegionClass.LARGE] * 2
+    q = encode_tensor(xs, cfg)
+    encoded = [RegionClass.MEDIUM if not f else
+               RegionClass.LARGE if c & 0x40 else RegionClass.SMALL
+               for f, c in zip(q.flags, q.codes)]
+    assert encoded == regions
+    assert [r.count for r in region_breakdown(xs, cfg)] == [3, 4, 2]
+
+
 class TestTensorCodec:
     def test_round_trip_matches_scalar(self, unit_cfg):
         rng = np.random.default_rng(3)
@@ -207,6 +233,26 @@ class TestTensorCodec:
             assert q.flags[i] == bool(c.se_flag)
             assert q.codes[i] == c.byte
             assert dec[i] == se_decode(c, unit_cfg)
+        fq = fake_quant(x, unit_cfg, "soft_edge")
+        assert np.array_equal(fq.view(np.int32),
+                              dec.astype(np.float32).view(np.int32))
+        assert np.signbit(fake_quant([-0.3], unit_cfg, "int8")[0])
+        # every (flag, byte) pair, bit for bit; strict rejects only (1, 0x80)
+        flags = np.repeat([False, True], 256)
+        codes = np.tile(np.arange(256, dtype=np.uint8), 2)
+        whole = decode_tensor(QuantizedTensor(unit_cfg, flags, codes), strict=False)
+        pairs = [SoftEdgeCode(int(f), int(c)) for f, c in zip(flags, codes)]
+        scalar = np.array([se_decode(c, unit_cfg, strict=False) for c in pairs])
+        assert np.array_equal(whole.view(np.int64), scalar.view(np.int64))
+        rejected = []
+        for c in pairs:
+            try:
+                se_decode(c, unit_cfg)
+            except NonCanonicalCode:
+                rejected.append((c.se_flag, c.byte))
+        assert rejected == [(1, 0x80)]
+        with pytest.raises(NonCanonicalCode, match="index 384"):
+            decode_tensor(QuantizedTensor(unit_cfg, flags, codes))
 
     def test_empty(self, unit_cfg):
         q = encode_tensor([], unit_cfg)
