@@ -56,6 +56,9 @@ class QuantConfig:
     calib_count: int = 0
 
     def __post_init__(self):
+        for f in (*CODEC_FIELDS, "percentile"):
+            object.__setattr__(self, f, float(getattr(self, f)))
+        object.__setattr__(self, "calib_count", int(self.calib_count))
         self.validate()
 
     def validate(self):
@@ -96,7 +99,7 @@ class QuantConfig:
     def from_json(cls, text: str) -> "QuantConfig":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise InvalidConfig(f"config is not valid JSON: {e}") from e
         if not isinstance(doc, dict):
             raise InvalidConfig("config must be a JSON object")
@@ -104,12 +107,11 @@ class QuantConfig:
         if missing:
             raise InvalidConfig(f"config missing keys: {sorted(missing)}")
         try:
-            numbers = {k: float(doc[k]) for k in CODEC_FIELDS}
-            numbers["percentile"] = float(doc.get("percentile", 100.0))
-            numbers["calib_count"] = int(doc.get("calib_count", 0))
+            return cls(**{k: doc[k] for k in CODEC_FIELDS},
+                       percentile=doc.get("percentile", 100.0),
+                       calib_count=doc.get("calib_count", 0))
         except (TypeError, ValueError, OverflowError) as e:
             raise InvalidConfig(f"config field is not a number: {e}") from e
-        return cls(**numbers)
 
 
 def percentile_abs(values, p: float) -> float:
@@ -143,18 +145,12 @@ def derive_config(scale: float, fine_divisor: float = 4.0,
                   coarse_multiplier: float = 4.0, percentile: float = 100.0,
                   calib_count: int = 0) -> QuantConfig:
     """Build a QuantConfig with the default threshold rule from a scale."""
-    if scale <= 0:
-        raise InvalidConfig(f"scale must be > 0, got {scale}")
     if fine_divisor < 1 or coarse_multiplier < 1:
         raise InvalidConfig("fine_divisor and coarse_multiplier must be >= 1")
-    low = 64.0 * (scale / fine_divisor)
-    high = MAX_STANDARD_CODE * scale
-    if low >= high:
-        raise InvalidConfig(f"derived L={low} >= H={high}")
     return QuantConfig(
         scale=scale,
-        low_threshold=low,
-        high_threshold=high,
+        low_threshold=64.0 * (scale / fine_divisor),
+        high_threshold=MAX_STANDARD_CODE * scale,
         fine_divisor=fine_divisor,
         coarse_multiplier=coarse_multiplier,
         percentile=percentile,

@@ -181,10 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="percentile-calibrate a scale")
     p.add_argument("--input", required=True, help="QSEF calibration tensor")
     p.add_argument("--percentile", type=float, required=True)
-    p.add_argument("--fine-divisor", type=float, default=4.0,
-                   dest="fine_divisor")
-    p.add_argument("--coarse-multiplier", type=float, default=4.0,
-                   dest="coarse_multiplier")
+    p.add_argument("--fine-divisor", type=float, default=4.0)
+    p.add_argument("--coarse-multiplier", type=float, default=4.0)
     p.add_argument("--out", required=True, help="output config JSON")
     p.set_defaults(func=cmd_calibrate)
 
@@ -216,19 +214,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--mean", type=float, default=0.0)
     p.add_argument("--std", type=float, default=1.0)
-    p.add_argument("--outlier-fraction", type=float, default=0.001,
-                   dest="outlier_fraction")
-    p.add_argument("--outlier-low", type=float, default=10.0,
-                   dest="outlier_low")
-    p.add_argument("--outlier-high", type=float, default=30.0,
-                   dest="outlier_high")
+    p.add_argument("--outlier-fraction", type=float, default=0.001)
+    p.add_argument("--outlier-low", type=float, default=10.0)
+    p.add_argument("--outlier-high", type=float, default=30.0)
     p.add_argument("--df", type=int, default=4)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("ssm", help="end-to-end SSM error propagation run")
-    p.add_argument("--seq-len", type=int, default=4096, dest="seq_len")
-    p.add_argument("--state-dim", type=int, default=16, dest="state_dim")
+    p.add_argument("--seq-len", type=int, default=4096)
+    p.add_argument("--state-dim", type=int, default=16)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--input", default=None,
@@ -241,9 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--percentiles", type=_float_list, required=True,
                    help="comma-separated")
     p.add_argument("--fine-divisors", type=_float_list, default=[4.0],
-                   dest="fine_divisors", help="comma-separated")
+                   help="comma-separated")
     p.add_argument("--coarse-multipliers", type=_float_list, default=[4.0],
-                   dest="coarse_multipliers", help="comma-separated")
+                   help="comma-separated")
     p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(func=cmd_sweep)
 

@@ -67,16 +67,14 @@ class ComparisonReport:
             "config": asdict(self.config),
             "n": self.n,
             "quantizers": {
-                name: {k: _json_number(v) for k, v in asdict(q).items()}
+                name: _json_numbers(asdict(q))
                 for name, q in (("soft_edge", self.soft_edge), ("int8", self.int8))
             },
-            "regions": [{**asdict(r), "region": r.region.value}
+            "regions": [_json_numbers({**asdict(r), "region": r.region.value})
                         for r in self.regions],
-            "deltas": {
-                "mse": _json_number(self.delta_mse),
-                "sqnr_db": _json_number(self.delta_sqnr_db),
-                "max_abs_err": _json_number(self.delta_max_abs_err),
-            },
+            "deltas": _json_numbers({"mse": self.delta_mse,
+                                     "sqnr_db": self.delta_sqnr_db,
+                                     "max_abs_err": self.delta_max_abs_err}),
         }
 
     def to_json(self) -> str:
@@ -97,82 +95,90 @@ class ComparisonReport:
         return buf.getvalue()
 
 
-def _check_pair(ref: np.ndarray, approx: np.ndarray):
-    if ref.shape != approx.shape:
-        raise LengthMismatch(f"length mismatch: {ref.size} vs {approx.size}")
-    if ref.size == 0:
+def _pair_error(ref, approx):
+    """The float64 reference and the absolute error of ``approx`` against it."""
+    r = np.asarray(ref, dtype=np.float64)
+    a = np.asarray(approx, dtype=np.float64)
+    if r.shape != a.shape:
+        raise LengthMismatch(f"length mismatch: {r.size} vs {a.size}")
+    if r.size == 0:
         raise EmptyTensor("metrics need at least one element")
+    return r, np.abs(r - a)
+
+
+def _json_numbers(doc: dict) -> dict:
+    """``doc`` with non-finite floats spelled "inf" / "-inf" / "nan" for JSON."""
+    return {k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in doc.items()}
+
+
+def _sum(v: np.ndarray, square: bool = True):
+    """sum(v*v), or sum(v) of v >= 0, as (s, e) with the sum equal to s * 2**e.
+
+    Within binary64 this is np.sum's one pass, bit for bit, and e = 0. Only
+    a sum that overflowed is redone, on v scaled by an exact power of two.
+    """
+    with np.errstate(over="ignore"):
+        s = float(np.sum(v * v if square else v))
+    if math.isfinite(s):
+        return s, 0
+    k = math.frexp(float(np.max(np.abs(v))))[1]
+    v = np.ldexp(v, -k)
+    return float(np.sum(v * v if square else v)), 2 * k if square else k
+
+
+def _sqnr(power, noise) -> float:
+    """10*log10(power / noise) of two ``_sum`` pairs: +inf for zero noise,
+    -inf for zero power."""
+    (p, pe), (q, qe) = power, noise
+    if q == 0:
+        return math.inf
+    if p <= 0:
+        return -math.inf
+    if pe == qe and 0 < p / q < math.inf:
+        return 10.0 * math.log10(p / q)
+    return 10.0 * (math.log10(p) - math.log10(q) + (pe - qe) * math.log10(2))
+
+
+def _error_stats(err: np.ndarray, power=None) -> dict:
+    """Statistics of the absolute errors ``err``, the one place reports get them.
+
+    Always "mse" and "max_abs_err". Given the reference's ``power`` (a
+    ``_sum`` pair), also "sqnr_db" (a quantizer row); without, "mean_abs_err"
+    (a region row). MSE reads +inf only when it exceeds binary64.
+    """
+    if err.size == 0:
+        raise EmptyTensor("metrics need at least one element")
+    noise = _sum(err)
+    with np.errstate(over="ignore"):
+        stats = {"mse": float(np.ldexp(noise[0] / err.size, noise[1])),
+                 "max_abs_err": float(np.max(err))}
+    if power is not None:
+        return {**stats, "sqnr_db": _sqnr(power, noise)}
+    s, e = _sum(err, square=False)
+    return {**stats, "mean_abs_err": math.ldexp(s / err.size, e)}
 
 
 def mse(ref, approx) -> float:
-    r = np.asarray(ref, dtype=np.float64)
-    a = np.asarray(approx, dtype=np.float64)
-    _check_pair(r, a)
-    d = r - a
-    return float(np.mean(d * d))
-
-
-def _json_number(v):
-    """JSON spelling of a float: non-finite values become "inf" / "-inf" / "nan"."""
-    if isinstance(v, float) and not math.isfinite(v):
-        return repr(v)
-    return v
-
-
-def _sqnr(signal: float, noise: float) -> float:
-    """10*log10(signal / noise): +inf for zero noise, -inf for zero signal."""
-    if noise == 0:
-        return math.inf
-    if signal <= 0:
-        return -math.inf
-    return 10.0 * math.log10(signal / noise)
+    return _error_stats(_pair_error(ref, approx)[1])["mse"]
 
 
 def sqnr_db(ref, approx) -> float:
     """10*log10(signal power / error power); +inf when the error is zero."""
-    r = np.asarray(ref, dtype=np.float64)
-    a = np.asarray(approx, dtype=np.float64)
-    _check_pair(r, a)
-    signal = float(np.sum(r * r))
-    if signal <= 0:
+    r, err = _pair_error(ref, approx)
+    power = _sum(r)
+    if power[0] <= 0:
         raise ZeroSignal("reference tensor has zero power")
-    d = r - a
-    return _sqnr(signal, float(np.sum(d * d)))
-
-
-def _error_stats(ref: np.ndarray, err: np.ndarray) -> QuantizerStats:
-    """MSE, SQNR and max error of an approximation of ``ref`` whose
-    absolute error is ``err``."""
-    if err.size == 0:
-        raise EmptyTensor("metrics need at least one element")
-    noise = float(np.sum(err * err))
-    return QuantizerStats(
-        mse=noise / err.size,
-        sqnr_db=_sqnr(float(np.sum(ref * ref)), noise),
-        max_abs_err=float(np.max(err)),
-    )
+    return _error_stats(err, power)["sqnr_db"]
 
 
 def _region_stats(x: np.ndarray, err: np.ndarray, cfg: QuantConfig):
     index = _region_index(np.abs(x), cfg)
     out = []
-    n = x.size
     for i, region in enumerate(RegionClass):
-        mask = index == i
-        count = int(np.count_nonzero(mask))
-        if count:
-            e = err[mask]
-            stats = RegionStats(
-                region=region,
-                count=count,
-                fraction=count / n if n else 0.0,
-                mse=float(np.mean(e * e)),
-                max_abs_err=float(np.max(e)),
-                mean_abs_err=float(np.mean(e)),
-            )
-        else:
-            stats = RegionStats(region, 0, 0.0, 0.0, 0.0, 0.0)
-        out.append(stats)
+        e = err[index == i]
+        out.append(RegionStats(region, e.size, e.size / x.size, **_error_stats(e))
+                   if e.size else RegionStats(region, 0, 0.0, 0.0, 0.0, 0.0))
     return tuple(out)
 
 
@@ -195,11 +201,10 @@ def _delta(a: float, b: float) -> float:
 def compare_quantizers(values, cfg: QuantConfig) -> ComparisonReport:
     """Side-by-side soft-edge vs baseline INT8 report on one tensor."""
     x = np.asarray(values, dtype=np.float64)
-    if x.size == 0:
-        raise EmptyTensor("comparison needs at least one element")
     se_err = np.abs(x - fake_quant(x, cfg, "soft_edge"))
-    se = _error_stats(x, se_err)
-    base = _error_stats(x, np.abs(x - fake_quant(x, cfg, "int8")))
+    power = _sum(x)
+    se = QuantizerStats(**_error_stats(se_err, power))
+    base = QuantizerStats(**_error_stats(np.abs(x - fake_quant(x, cfg, "int8")), power))
     return ComparisonReport(
         config=cfg,
         n=int(x.size),

@@ -79,8 +79,7 @@ class SsmRunReport:
     input_max_abs_err_int8: float
 
     def to_json(self) -> str:
-        doc = {k: metrics._json_number(v) for k, v in self.__dict__.items()}
-        return json.dumps(doc, indent=2)
+        return json.dumps(metrics._json_numbers(self.__dict__), indent=2)
 
 
 def make_params(state_dim: int, seed: int) -> SsmParams:
@@ -128,15 +127,16 @@ def run_report(params: SsmParams, x, cfg: QuantConfig) -> SsmRunReport:
     """
     xs = np.asarray(x, dtype=np.float64)
     y_ref = ssm_forward(params, xs)
+    power = metrics._sum(y_ref)
     fields = {}
     for which in ("soft_edge", "int8"):
         xq = fake_quant(xs, cfg, which).astype(np.float64)
-        inp = metrics._error_stats(xs, np.abs(xs - xq))
-        out = metrics._error_stats(y_ref, np.abs(y_ref - ssm_forward(params, xq)))
+        inp = metrics._error_stats(np.abs(xs - xq))
+        out = metrics._error_stats(np.abs(y_ref - ssm_forward(params, xq)), power)
         fields.update({
-            f"output_mse_{which}": out.mse,
-            f"output_sqnr_db_{which}": out.sqnr_db,
-            f"input_mse_{which}": inp.mse,
-            f"input_max_abs_err_{which}": inp.max_abs_err,
+            f"output_mse_{which}": out["mse"],
+            f"output_sqnr_db_{which}": out["sqnr_db"],
+            f"input_mse_{which}": inp["mse"],
+            f"input_max_abs_err_{which}": inp["max_abs_err"],
         })
     return SsmRunReport(seq_len=int(xs.size), state_dim=params.state_dim, **fields)

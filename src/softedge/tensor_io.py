@@ -101,9 +101,10 @@ def read_tensor(path) -> np.ndarray:
         raise TruncatedPayload(
             f"{path}: header says {n} elements, payload holds {len(payload) // 4}"
         )
-    v = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    # Check before widening: casting a signalling NaN raises a warning.
+    v = np.frombuffer(payload, dtype="<f4")
     _check_finite(v, NonFiniteValue, f"{path}: ")
-    return v
+    return v.astype(np.float64)
 
 
 def write_packed(path, q: QuantizedTensor) -> int:

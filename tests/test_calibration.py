@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from softedge import (
     QuantConfig,
@@ -11,11 +13,13 @@ from softedge import (
     derive_config,
     percentile_abs,
 )
+from softedge.calibration import CODEC_FIELDS
 from softedge.errors import (
     DegenerateRange,
     EmptyTensor,
     InvalidConfig,
     PercentileOutOfRange,
+    SoftEdgeError,
 )
 
 
@@ -116,6 +120,10 @@ class TestDeriveConfig:
             derive_config(0.0)
         with pytest.raises(InvalidConfig):
             derive_config(-1.0)
+        # L underflows to 0 / H overflows to inf: QuantConfig.validate rejects
+        for s in (1e-323, 1e307):
+            with pytest.raises(InvalidConfig):
+                derive_config(s)
 
     def test_invalid_multipliers(self):
         with pytest.raises(InvalidConfig):
@@ -141,6 +149,13 @@ class TestQuantConfig:
         back = QuantConfig.from_json(cfg.to_json())
         assert back == cfg  # binary64-exact via repr printing
 
+    def test_int_fields_stored_as_floats(self):
+        cfg = QuantConfig(scale=1, low_threshold=16, high_threshold=127,
+                          calib_count=5.0)
+        assert cfg.to_json() == QuantConfig.from_json(cfg.to_json()).to_json()
+        assert json.loads(cfg.to_json())["scale"] == 1.0
+        assert type(cfg.scale) is float and type(cfg.calib_count) is int
+
     def test_json_keys(self):
         doc = json.loads(derive_config(1.0).to_json())
         assert set(doc) == {
@@ -156,6 +171,36 @@ class TestQuantConfig:
                      json.dumps({**good, "calib_count": math.inf})):
             with pytest.raises(InvalidConfig):
                 QuantConfig.from_json(text)
+
+
+_JSON_LEAF = (st.none() | st.booleans() | st.integers() | st.floats()
+              | st.text(max_size=8))
+_JSON_TREE = st.recursive(
+    _JSON_LEAF,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+
+
+def _from_json_raises_only_library_errors(text):
+    try:
+        QuantConfig.from_json(text)
+    except SoftEdgeError:
+        pass
+
+
+@given(st.text())
+@example("[" * 100000)
+@example('{"scale": ' * 100000)
+def test_from_json_fuzz_text(text):
+    _from_json_raises_only_library_errors(text)
+
+
+@given(_JSON_TREE | st.fixed_dictionaries(
+    {k: _JSON_LEAF for k in CODEC_FIELDS},
+    optional={"percentile": _JSON_LEAF, "calib_count": _JSON_TREE}))
+def test_from_json_fuzz_tree(doc):
+    _from_json_raises_only_library_errors(json.dumps(doc))
 
 
 def test_calibrate_records_provenance():

@@ -1,8 +1,13 @@
 import json
 import math
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from softedge import (
     RegionClass,
@@ -13,6 +18,8 @@ from softedge import (
     region_breakdown,
     sqnr_db,
 )
+from softedge.codec import _region_index
+from softedge.ssm import SsmParams, run_report
 from softedge.errors import EmptyTensor, LengthMismatch, ZeroSignal
 
 
@@ -164,3 +171,67 @@ def test_fake_quant_error_drives_report(unit_cfg):
     assert r.soft_edge.mse == pytest.approx(mse(t, fq), rel=1e-15)
     small, _, _ = region_breakdown(t, unit_cfg)
     assert small.region is RegionClass.SMALL
+
+
+HUGE = np.array([1e308, -1e308, 1.0])
+
+
+def _strict_json(text):
+    return json.loads(text, parse_constant=lambda c: pytest.fail(f"bare {c}"))
+
+
+def test_huge_inputs_do_not_overflow(unit_cfg):
+    """Squares of +-1e308 exceed binary64: MSE reads inf, but SQNR, max and
+    mean errors keep their finite true values, with no RuntimeWarning."""
+    fq = fake_quant(HUGE, unit_cfg).astype(np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mse(HUGE, fq) == math.inf
+        assert math.isfinite(sqnr_db(HUGE, fq))
+        large = region_breakdown(HUGE, unit_cfg)[2]
+        r = compare_quantizers(HUGE, unit_cfg)
+        ssm = run_report(SsmParams(a=[0.5], b=[0.5], c=[0.5]), HUGE, unit_cfg)
+    assert large.count == 2 and large.mse == math.inf
+    assert large.max_abs_err == large.mean_abs_err == 1e308
+    assert r.regions[2] == large
+    for q in (r.soft_edge, r.int8):
+        assert q.mse == math.inf and q.max_abs_err == 1e308
+        assert math.isfinite(q.sqnr_db)
+    doc = _strict_json(r.to_json())
+    assert doc["regions"][2]["mse"] == "inf"
+    assert doc["regions"][2]["mean_abs_err"] == 1e308
+    doc = _strict_json(ssm.to_json())
+    assert doc["input_mse_soft_edge"] == doc["output_mse_int8"] == "inf"
+    assert doc["input_max_abs_err_int8"] == 1e308
+    assert math.isfinite(doc["output_sqnr_db_soft_edge"])
+
+
+def test_sqnr_of_unrepresentable_ratio():
+    # signal/noise = 1e-600 underflows binary64; the dB value does not
+    assert sqnr_db([1e-150], [1e150]) == pytest.approx(-6000.0)
+
+
+# squares and their sums of up to 300 such values stay within binary64
+_PAIRS = st.integers(1, 300).flatmap(lambda n: st.tuples(*[arrays(
+    np.float64, n, elements=st.floats(-1e150, 1e150))] * 2))
+
+
+@given(pair=_PAIRS, scale=st.floats(1e-3, 1e3))
+def test_in_range_bits_match_straight_formulas(pair, scale):
+    """Within binary64 every statistic has the bits of the plain formula."""
+    ref, approx = pair
+    d = ref - approx
+    assert mse(ref, approx) == float(np.mean(d * d))
+    cfg = derive_config(scale)
+    err = np.abs(ref - fake_quant(ref, cfg))
+    index = _region_index(np.abs(ref), cfg)
+    for i, row in enumerate(region_breakdown(ref, cfg)):
+        e = err[index == i]
+        assert row.count == e.size
+        if e.size:
+            assert (row.mse, row.max_abs_err, row.mean_abs_err) == (
+                float(np.mean(e * e)), float(np.max(e)), float(np.mean(e)))
+
+    signal, err_power = float(np.sum(ref * ref)), float(np.sum(d * d))
+    assume(signal > 0 and err_power > 0 and 0 < signal / err_power < math.inf)
+    assert sqnr_db(ref, approx) == 10.0 * math.log10(signal / err_power)

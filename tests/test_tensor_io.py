@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from softedge import (
     QuantizedTensor,
@@ -19,6 +21,7 @@ from softedge.errors import (
     InvalidConfig,
     IoFailure,
     NonFiniteValue,
+    SoftEdgeError,
     TruncatedPayload,
     VersionMismatch,
 )
@@ -210,3 +213,37 @@ def test_quantized_tensor_length_mismatch():
             flags=np.zeros(3, dtype=bool),
             codes=np.zeros(4, dtype=np.uint8),
         )
+
+
+def _well_formed(n):
+    """Valid QSEF / QSE1 layouts for n elements around arbitrary payload bytes
+    (NaN floats, set pad bits, non-canonical codes)."""
+    size = (n + 7) // 8 + n
+    return (st.binary(min_size=4 * n, max_size=4 * n).map(
+                lambda b: struct.pack("<4sB3xQ", b"QSEF", 1, n) + b)
+            | st.binary(min_size=size, max_size=size).map(
+                lambda b: struct.pack("<4sB3xQ5d", b"QSE1", 1, n, 1.0, 16.0,
+                                      127.0, 4.0, 4.0) + b))
+
+
+# Arbitrary bytes; a header (valid or invalid magic and version, small
+# element count) cut anywhere and followed by arbitrary bytes; or a
+# well-formed layout.
+_FILE_BYTES = (st.binary(max_size=200) | st.builds(
+    lambda magic, version, count, cut, body:
+        struct.pack("<4sB3xQ", magic, version, count)[:cut] + body,
+    st.sampled_from([b"QSEF", b"QSE1", b"QSEX", b"\0\0\0\0"]),
+    st.sampled_from([0, 1, 2, 255]), st.integers(0, 40),
+    st.integers(0, 16), st.binary(max_size=200))
+    | st.integers(0, 40).flatmap(_well_formed))
+
+
+@pytest.mark.parametrize("reader", [read_tensor, read_packed])
+@given(data=_FILE_BYTES)
+def test_fuzz_readers_raise_only_library_errors(tmp_path_factory, reader, data):
+    p = tmp_path_factory.getbasetemp() / "fuzz.bin"
+    p.write_bytes(data)
+    try:
+        reader(p)
+    except SoftEdgeError:
+        pass
