@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -57,13 +58,21 @@ class QuantConfig:
 
     def __post_init__(self):
         for f in (*CODEC_FIELDS, "percentile"):
-            object.__setattr__(self, f, float(getattr(self, f)))
+            object.__setattr__(self, f, _number(f, getattr(self, f)))
+        if not _number("calib_count", self.calib_count).is_integer():
+            raise InvalidConfig(
+                f"calib_count must be an integer, got {self.calib_count!r}")
         object.__setattr__(self, "calib_count", int(self.calib_count))
         self.validate()
 
     def validate(self):
         if not all(math.isfinite(v) for v in self.codec_fields):
             raise InvalidConfig("non-finite config field")
+        if not 0 < self.percentile <= 100:
+            raise InvalidConfig(
+                f"percentile must be in (0, 100], got {self.percentile}")
+        if self.calib_count < 0:
+            raise InvalidConfig(f"calib_count must be >= 0, got {self.calib_count}")
         if self.scale <= 0:
             raise InvalidConfig(f"scale must be > 0, got {self.scale}")
         if not (0 < self.low_threshold < self.high_threshold):
@@ -106,12 +115,19 @@ class QuantConfig:
         missing = set(CODEC_FIELDS) - doc.keys()
         if missing:
             raise InvalidConfig(f"config missing keys: {sorted(missing)}")
-        try:
-            return cls(**{k: doc[k] for k in CODEC_FIELDS},
-                       percentile=doc.get("percentile", 100.0),
-                       calib_count=doc.get("calib_count", 0))
-        except (TypeError, ValueError, OverflowError) as e:
-            raise InvalidConfig(f"config field is not a number: {e}") from e
+        return cls(**{k: doc[k] for k in CODEC_FIELDS},
+                   percentile=doc.get("percentile", 100.0),
+                   calib_count=doc.get("calib_count", 0))
+
+
+def _number(name: str, v) -> float:
+    """``v`` as a float; it must be a real number (not a bool) within binary64."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise InvalidConfig(f"config field {name} must be a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError as e:
+        raise InvalidConfig(f"config field {name} out of range: {e}") from e
 
 
 def percentile_abs(values, p: float) -> float:

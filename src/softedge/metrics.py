@@ -96,14 +96,22 @@ class ComparisonReport:
 
 
 def _pair_error(ref, approx):
-    """The float64 reference and the absolute error of ``approx`` against it."""
+    """The float64 reference r and |ref - approx| = err * 2**e, as (r, err, e).
+
+    e is 0 unless the difference overflowed binary64 (opposite signs near
+    +-1e308); then err is the difference of the halved operands and e is 1.
+    """
     r = np.asarray(ref, dtype=np.float64)
     a = np.asarray(approx, dtype=np.float64)
     if r.shape != a.shape:
         raise LengthMismatch(f"length mismatch: {r.size} vs {a.size}")
     if r.size == 0:
         raise EmptyTensor("metrics need at least one element")
-    return r, np.abs(r - a)
+    try:
+        with np.errstate(over="raise"):
+            return r, np.abs(r - a), 0
+    except FloatingPointError:
+        return r, np.abs(r * 0.5 - a * 0.5), 1
 
 
 def _json_numbers(doc: dict) -> dict:
@@ -140,36 +148,39 @@ def _sqnr(power, noise) -> float:
     return 10.0 * (math.log10(p) - math.log10(q) + (pe - qe) * math.log10(2))
 
 
-def _error_stats(err: np.ndarray, power=None) -> dict:
-    """Statistics of the absolute errors ``err``, the one place reports get them.
+def _error_stats(err: np.ndarray, power=None, e: int = 0) -> dict:
+    """Statistics of the absolute errors err * 2**e, the one place reports
+    get them.
 
     Always "mse" and "max_abs_err". Given the reference's ``power`` (a
     ``_sum`` pair), also "sqnr_db" (a quantizer row); without, "mean_abs_err"
-    (a region row). MSE reads +inf only when it exceeds binary64.
+    (a region row). A statistic reads +inf only when it exceeds binary64.
     """
     if err.size == 0:
         raise EmptyTensor("metrics need at least one element")
-    noise = _sum(err)
+    s, se = _sum(err)
+    noise = (s, se + 2 * e)
     with np.errstate(over="ignore"):
-        stats = {"mse": float(np.ldexp(noise[0] / err.size, noise[1])),
-                 "max_abs_err": float(np.max(err))}
-    if power is not None:
-        return {**stats, "sqnr_db": _sqnr(power, noise)}
-    s, e = _sum(err, square=False)
-    return {**stats, "mean_abs_err": math.ldexp(s / err.size, e)}
+        stats = {"mse": float(np.ldexp(s / err.size, noise[1])),
+                 "max_abs_err": float(np.ldexp(np.max(err), e))}
+        if power is not None:
+            return {**stats, "sqnr_db": _sqnr(power, noise)}
+        s, se = _sum(err, square=False)
+        return {**stats, "mean_abs_err": float(np.ldexp(s / err.size, se + e))}
 
 
 def mse(ref, approx) -> float:
-    return _error_stats(_pair_error(ref, approx)[1])["mse"]
+    _, err, e = _pair_error(ref, approx)
+    return _error_stats(err, e=e)["mse"]
 
 
 def sqnr_db(ref, approx) -> float:
     """10*log10(signal power / error power); +inf when the error is zero."""
-    r, err = _pair_error(ref, approx)
+    r, err, e = _pair_error(ref, approx)
     power = _sum(r)
     if power[0] <= 0:
         raise ZeroSignal("reference tensor has zero power")
-    return _error_stats(err, power)["sqnr_db"]
+    return _error_stats(err, power, e)["sqnr_db"]
 
 
 def _region_stats(x: np.ndarray, err: np.ndarray, cfg: QuantConfig):

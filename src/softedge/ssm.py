@@ -4,6 +4,16 @@ The recurrence h_t[i] = a_i * h_{t-1}[i] + b_i * x_t, y_t = sum_i c_i * h_t[i]
 propagates input-stage quantization error to the output, which is what the
 end-to-end comparison measures. Stability requires |a_i| < 1 for every
 channel. Everything runs in float64.
+
+``ssm_forward`` evaluates the recurrence as a chunked scan, the blocked form
+of the parallel scan in Mamba (Gu & Dao, arXiv 2312.00752; Blelloch 1990): a
+closed form inside each block of BLOCK steps, with the state carried from
+block to block. It re-associates the per-step sums, so it is not bit for bit
+the step-by-step loop; it stays within k*eps*B/(1 - max|a_i|) of it, with
+k = BLOCK + 2N + 16, eps = 2**-52 and
+B = max|x| * sum|c_i b_i| / (1 - max|a_i|) + sum|c_i h0_i|. The loop is the
+test oracle (``tests/conftest.py``, fixture ``ssm_loop``), and
+``tests/test_ssm.py::test_scan_matches_loop`` derives and checks the bound.
 """
 
 from __future__ import annotations
@@ -18,6 +28,12 @@ from .codec import fake_quant
 from .errors import InvalidParams
 from . import metrics
 from .synth import _gaussian_counters, gaussians, uniforms
+
+# Steps per block of the chunked scan. The Toeplitz product costs BLOCK
+# multiply-adds per step, the carry loop one Python iteration per BLOCK
+# steps. At T = 65,536 and N = 16, blocks of 128 and 256 are equally fast
+# (about 3 ms a pass on a 2-vCPU VM); 64 and 512 are slower.
+BLOCK = 256
 
 __all__ = [
     "SsmParams",
@@ -97,19 +113,36 @@ def make_params(state_dim: int, seed: int) -> SsmParams:
 
 
 def ssm_forward(params: SsmParams, x) -> np.ndarray:
-    """Run the recurrence over a length-T input; returns the length-T output."""
+    """Run the recurrence over a length-T input; returns the length-T output.
+
+    The input is zero-padded to rows of BLOCK steps, X[m, j] = x[m*BLOCK + j].
+    With kernel[d] = sum_i c_i b_i a_i^d and s_m the state entering block m,
+        y[m, k] = sum_(j<=k) X[m, j] kernel[k-j] + sum_i c_i a_i^(k+1) s_m,i,
+        s_0 = h0,  s_(m+1) = a^BLOCK s_m + b sum_j a^(BLOCK-1-j) X[m, j].
+    Each sum over j or i is one matrix product for all blocks; only the
+    state carry loops, once per block.
+    """
     xs = np.asarray(x, dtype=np.float64)
     if xs.ndim != 1:
         raise InvalidParams("input must be 1-D")
     if not np.all(np.isfinite(xs)):
         raise InvalidParams("non-finite input values")
-    h = params.h0.copy()
-    y = np.empty(xs.size, dtype=np.float64)
     a, b, c = params.a, params.b, params.c
-    for t in range(xs.size):
-        h = a * h + b * xs[t]
-        y[t] = c @ h
-    return y
+    blocks = np.zeros(-(-xs.size // BLOCK) * BLOCK)
+    blocks[:xs.size] = xs
+    blocks = blocks.reshape(-1, BLOCK)
+    power = a ** np.arange(BLOCK + 1.0)[:, None]  # power[j, i] = a_i**j
+    kernel = power[:BLOCK] @ (c * b)
+    lag = np.arange(BLOCK) - np.arange(BLOCK)[:, None]  # lag[j, k] = k - j
+    toeplitz = np.where(lag >= 0, kernel[lag], 0.0)
+    inputs = (blocks @ power[BLOCK - 1::-1]) * b  # zero-state end of each block
+    states = np.empty_like(inputs)
+    h = params.h0
+    for m, u in enumerate(inputs):
+        states[m] = h
+        h = power[BLOCK] * h + u
+    y = blocks @ toeplitz + states @ (c * power[1:]).T
+    return y.ravel()[:xs.size]
 
 
 def ssm_forward_quantized(params: SsmParams, x, cfg: QuantConfig,

@@ -168,7 +168,15 @@ class TestQuantConfig:
         for text in ("not json", '{"scale": 1.0}', "[1, 2, 3]", "null",
                      json.dumps({**good, "scale": "abc"}),
                      json.dumps({**good, "fine_divisor": None}),
-                     json.dumps({**good, "calib_count": math.inf})):
+                     json.dumps({**good, "calib_count": math.inf}),
+                     json.dumps({**good, "scale": "1"}),
+                     json.dumps({**good, "fine_divisor": True}),
+                     json.dumps({**good, "percentile": "nan"}),
+                     json.dumps({**good, "percentile": 250.0}),
+                     json.dumps({**good, "percentile": 0}),
+                     json.dumps({**good, "calib_count": -5}),
+                     json.dumps({**good, "calib_count": 2.5}),
+                     json.dumps({**good, "scale": 10 ** 400})):
             with pytest.raises(InvalidConfig):
                 QuantConfig.from_json(text)
 

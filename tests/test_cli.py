@@ -83,7 +83,63 @@ class TestQuantizeDequantize:
         assert rc == 2
 
 
+# Per subcommand, each documented failure exit code: 1 for a file that
+# cannot be read or written, 2 for invalid input. {name} is a path the test
+# provides.
+_MALFORMED = {
+    "synth-unwritable_out":
+        ("synth --dist gaussian --n 10 --seed 1 --out {nodir}", 1),
+    "synth-negative_n":
+        ("synth --dist gaussian --n -1 --seed 1 --out {out}", 2),
+    "calibrate-missing_input":
+        ("calibrate --input {missing} --percentile 99 --out {out}", 1),
+    "calibrate-zero_percentile":
+        ("calibrate --input {mix} --percentile 0 --out {out}", 2),
+    "quantize-missing_config":
+        ("quantize --input {mix} --config {missing} --out {out}", 1),
+    "quantize-bad_config":
+        ("quantize --input {mix} --config {badcfg} --out {out}", 2),
+    "dequantize-missing_input":
+        ("dequantize --input {missing} --out {out}", 1),
+    "dequantize-corrupt_qse":
+        ("dequantize --input {corrupt} --out {out}", 2),
+    "eval-missing_config":
+        ("eval --input {mix} --config {missing} --out {out}", 1),
+    "eval-empty_input":
+        ("eval --input {empty} --config {cfg} --out {out}", 2),
+    "sweep-missing_input":
+        ("sweep --input {missing} --percentiles 99 --out {out}", 1),
+    "sweep-empty_input":
+        ("sweep --input {empty} --percentiles 99 --out {out}", 2),
+    "ssm-missing_config":
+        ("ssm --seed 1 --config {missing} --report {out}", 1),
+    "ssm-zero_seq_len":
+        ("ssm --seq-len 0 --seed 1 --config {cfg} --report {out}", 2),
+    "ssm-zero_state_dim":
+        ("ssm --state-dim 0 --seed 1 --config {cfg} --report {out}", 2),
+    "trace-missing_config":
+        ("trace --value 1.0 --config {missing}", 1),
+    "trace-nan_value":
+        ("trace --value nan --config {cfg}", 2),
+}
+
+
 class TestMalformedInput:
+    @pytest.mark.parametrize("argv, code", _MALFORMED.values(), ids=_MALFORMED)
+    def test_subcommand_exit_code(self, tmp_path, mixture_file, unit_cfg_file,
+                                  argv, code, capsys):
+        paths = {"mix": mixture_file, "cfg": unit_cfg_file,
+                 "missing": tmp_path / "missing", "out": tmp_path / "out",
+                 "nodir": tmp_path / "nodir" / "out",
+                 "badcfg": tmp_path / "bad.json", "empty": tmp_path / "empty.qsef",
+                 "corrupt": tmp_path / "corrupt.qse"}
+        paths["badcfg"].write_text('{"scale": 1.0}')
+        se.write_tensor(paths["empty"], [])
+        paths["corrupt"].write_bytes(b"QSE1\x01\x00\x00\x00" + b"\xff" * 10)
+        assert run(*argv.format(**paths).split()) == code
+        assert "Traceback" not in capsys.readouterr().err
+        assert not paths["out"].exists()
+
     @pytest.mark.parametrize("text", [
         se.derive_config(1.0).to_json().replace('"scale": 1.0', '"scale": "abc"'),
         se.derive_config(1.0).to_json().replace('"scale": 1.0', '"scale": null'),

@@ -2,10 +2,14 @@
 
 The digests pin the eval JSON and CSV, a 2x2x2 sweep CSV and the SSM report
 JSON on a small seeded input, so a refactor of the metrics or SSM code that
-changes any output bit fails here.
+changes any output bit fails here. The SSM report is produced with
+``ssm.ssm_forward`` replaced by the step-by-step loop oracle, because the
+chunked scan re-associates the recurrence's sums; the report of the scan
+itself must match it field by field within 1e-12 relative.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -26,7 +30,7 @@ GOLDEN_SHA256 = {
 
 
 @pytest.fixture(scope="module")
-def reports(tmp_path_factory):
+def reports(tmp_path_factory, ssm_loop):
     d = tmp_path_factory.mktemp("golden")
 
     def run(*argv):
@@ -42,14 +46,25 @@ def reports(tmp_path_factory):
     run("sweep", "--input", d / "x.qsef", "--percentiles", "99.9,100",
         "--fine-divisors", "2,4", "--coarse-multipliers", "4,8",
         "--out", d / "sweep.csv")
-    run("ssm", "--seq-len", 4096, "--state-dim", 8, "--seed", 0,
-        "--config", d / "cfg.json", "--report", d / "ssm.json")
-    return {name: (d / name).read_bytes() for name in GOLDEN_SHA256}
+    ssm_run = ("ssm", "--seq-len", 4096, "--state-dim", 8, "--seed", 0,
+               "--config", d / "cfg.json", "--report")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ssm, "ssm_forward", ssm_loop)
+        run(*ssm_run, d / "ssm.json")
+    run(*ssm_run, d / "ssm_scan.json")
+    return {name: (d / name).read_bytes()
+            for name in (*GOLDEN_SHA256, "ssm_scan.json")}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
 def test_report_digest(reports, name):
     assert hashlib.sha256(reports[name]).hexdigest() == GOLDEN_SHA256[name]
+
+
+def test_ssm_scan_report_matches_loop(reports):
+    loop = json.loads(reports["ssm.json"])
+    scan = json.loads(reports["ssm_scan.json"])
+    assert scan == pytest.approx(loop, rel=1e-12, abs=0)
 
 
 @pytest.fixture

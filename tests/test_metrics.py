@@ -181,13 +181,18 @@ def _strict_json(text):
 
 
 def test_huge_inputs_do_not_overflow(unit_cfg):
-    """Squares of +-1e308 exceed binary64: MSE reads inf, but SQNR, max and
-    mean errors keep their finite true values, with no RuntimeWarning."""
+    """Squares of +-1e308, and differences of opposite signs near it, exceed
+    binary64: MSE reads inf, but SQNR, max and mean errors keep their finite
+    true values, with no RuntimeWarning."""
     fq = fake_quant(HUGE, unit_cfg).astype(np.float64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert mse(HUGE, fq) == math.inf
         assert math.isfinite(sqnr_db(HUGE, fq))
+        assert mse([1e308], [-1e308]) == math.inf
+        # error power 4e616 against signal power 1e616 + 1
+        assert sqnr_db([1e308, 1.0], [-1e308, 1.0]) == pytest.approx(
+            10 * math.log10(0.25), rel=1e-12)
         large = region_breakdown(HUGE, unit_cfg)[2]
         r = compare_quantizers(HUGE, unit_cfg)
         ssm = run_report(SsmParams(a=[0.5], b=[0.5], c=[0.5]), HUGE, unit_cfg)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softedge import (
     SsmParams,
@@ -11,6 +13,7 @@ from softedge import (
     ssm_forward_quantized,
 )
 from softedge.errors import InvalidParams
+from softedge.ssm import BLOCK
 from softedge.synth import DistSpec, generate
 
 
@@ -47,6 +50,58 @@ class TestForward:
     def test_initial_state(self):
         p = SsmParams(a=[0.5], b=[0.0], c=[1.0], h0=[8.0])
         np.testing.assert_array_equal(ssm_forward(p, [0.0, 0.0]), [4.0, 2.0])
+
+
+# Multiples of 2**-16 in [-16, 16]: nonzero b, c and h0 keep B far above the
+# underflow threshold, so the bound below needs no absolute term.
+_COEF = st.integers(-2 ** 20, 2 ** 20).map(lambda k: k / 2 ** 16)
+_DECAY = st.sampled_from([0.0, -0.5, 0.999, -0.999]) | st.floats(-0.999, 0.999)
+
+
+@st.composite
+def _systems(draw):
+    n = draw(st.integers(1, 16))
+    vec = st.lists(_COEF, min_size=n, max_size=n)
+    params = SsmParams(a=draw(st.lists(_DECAY, min_size=n, max_size=n)),
+                       b=draw(vec), c=draw(vec), h0=draw(st.none() | vec))
+    t = draw(st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK,
+                              4 * BLOCK + 5]))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    x = scale * np.random.default_rng(draw(st.integers(0, 2 ** 32))).normal(size=t)
+    return params, x
+
+
+@settings(deadline=None)
+@given(system=_systems())
+def test_scan_matches_loop(system, ssm_loop):
+    """ssm_forward agrees with the step-by-step loop within k*eps*B/(1 - A):
+    k = BLOCK + 2N + 16, eps = 2**-52, A = max|a_i|,
+    B = max|x| * sum|c_i b_i| / (1 - A) + sum|c_i h0_i|, a bound on |y|.
+
+    First-order derivation, unit roundoff u = eps/2. With
+    m_i = |b_i| max|x| / (1 - |a_i|) + |h0_i| >= |h_t,i|, sum_i |c_i| m_i <= B.
+    Loop: one step errs by <= 2u*m_i in channel i, decaying by |a_i| a step,
+    and the N-term c @ h adds N*u*B: (N + 2)*u*B/(1 - A) in all.
+    Scan: the zero-state part (powers by pow, c*b, the N-term kernel and the
+    <= BLOCK-term Toeplitz product) errs by (BLOCK + N + 3)*u*B; each block
+    carry errs by (BLOCK + 11)*u*m_i (BLOCK-term end sum with its powers,
+    a^BLOCK, a multiply and an add), decaying by |a_i|^BLOCK a block, so
+    (BLOCK + 11)*u*B/(1 - A); the carried-in product adds (N + 3)*u*B and
+    the final sum 2u*B. The difference is at most
+    (2*BLOCK + 3N + 21)*u*B/(1 - A) < k*eps*B/(1 - A); the margin in k
+    covers second-order terms.
+    """
+    params, x = system
+    y = ssm_forward(params, x)
+    want = ssm_loop(params, x)
+    assert y.shape == want.shape == x.shape
+    if x.size == 0:
+        return
+    a = float(np.max(np.abs(params.a)))
+    bound = (float(np.max(np.abs(x))) * float(np.sum(np.abs(params.c * params.b)))
+             / (1 - a) + float(np.sum(np.abs(params.c * params.h0))))
+    k = BLOCK + 2 * params.state_dim + 16
+    assert np.max(np.abs(y - want)) <= k * 2.0 ** -52 * bound / (1 - a)
 
 
 class TestParamsValidation:
