@@ -24,6 +24,7 @@ from .errors import (
     EmptyTensor,
     InvalidConfig,
     PercentileOutOfRange,
+    check_finite,
 )
 
 MAX_STANDARD_CODE = 127
@@ -140,6 +141,7 @@ def percentile_abs(values, p: float) -> float:
         raise EmptyTensor("cannot take a percentile of an empty tensor")
     if not (0 < p <= 100):
         raise PercentileOutOfRange(f"percentile must be in (0, 100], got {p}")
+    check_finite(v)
     w = np.sort(np.abs(v))
     r = (p / 100.0) * (w.size - 1)
     lo = int(math.floor(r))

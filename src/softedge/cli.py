@@ -17,7 +17,7 @@ import traceback
 import numpy as np
 
 from . import calibration, codec, metrics, ssm, synth, tensor_io
-from .errors import IoFailure, ValidationError
+from .errors import EmptyTensor, InvalidParams, IoFailure, ValidationError
 
 SWEEP_COLUMNS = [
     "percentile", "fine_divisor", "coarse_multiplier", "scale", "L", "H",
@@ -111,10 +111,14 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ssm(args) -> int:
+    if args.seq_len < 1:
+        raise InvalidParams(f"--seq-len must be >= 1, got {args.seq_len}")
     cfg = _load_config(args.config)
     params = ssm.make_params(args.state_dim, args.seed)
     if args.input:
         x = tensor_io.read_tensor(args.input)
+        if x.size == 0:
+            raise EmptyTensor(f"--input {args.input} holds no values")
     else:
         # default stimulus: the outlier mixture, scaled into config units
         spec = synth.DistSpec(

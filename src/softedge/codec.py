@@ -20,12 +20,14 @@ step + 0.5), top), rounding half away from zero, and the decoder gathers
 sign * (offset + m * step) from a 512-entry table indexed by flag<<8 | byte.
 A plain symmetric INT8 quantizer (hard clip at +/-127*scale) is provided as
 the comparison baseline; it rounds with the medium row.
+
+The binary32 rule, for both quantizers' ``fake_quant``: a reconstruction
+beyond the binary32 range casts to +/-inf, and the cast never warns.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -33,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .calibration import MAX_STANDARD_CODE, QuantConfig
-from .errors import LengthMismatch, NonCanonicalCode, NonFiniteInput
+from .errors import LengthMismatch, NonCanonicalCode, check_finite
 
 __all__ = [
     "RegionClass",
@@ -137,14 +139,6 @@ class TraceRecord:
     abs_error: float
 
 
-def _check_finite(x: np.ndarray, error=NonFiniteInput, where: str = ""):
-    """Raise ``error`` naming the first NaN or infinity in ``x``, if any."""
-    bad = ~np.isfinite(x)
-    if bad.any():
-        idx = int(np.argmax(bad))
-        raise error(f"{where}non-finite value at index {idx}", index=idx)
-
-
 def _region_index(ax, cfg: QuantConfig):
     """Region of each magnitude |x|: 0 small (< L), 1 medium, 2 large (> H).
     The boundaries |x| = L and |x| = H are medium."""
@@ -243,18 +237,21 @@ def _decode_arrays(flags: np.ndarray, codes: np.ndarray, cfg: QuantConfig,
     return _tables(cfg).decode[key]
 
 
+def _one(x: float) -> np.ndarray:
+    """The scalar x as a checked one-element float64 array."""
+    v = np.asarray([x], dtype=np.float64)
+    check_finite(v)
+    return v
+
+
 def classify(x: float, cfg: QuantConfig) -> RegionClass:
     """Three-way region classification; boundaries |x| = L and |x| = H are
     Medium."""
-    if not math.isfinite(x):
-        raise NonFiniteInput(f"non-finite input {x!r}")
-    return _REGIONS[_region_index(abs(x), cfg)]
+    return _REGIONS[_region_index(np.abs(_one(x)), cfg)[0]]
 
 
 def se_encode(x: float, cfg: QuantConfig) -> SoftEdgeCode:
-    if not math.isfinite(x):
-        raise NonFiniteInput(f"non-finite input {x!r}")
-    key = int(_encode_index(np.asarray([x], dtype=np.float64), cfg)[0])
+    key = int(_encode_index(_one(x), cfg)[0])
     return SoftEdgeCode(se_flag=key >> 8, byte=key & 0xFF)
 
 
@@ -265,9 +262,7 @@ def se_decode(c: SoftEdgeCode, cfg: QuantConfig, strict: bool = True) -> float:
 
 
 def int8_encode(x: float, cfg: QuantConfig) -> int:
-    if not math.isfinite(x):
-        raise NonFiniteInput(f"non-finite input {x!r}")
-    return int(_int8_round(np.asarray([x], dtype=np.float64), cfg)[0])
+    return int(_int8_round(_one(x), cfg)[0])
 
 
 def int8_decode(b: int, cfg: QuantConfig) -> float:
@@ -276,7 +271,7 @@ def int8_decode(b: int, cfg: QuantConfig) -> float:
 
 def encode_tensor(values, cfg: QuantConfig) -> QuantizedTensor:
     x = np.asarray(values, dtype=np.float64)
-    _check_finite(x)
+    check_finite(x)
     key = _encode_index(x, cfg)
     return QuantizedTensor(config=cfg, flags=key > 0xFF,
                            codes=key.astype(np.uint8))
@@ -294,11 +289,12 @@ def fake_quant(values, cfg: QuantConfig, which: str = "soft_edge") -> np.ndarray
     Idempotent: fake_quant(fake_quant(t)) == fake_quant(t) bitwise.
     """
     x = np.asarray(values, dtype=np.float64)
-    _check_finite(x)
+    check_finite(x)
     if which == "soft_edge":
         return _tables(cfg).decode32[_encode_index(x, cfg)]
     if which == "int8":
-        return (_int8_round(x, cfg) * cfg.scale).astype(np.float32)
+        with np.errstate(over="ignore"):
+            return (_int8_round(x, cfg) * cfg.scale).astype(np.float32)
     raise ValueError(f"unknown quantizer {which!r}")
 
 

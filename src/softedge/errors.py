@@ -3,7 +3,12 @@
 Validation errors (bad inputs, malformed files, broken invariants) derive
 from :class:`ValidationError`; genuine I/O failures wrap the OS error in
 :class:`IoFailure`. The CLI maps these onto exit codes 2 and 1.
+
+:func:`check_finite` is the package's one NaN/infinity check; it raises the
+caller's error class with ``index`` set to the first bad value.
 """
+
+import numpy as np
 
 
 class SoftEdgeError(Exception):
@@ -38,10 +43,6 @@ class InvalidConfig(ValidationError):
 # tensor contents
 class NonFiniteValue(ValidationError):
     """A NaN or infinity where a finite value is required; carries the index."""
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
 
 
 class NonFiniteInput(NonFiniteValue):
@@ -82,3 +83,13 @@ class InvalidSpec(ValidationError):
 
 class InvalidParams(ValidationError):
     pass
+
+
+def check_finite(x: np.ndarray, error=NonFiniteInput, where: str = ""):
+    """Raise ``error``, with ``index`` set, at the first NaN or inf in ``x``."""
+    bad = ~np.isfinite(x)
+    if bad.any():
+        idx = int(np.argmax(bad))
+        e = error(f"{where}non-finite value at index {idx}")
+        e.index = idx
+        raise e

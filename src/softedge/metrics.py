@@ -21,7 +21,7 @@ import numpy as np
 
 from .calibration import QuantConfig
 from .codec import RegionClass, _region_index, fake_quant
-from .errors import EmptyTensor, LengthMismatch, ZeroSignal
+from .errors import EmptyTensor, LengthMismatch, ZeroSignal, check_finite
 
 __all__ = [
     "RegionStats",
@@ -107,6 +107,8 @@ def _pair_error(ref, approx):
         raise LengthMismatch(f"length mismatch: {r.size} vs {a.size}")
     if r.size == 0:
         raise EmptyTensor("metrics need at least one element")
+    check_finite(r, where="ref: ")
+    check_finite(a, where="approx: ")
     try:
         with np.errstate(over="raise"):
             return r, np.abs(r - a), 0
@@ -199,6 +201,8 @@ def region_breakdown(values, cfg: QuantConfig):
     Returns (small, medium, large) RegionStats; counts sum to n.
     """
     x = np.asarray(values, dtype=np.float64)
+    if x.size == 0:
+        raise EmptyTensor("region breakdown needs at least one element")
     return _region_stats(x, np.abs(x - fake_quant(x, cfg, "soft_edge")), cfg)
 
 

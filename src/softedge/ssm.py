@@ -25,7 +25,7 @@ import numpy as np
 
 from .calibration import QuantConfig
 from .codec import fake_quant
-from .errors import InvalidParams
+from .errors import InvalidParams, check_finite
 from . import metrics
 from .synth import _gaussian_counters, gaussians, uniforms
 
@@ -53,28 +53,21 @@ class SsmParams:
     h0: np.ndarray | None = None  # initial state, default zeros
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=np.float64)
-        b = np.asarray(self.b, dtype=np.float64)
-        c = np.asarray(self.c, dtype=np.float64)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        if not (a.shape == b.shape == c.shape) or a.ndim != 1:
-            raise InvalidParams("a, b, c must be 1-D with equal lengths")
+        if self.h0 is None:
+            object.__setattr__(self, "h0", np.zeros_like(self.a, dtype=float))
+        names = ("a", "b", "c", "h0")
+        arrays = [np.asarray(getattr(self, n), dtype=np.float64) for n in names]
+        for name, arr in zip(names, arrays):
+            object.__setattr__(self, name, arr)
+        a, b, c, h0 = arrays
+        if not (a.shape == b.shape == c.shape == h0.shape) or a.ndim != 1:
+            raise InvalidParams("a, b, c and h0 must be 1-D with equal lengths")
         if a.size == 0:
             raise InvalidParams("state dimension must be >= 1")
-        for name, arr in (("a", a), ("b", b), ("c", c)):
-            if not np.all(np.isfinite(arr)):
-                raise InvalidParams(f"non-finite entries in {name}")
+        for name, arr in zip(names, arrays):
+            check_finite(arr, InvalidParams, f"{name}: ")
         if np.any(np.abs(a) >= 1):
             raise InvalidParams("instability: need |a_i| < 1 for every channel")
-        if self.h0 is None:
-            object.__setattr__(self, "h0", np.zeros_like(a))
-        else:
-            h0 = np.asarray(self.h0, dtype=np.float64)
-            if h0.shape != a.shape or not np.all(np.isfinite(h0)):
-                raise InvalidParams("h0 must be finite with the same shape as a")
-            object.__setattr__(self, "h0", h0)
 
     @property
     def state_dim(self) -> int:
@@ -125,8 +118,7 @@ def ssm_forward(params: SsmParams, x) -> np.ndarray:
     xs = np.asarray(x, dtype=np.float64)
     if xs.ndim != 1:
         raise InvalidParams("input must be 1-D")
-    if not np.all(np.isfinite(xs)):
-        raise InvalidParams("non-finite input values")
+    check_finite(xs, InvalidParams, "input: ")
     a, b, c = params.a, params.b, params.c
     blocks = np.zeros(-(-xs.size // BLOCK) * BLOCK)
     blocks[:xs.size] = xs

@@ -25,7 +25,7 @@ import struct
 import numpy as np
 
 from .calibration import CODEC_FIELDS, QuantConfig
-from .codec import QuantizedTensor, _check_finite
+from .codec import QuantizedTensor
 from .errors import (
     BadMagic,
     InvalidConfig,
@@ -33,6 +33,7 @@ from .errors import (
     NonFiniteValue,
     TruncatedPayload,
     VersionMismatch,
+    check_finite,
 )
 
 __all__ = ["read_tensor", "write_tensor", "read_packed", "write_packed"]
@@ -85,10 +86,12 @@ def _parse_header(data: bytes, magic: bytes, path) -> int:
 
 def write_tensor(path, values) -> int:
     """Write a float tensor as QSEF; returns the byte count written."""
-    v = np.asarray(values, dtype=np.float64)
-    _check_finite(v, NonFiniteValue)
-    payload = v.astype("<f4").tobytes()
-    data = HEADER.pack(FLOAT_MAGIC, VERSION, v.size) + payload
+    # Check the binary32 payload, as read_tensor does: a value beyond binary32
+    # casts to +/-inf and is rejected like a NaN; a signalling NaN casts quiet.
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = np.asarray(values, dtype=np.float64).astype("<f4")
+    check_finite(v, NonFiniteValue, f"{path}: in binary32, ")
+    data = HEADER.pack(FLOAT_MAGIC, VERSION, v.size) + v.tobytes()
     return _write_bytes(path, data)
 
 
@@ -103,7 +106,7 @@ def read_tensor(path) -> np.ndarray:
         )
     # Check before widening: casting a signalling NaN raises a warning.
     v = np.frombuffer(payload, dtype="<f4")
-    _check_finite(v, NonFiniteValue, f"{path}: ")
+    check_finite(v, NonFiniteValue, f"{path}: ")
     return v.astype(np.float64)
 
 

@@ -18,6 +18,7 @@ from softedge.errors import (
     DegenerateRange,
     EmptyTensor,
     InvalidConfig,
+    NonFiniteInput,
     PercentileOutOfRange,
     SoftEdgeError,
 )
@@ -51,6 +52,11 @@ class TestPercentileAbs:
     def test_empty_rejected(self):
         with pytest.raises(EmptyTensor):
             percentile_abs([], 50)
+
+    def test_nonfinite_rejected_with_index(self):
+        with pytest.raises(NonFiniteInput) as ei:
+            percentile_abs([1.0, 2.0, float("nan"), 3.0, 4.0], 50)
+        assert ei.value.index == 2
 
     @pytest.mark.parametrize("p", [0.0, -1.0, 100.5])
     def test_range_rejected(self, p):

@@ -85,12 +85,14 @@ class TestQuantizeDequantize:
 
 # Per subcommand, each documented failure exit code: 1 for a file that
 # cannot be read or written, 2 for invalid input. {name} is a path the test
-# provides.
+# provides; an optional third entry is text the error message must contain.
 _MALFORMED = {
     "synth-unwritable_out":
         ("synth --dist gaussian --n 10 --seed 1 --out {nodir}", 1),
     "synth-negative_n":
         ("synth --dist gaussian --n -1 --seed 1 --out {out}", 2),
+    "synth-beyond_binary32":
+        ("synth --dist gaussian --n 10 --seed 1 --std 1e39 --out {out}", 2),
     "calibrate-missing_input":
         ("calibrate --input {missing} --percentile 99 --out {out}", 1),
     "calibrate-zero_percentile":
@@ -103,6 +105,8 @@ _MALFORMED = {
         ("dequantize --input {missing} --out {out}", 1),
     "dequantize-corrupt_qse":
         ("dequantize --input {corrupt} --out {out}", 2),
+    "dequantize-beyond_binary32":
+        ("dequantize --input {huge} --out {out}", 2),
     "eval-missing_config":
         ("eval --input {mix} --config {missing} --out {out}", 1),
     "eval-empty_input":
@@ -114,7 +118,11 @@ _MALFORMED = {
     "ssm-missing_config":
         ("ssm --seed 1 --config {missing} --report {out}", 1),
     "ssm-zero_seq_len":
-        ("ssm --seq-len 0 --seed 1 --config {cfg} --report {out}", 2),
+        ("ssm --seq-len 0 --seed 1 --config {cfg} --report {out}", 2,
+         "--seq-len"),
+    "ssm-empty_input":
+        ("ssm --seed 1 --config {cfg} --input {empty} --report {out}", 2,
+         "--input"),
     "ssm-zero_state_dim":
         ("ssm --state-dim 0 --seed 1 --config {cfg} --report {out}", 2),
     "trace-missing_config":
@@ -124,20 +132,29 @@ _MALFORMED = {
 }
 
 
+# A tensor that fits binary32 and a config whose reconstruction of it does not.
+_BEYOND_BINARY32 = ([1.0, 3.4e38], se.derive_config(2e38))
+
+
 class TestMalformedInput:
-    @pytest.mark.parametrize("argv, code", _MALFORMED.values(), ids=_MALFORMED)
+    @pytest.mark.parametrize("row", _MALFORMED.values(), ids=_MALFORMED)
     def test_subcommand_exit_code(self, tmp_path, mixture_file, unit_cfg_file,
-                                  argv, code, capsys):
+                                  row, capsys):
+        argv, code, *message = row
         paths = {"mix": mixture_file, "cfg": unit_cfg_file,
                  "missing": tmp_path / "missing", "out": tmp_path / "out",
                  "nodir": tmp_path / "nodir" / "out",
                  "badcfg": tmp_path / "bad.json", "empty": tmp_path / "empty.qsef",
-                 "corrupt": tmp_path / "corrupt.qse"}
+                 "corrupt": tmp_path / "corrupt.qse", "huge": tmp_path / "huge.qse"}
         paths["badcfg"].write_text('{"scale": 1.0}')
         se.write_tensor(paths["empty"], [])
         paths["corrupt"].write_bytes(b"QSE1\x01\x00\x00\x00" + b"\xff" * 10)
+        # 3.4e38 encodes to the fine code 3.5e38, beyond binary32
+        se.write_packed(paths["huge"], se.encode_tensor(*_BEYOND_BINARY32))
         assert run(*argv.format(**paths).split()) == code
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert all(m in err for m in message)
         assert not paths["out"].exists()
 
     @pytest.mark.parametrize("text", [
@@ -184,6 +201,18 @@ class TestEval:
         t = se.read_tensor(mixture_file)
         want = se.compare_quantizers(t, se.derive_config(1.0)).to_dict()
         assert json.loads(out.read_text()) == want
+
+    def test_reconstruction_beyond_binary32_reads_inf(self, tmp_path, capsys):
+        values, cfg = _BEYOND_BINARY32
+        inp, cfg_file = tmp_path / "t.qsef", tmp_path / "cfg.json"
+        se.write_tensor(inp, values)
+        cfg_file.write_text(cfg.to_json())
+        assert run("eval", "--input", inp, "--config", cfg_file) == 0
+        out, err = capsys.readouterr()
+        quantizers = json.loads(out)["quantizers"]
+        assert [quantizers[q]["mse"] for q in ("soft_edge", "int8")] == [
+            "inf", "inf"]
+        assert err == ""
 
     def test_csv_to_stdout(self, mixture_file, unit_cfg_file, capsys):
         assert run("eval", "--input", mixture_file, "--config", unit_cfg_file,

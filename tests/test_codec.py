@@ -164,6 +164,18 @@ class TestFakeQuant:
             fake_quant([1.0, float("nan"), 2.0], unit_cfg)
         assert ei.value.index == 1
 
+    def test_beyond_binary32_is_inf_for_both_quantizers(self):
+        # at scale 1e300 every nonzero code reconstructs beyond binary32
+        cfg = derive_config(1e300)
+        x = [0.0, 1.0, -1e299, 1e300, -5e301, 2e302, -np.finfo(float).max]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            se = fake_quant(x, cfg, "soft_edge")
+            i8 = fake_quant(x, cfg, "int8")
+        want = np.float32([0, 0, 0, np.inf, -np.inf, np.inf, -np.inf])
+        np.testing.assert_array_equal(se, want)
+        np.testing.assert_array_equal(i8, want)
+
     def test_unknown_quantizer(self, unit_cfg):
         with pytest.raises(ValueError):
             fake_quant([1.0], unit_cfg, "int4")

@@ -20,7 +20,12 @@ from softedge import (
 )
 from softedge.codec import _region_index
 from softedge.ssm import SsmParams, run_report
-from softedge.errors import EmptyTensor, LengthMismatch, ZeroSignal
+from softedge.errors import (
+    EmptyTensor,
+    LengthMismatch,
+    NonFiniteInput,
+    ZeroSignal,
+)
 
 
 class TestMse:
@@ -47,6 +52,17 @@ class TestMse:
         b = a + rng.normal(scale=1e-3, size=100)
         assert mse(a, b) > 0
         assert mse(a, a) == 0
+
+
+@pytest.mark.parametrize("metric, ref, approx, index", [
+    (mse, [float("nan")], [0.0], 0),
+    (sqnr_db, [1.0, float("inf")], [1.0, 0.0], 1),
+    (mse, [1.0, 2.0, 3.0], [1.0, 2.0, -float("inf")], 2),
+])
+def test_nonfinite_rejected_with_index(metric, ref, approx, index):
+    with pytest.raises(NonFiniteInput) as ei:
+        metric(ref, approx)
+    assert ei.value.index == index
 
 
 class TestSqnr:
@@ -138,6 +154,8 @@ class TestCompareQuantizers:
     def test_empty(self, unit_cfg):
         with pytest.raises(EmptyTensor):
             compare_quantizers([], unit_cfg)
+        with pytest.raises(EmptyTensor):
+            region_breakdown([], unit_cfg)
 
 
 class TestSerialization:

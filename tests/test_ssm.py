@@ -113,6 +113,14 @@ class TestParamsValidation:
         with pytest.raises(InvalidParams):
             SsmParams(a=[0.5], b=[float("nan")], c=[1.0])
 
+    @pytest.mark.parametrize("name", ["a", "b", "c", "h0"])
+    def test_nonfinite_entry_reports_index(self, name):
+        fields = {k: [0.5, 0.5] for k in ("a", "b", "c", "h0")}
+        fields[name] = [0.5, float("inf")]
+        with pytest.raises(InvalidParams) as ei:
+            SsmParams(**fields)
+        assert ei.value.index == 1
+
     def test_shape_mismatch(self):
         with pytest.raises(InvalidParams):
             SsmParams(a=[0.5, 0.5], b=[1.0], c=[1.0])

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import struct
 
@@ -236,6 +237,46 @@ _FILE_BYTES = (st.binary(max_size=200) | st.builds(
     st.sampled_from([0, 1, 2, 255]), st.integers(0, 40),
     st.integers(0, 16), st.binary(max_size=200))
     | st.integers(0, 40).flatmap(_well_formed))
+
+
+def _binary32(x):
+    """x packed as little-endian binary32, or None if it is not finite there;
+    struct rejects a finite value that rounds past the binary32 range."""
+    try:
+        return struct.pack("<f", x) if math.isfinite(x) else None
+    except OverflowError:
+        return None
+
+
+# Any float64, plus values at the binary32 limit (its largest value, the next
+# float64 up, which still rounds down to it, the halfway value, which rounds
+# to +inf, and one past it), a binary32 underflow and a signalling NaN, whose
+# cast to binary32 sets the invalid flag.
+_F32_MAX = float(np.finfo(np.float32).max)
+_SNAN = struct.unpack("<d", bytes.fromhex("010000000000f07f"))[0]
+_EDGE = st.sampled_from([_F32_MAX, math.nextafter(_F32_MAX, math.inf),
+                         3.4028235677973366e38, 3.5e38, 1e-46, _SNAN])
+_VALUES = st.lists(st.floats() | st.floats(width=32) | _EDGE
+                   | _EDGE.map(lambda x: -x), max_size=12)
+
+
+@given(values=_VALUES)
+def test_write_tensor_keeps_every_bit_or_writes_nothing(tmp_path_factory,
+                                                        values):
+    p = tmp_path_factory.getbasetemp() / "prop.qsef"
+    if p.exists():
+        p.unlink()
+    packed = [_binary32(x) for x in values]
+    if None in packed:
+        with pytest.raises(NonFiniteValue) as ei:
+            write_tensor(p, np.array(values, dtype=np.float64))
+        assert ei.value.index == packed.index(None)
+        assert not p.exists()
+    else:
+        write_tensor(p, np.array(values, dtype=np.float64))
+        assert p.read_bytes()[16:] == b"".join(packed)
+        assert read_tensor(p).tobytes() == np.float64(
+            np.frombuffer(b"".join(packed), "<f4")).tobytes()
 
 
 @pytest.mark.parametrize("reader", [read_tensor, read_packed])
