@@ -82,6 +82,10 @@ class QuantConfig:
             )
         if self.fine_divisor < 1 or self.coarse_multiplier < 1:
             raise InvalidConfig("fine_divisor and coarse_multiplier must be >= 1")
+        if not (self.fine_step > 0 and math.isfinite(self.coarse_step)):
+            raise InvalidConfig(
+                f"steps must be finite and > 0, got fine {self.fine_step} "
+                f"and coarse {self.coarse_step}")
 
     @property
     def codec_fields(self) -> tuple:
@@ -132,17 +136,16 @@ def _number(name: str, v) -> float:
 
 
 def percentile_abs(values, p: float) -> float:
-    """p-th percentile of |values| by linear interpolation between order
+    """p-th percentile of all |values| by linear interpolation between order
     statistics: r = (p/100)*(n-1); result interpolates w[floor(r)] and the
     next order statistic by frac(r).
     """
-    v = np.asarray(values, dtype=np.float64)
-    if v.size == 0:
-        raise EmptyTensor("cannot take a percentile of an empty tensor")
     if not (0 < p <= 100):
         raise PercentileOutOfRange(f"percentile must be in (0, 100], got {p}")
-    check_finite(v)
-    w = np.sort(np.abs(v))
+    v = check_finite(values).astype(np.float64, copy=False)
+    if v.size == 0:
+        raise EmptyTensor("cannot take a percentile of an empty tensor")
+    w = np.sort(np.abs(v), axis=None)
     r = (p / 100.0) * (w.size - 1)
     lo = int(math.floor(r))
     frac = r - lo
@@ -179,7 +182,6 @@ def derive_config(scale: float, fine_divisor: float = 4.0,
 def calibrate(values, p: float, fine_divisor: float = 4.0,
               coarse_multiplier: float = 4.0) -> QuantConfig:
     """Percentile-calibrate a scale and derive the full config in one step."""
-    scale = calibrate_scale(values, p)
-    n = int(np.asarray(values).size)
+    scale = calibrate_scale(values, p)  # checks values before np.size counts
     return derive_config(scale, fine_divisor, coarse_multiplier,
-                         percentile=p, calib_count=n)
+                         percentile=p, calib_count=np.size(values))

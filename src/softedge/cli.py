@@ -17,7 +17,7 @@ import traceback
 import numpy as np
 
 from . import calibration, codec, metrics, ssm, synth, tensor_io
-from .errors import EmptyTensor, InvalidParams, IoFailure, ValidationError
+from .errors import EmptyTensor, InvalidConfig, InvalidParams, IoFailure, ValidationError
 
 SWEEP_COLUMNS = [
     "percentile", "fine_divisor", "coarse_multiplier", "scale", "L", "H",
@@ -36,10 +36,9 @@ def _fmt(v) -> str:
 
 def _load_config(path) -> calibration.QuantConfig:
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
-    except OSError as e:
-        raise IoFailure(f"cannot read {path}: {e}") from e
+        text = tensor_io._read_bytes(path).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise InvalidConfig(f"{path}: config is not UTF-8 text: {e}") from e
     return calibration.QuantConfig.from_json(text)
 
 

@@ -166,26 +166,30 @@ _CODE_INDEX = np.concatenate([
     _m, -_m & 0xFF,
     _six | REGION_BIT, _six | REGION_BIT | SIGN_BIT,
 ]).astype(np.uint16)
-_CODE_INDEX.flags.writeable = False
-del _m, _six
+
+# The fields of each flag<<8 | byte key, as the trace reports them: region
+# index, sign bit and magnitude (the |INT8| value for flag-0 codes).
+_flag, _byte = np.divmod(np.arange(512), 256)
+_KEY_REGION = np.where(_flag == 0, 1, np.where(_byte & REGION_BIT, 2, 0))
+_KEY_SIGN = _byte >> 7
+_KEY_MAGNITUDE = np.where(_flag == 0, np.where(_KEY_SIGN, 256 - _byte, _byte),
+                          _byte & MAGNITUDE_MASK)
+for _a in (_CODE_INDEX, _KEY_REGION, _KEY_SIGN, _KEY_MAGNITUDE):
+    _a.flags.writeable = False
+del _m, _six, _flag, _byte, _a
 
 
-# The decode table holds all 512 indices: also -128 (flag 0, byte 0x80), never
+# The decode table holds all 512 keys: also -128 (flag 0, byte 0x80), never
 # emitted but accepted, and values that overflow or do not fit binary32, which
 # are read only if their code occurs.
 @functools.lru_cache(maxsize=256)
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore")
 def _tables(cfg: QuantConfig) -> _Tables:
     offset = np.array([0.0, 0.0, cfg.high_threshold])
     step = np.array([cfg.fine_step, cfg.scale, cfg.coarse_step])
     top = np.array([MAX_MAGNITUDE, MAX_STANDARD_CODE, MAX_MAGNITUDE], float)
-    key = np.arange(512)
-    flag, byte = key >> 8, key & 0xFF
-    region = np.where(flag == 0, 1, np.where(byte & REGION_BIT, 2, 0))
-    m = np.where(flag == 0, np.where(byte & SIGN_BIT, 256 - byte, byte),
-                 byte & MAGNITUDE_MASK)
-    sign = np.where(byte & SIGN_BIT, -1.0, 1.0)
-    decode = sign * (offset[region] + m * step[region])
+    sign = np.where(_KEY_SIGN, -1.0, 1.0)
+    decode = sign * (offset[_KEY_REGION] + _KEY_MAGNITUDE * step[_KEY_REGION])
     tables = _Tables(offset, step, top, decode, decode.astype(np.float32))
     for a in tables:
         a.flags.writeable = False
@@ -239,9 +243,7 @@ def _decode_arrays(flags: np.ndarray, codes: np.ndarray, cfg: QuantConfig,
 
 def _one(x: float) -> np.ndarray:
     """The scalar x as a checked one-element float64 array."""
-    v = np.asarray([x], dtype=np.float64)
-    check_finite(v)
-    return v
+    return check_finite([x]).astype(np.float64, copy=False)
 
 
 def classify(x: float, cfg: QuantConfig) -> RegionClass:
@@ -270,8 +272,7 @@ def int8_decode(b: int, cfg: QuantConfig) -> float:
 
 
 def encode_tensor(values, cfg: QuantConfig) -> QuantizedTensor:
-    x = np.asarray(values, dtype=np.float64)
-    check_finite(x)
+    x = check_finite(values).astype(np.float64, copy=False)
     key = _encode_index(x, cfg)
     return QuantizedTensor(config=cfg, flags=key > 0xFF,
                            codes=key.astype(np.uint8))
@@ -288,8 +289,7 @@ def fake_quant(values, cfg: QuantConfig, which: str = "soft_edge") -> np.ndarray
     ``which`` selects the soft-edge path or the plain INT8 baseline.
     Idempotent: fake_quant(fake_quant(t)) == fake_quant(t) bitwise.
     """
-    x = np.asarray(values, dtype=np.float64)
-    check_finite(x)
+    x = check_finite(values).astype(np.float64, copy=False)
     if which == "soft_edge":
         return _tables(cfg).decode32[_encode_index(x, cfg)]
     if which == "int8":
@@ -300,26 +300,20 @@ def fake_quant(values, cfg: QuantConfig, which: str = "soft_edge") -> np.ndarray
 
 def hardware_trace(x: float, cfg: QuantConfig) -> TraceRecord:
     """Bit-exact behavioral trace of the datapath for a single value."""
-    region = classify(x, cfg)
-    code = se_encode(x, cfg)
-    recon = se_decode(code, cfg)
-    if code.se_flag:
-        sign_bit, region_bit, magnitude = (
-            code.sign_bit, code.region_bit, code.magnitude,
-        )
-    else:
-        sign_bit = 1 if code.int8_value < 0 else 0
-        region_bit = 0
-        magnitude = abs(code.int8_value)
+    v = _one(x)
+    key = int(_encode_index(v, cfg)[0])
+    region = int(_KEY_REGION[key])
+    t = _tables(cfg)
+    value, recon = float(v[0]), float(t.decode[key])
     return TraceRecord(
-        value=float(x),
-        region=region,
-        selected_step=float(_tables(cfg).step[_REGIONS.index(region)]),
-        se_flag=code.se_flag,
-        sign_bit=sign_bit,
-        region_bit=region_bit,
-        magnitude=magnitude,
-        byte=code.byte,
+        value=value,
+        region=_REGIONS[region],
+        selected_step=float(t.step[region]),
+        se_flag=key >> 8,
+        sign_bit=int(_KEY_SIGN[key]),
+        region_bit=int(region == 2),
+        magnitude=int(_KEY_MAGNITUDE[key]),
+        byte=key & 0xFF,
         reconstructed=recon,
-        abs_error=abs(float(x) - recon),
+        abs_error=abs(value - recon),
     )

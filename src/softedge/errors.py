@@ -4,8 +4,9 @@ Validation errors (bad inputs, malformed files, broken invariants) derive
 from :class:`ValidationError`; genuine I/O failures wrap the OS error in
 :class:`IoFailure`. The CLI maps these onto exit codes 2 and 1.
 
-:func:`check_finite` is the package's one NaN/infinity check; it raises the
-caller's error class with ``index`` set to the first bad value.
+:func:`check_finite` is the package's one entry for tensors and one NaN/inf
+check: it returns the array it checked, in the caller's own dtype, or raises
+the caller's error class with ``index`` set to the first bad value.
 """
 
 import numpy as np
@@ -85,11 +86,13 @@ class InvalidParams(ValidationError):
     pass
 
 
-def check_finite(x: np.ndarray, error=NonFiniteInput, where: str = ""):
-    """Raise ``error``, with ``index`` set, at the first NaN or inf in ``x``."""
+def check_finite(values, error=NonFiniteInput, where: str = "") -> np.ndarray:
+    """``values`` as an array; ``error``, with ``index``, at its first NaN/inf."""
+    x = np.asarray(values)
     bad = ~np.isfinite(x)
     if bad.any():
         idx = int(np.argmax(bad))
         e = error(f"{where}non-finite value at index {idx}")
         e.index = idx
         raise e
+    return x

@@ -101,14 +101,12 @@ def _pair_error(ref, approx):
     e is 0 unless the difference overflowed binary64 (opposite signs near
     +-1e308); then err is the difference of the halved operands and e is 1.
     """
-    r = np.asarray(ref, dtype=np.float64)
-    a = np.asarray(approx, dtype=np.float64)
+    r = check_finite(ref, where="ref: ").astype(np.float64, copy=False)
+    a = check_finite(approx, where="approx: ").astype(np.float64, copy=False)
     if r.shape != a.shape:
         raise LengthMismatch(f"length mismatch: {r.size} vs {a.size}")
     if r.size == 0:
         raise EmptyTensor("metrics need at least one element")
-    check_finite(r, where="ref: ")
-    check_finite(a, where="approx: ")
     try:
         with np.errstate(over="raise"):
             return r, np.abs(r - a), 0
@@ -200,7 +198,7 @@ def region_breakdown(values, cfg: QuantConfig):
 
     Returns (small, medium, large) RegionStats; counts sum to n.
     """
-    x = np.asarray(values, dtype=np.float64)
+    x = check_finite(values).astype(np.float64, copy=False)
     if x.size == 0:
         raise EmptyTensor("region breakdown needs at least one element")
     return _region_stats(x, np.abs(x - fake_quant(x, cfg, "soft_edge")), cfg)
@@ -215,7 +213,7 @@ def _delta(a: float, b: float) -> float:
 
 def compare_quantizers(values, cfg: QuantConfig) -> ComparisonReport:
     """Side-by-side soft-edge vs baseline INT8 report on one tensor."""
-    x = np.asarray(values, dtype=np.float64)
+    x = check_finite(values).astype(np.float64, copy=False)
     se_err = np.abs(x - fake_quant(x, cfg, "soft_edge"))
     power = _sum(x)
     se = QuantizerStats(**_error_stats(se_err, power))

@@ -55,17 +55,14 @@ class SsmParams:
     def __post_init__(self):
         if self.h0 is None:
             object.__setattr__(self, "h0", np.zeros_like(self.a, dtype=float))
-        names = ("a", "b", "c", "h0")
-        arrays = [np.asarray(getattr(self, n), dtype=np.float64) for n in names]
-        for name, arr in zip(names, arrays):
-            object.__setattr__(self, name, arr)
-        a, b, c, h0 = arrays
+        for n in ("a", "b", "c", "h0"):
+            arr = check_finite(getattr(self, n), InvalidParams, f"{n}: ")
+            object.__setattr__(self, n, arr.astype(np.float64, copy=False))
+        a, b, c, h0 = self.a, self.b, self.c, self.h0
         if not (a.shape == b.shape == c.shape == h0.shape) or a.ndim != 1:
             raise InvalidParams("a, b, c and h0 must be 1-D with equal lengths")
         if a.size == 0:
             raise InvalidParams("state dimension must be >= 1")
-        for name, arr in zip(names, arrays):
-            check_finite(arr, InvalidParams, f"{name}: ")
         if np.any(np.abs(a) >= 1):
             raise InvalidParams("instability: need |a_i| < 1 for every channel")
 
@@ -105,8 +102,10 @@ def make_params(state_dim: int, seed: int) -> SsmParams:
     return SsmParams(a=a, b=b, c=c)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def ssm_forward(params: SsmParams, x) -> np.ndarray:
     """Run the recurrence over a length-T input; returns the length-T output.
+    An output beyond binary64 raises InvalidParams, without a warning.
 
     The input is zero-padded to rows of BLOCK steps, X[m, j] = x[m*BLOCK + j].
     With kernel[d] = sum_i c_i b_i a_i^d and s_m the state entering block m,
@@ -115,10 +114,9 @@ def ssm_forward(params: SsmParams, x) -> np.ndarray:
     Each sum over j or i is one matrix product for all blocks; only the
     state carry loops, once per block.
     """
-    xs = np.asarray(x, dtype=np.float64)
+    xs = check_finite(x, InvalidParams, "input: ").astype(np.float64, copy=False)
     if xs.ndim != 1:
         raise InvalidParams("input must be 1-D")
-    check_finite(xs, InvalidParams, "input: ")
     a, b, c = params.a, params.b, params.c
     blocks = np.zeros(-(-xs.size // BLOCK) * BLOCK)
     blocks[:xs.size] = xs
@@ -134,14 +132,13 @@ def ssm_forward(params: SsmParams, x) -> np.ndarray:
         states[m] = h
         h = power[BLOCK] * h + u
     y = blocks @ toeplitz + states @ (c * power[1:]).T
-    return y.ravel()[:xs.size]
+    return check_finite(y.ravel()[:xs.size], InvalidParams, "output: ")
 
 
 def ssm_forward_quantized(params: SsmParams, x, cfg: QuantConfig,
                           which: str = "soft_edge") -> np.ndarray:
     """Same recurrence with the input fake-quantized at the SSM entry point."""
-    xq = fake_quant(np.asarray(x, dtype=np.float64), cfg, which)
-    return ssm_forward(params, xq.astype(np.float64))
+    return ssm_forward(params, fake_quant(x, cfg, which))
 
 
 def run_report(params: SsmParams, x, cfg: QuantConfig) -> SsmRunReport:
@@ -150,7 +147,7 @@ def run_report(params: SsmParams, x, cfg: QuantConfig) -> SsmRunReport:
     Each input is fake-quantized once; the same array drives its SSM run and
     its input-error statistics.
     """
-    xs = np.asarray(x, dtype=np.float64)
+    xs = check_finite(x, InvalidParams, "input: ").astype(np.float64, copy=False)
     y_ref = ssm_forward(params, xs)
     power = metrics._sum(y_ref)
     fields = {}

@@ -95,6 +95,9 @@ class DistSpec:
             raise InvalidSpec(f"unknown distribution kind {self.kind!r}")
         if self.n < 0:
             raise InvalidSpec(f"n must be >= 0, got {self.n}")
+        if not all(map(math.isfinite, (self.mean, self.std, self.outlier_low,
+                                       self.outlier_high))):
+            raise InvalidSpec("mean, std, outlier_low and outlier_high must be finite")
         if not (self.std > 0):
             raise InvalidSpec(f"std must be > 0, got {self.std}")
         if not (0 <= self.outlier_fraction < 1):
@@ -107,6 +110,8 @@ class DistSpec:
             raise InvalidSpec("degrees_of_freedom must be >= 1")
 
 
+# A value beyond binary64 becomes +/-inf quietly, for write_tensor to reject.
+@np.errstate(over="ignore")
 def generate(spec: DistSpec) -> np.ndarray:
     """Deterministic sample per (spec, seed); returns float64 values.
 

@@ -89,7 +89,7 @@ def write_tensor(path, values) -> int:
     # Check the binary32 payload, as read_tensor does: a value beyond binary32
     # casts to +/-inf and is rejected like a NaN; a signalling NaN casts quiet.
     with np.errstate(over="ignore", invalid="ignore"):
-        v = np.asarray(values, dtype=np.float64).astype("<f4")
+        v = np.asarray(values, dtype="<f4")
     check_finite(v, NonFiniteValue, f"{path}: in binary32, ")
     data = HEADER.pack(FLOAT_MAGIC, VERSION, v.size) + v.tobytes()
     return _write_bytes(path, data)
@@ -106,8 +106,7 @@ def read_tensor(path) -> np.ndarray:
         )
     # Check before widening: casting a signalling NaN raises a warning.
     v = np.frombuffer(payload, dtype="<f4")
-    check_finite(v, NonFiniteValue, f"{path}: ")
-    return v.astype(np.float64)
+    return check_finite(v, NonFiniteValue, f"{path}: ").astype(np.float64)
 
 
 def write_packed(path, q: QuantizedTensor) -> int:

@@ -73,6 +73,14 @@ class TestPercentileAbs:
             want = percentile_oracle(v.tolist(), p)
             assert got == pytest.approx(want, rel=4e-16, abs=0)
 
+    def test_any_shape(self):
+        v = np.random.default_rng(4).normal(0, 3, 24)
+        for p in (0.5, 50, 99.9, 100):
+            flat = percentile_abs(v, p)
+            for shape in ((4, 6), (2, 3, 4), (24, 1)):
+                assert percentile_abs(v.reshape(shape), p) == flat
+        assert percentile_abs(np.float64(-2.5), 50) == 2.5
+
     def test_monotone_in_p(self):
         rng = np.random.default_rng(5)
         v = rng.normal(0, 3, 500)
@@ -144,6 +152,20 @@ class TestQuantConfig:
             QuantConfig(scale=1.0, low_threshold=20.0, high_threshold=10.0)
         with pytest.raises(InvalidConfig):
             QuantConfig(scale=1.0, low_threshold=0.0, high_threshold=10.0)
+
+    @pytest.mark.parametrize("fields", [
+        # scale / fine_divisor underflows to 0
+        (1e-300, 1e-310, 1.27e-298, 1e300, 4.0),
+        (1.175494351e-38, 1.175494351e-38, 1.5e-36, 4.758454107848294e+285, 4.0),
+        # scale * coarse_multiplier overflows to inf
+        (10.0, 40.0, 1270.0, 4.0, 1e308),
+    ], ids=["fine_zero", "fine_subnormal_half", "coarse_inf"])
+    def test_steps_must_divide(self, fields):
+        doc = dict(zip(CODEC_FIELDS, fields))
+        with pytest.raises(InvalidConfig, match="steps"):
+            QuantConfig(**doc)
+        with pytest.raises(InvalidConfig, match="steps"):
+            QuantConfig.from_json(json.dumps(doc))
 
     def test_steps(self):
         cfg = derive_config(2.0)

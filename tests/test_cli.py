@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import softedge as se
+from softedge.calibration import CODEC_FIELDS
 from softedge.cli import main
 from softedge.synth import DistSpec, generate
 
@@ -75,6 +76,23 @@ class TestQuantizeDequantize:
         got = se.read_tensor(back)
         assert np.float32(got).tobytes() == want.tobytes()
 
+    def test_dequantize_config_override(self, tmp_path, mixture_file,
+                                        unit_cfg_file):
+        packed, back = tmp_path / "t.qse", tmp_path / "back.qsef"
+        other = se.derive_config(0.37, fine_divisor=2, coarse_multiplier=8)
+        override = tmp_path / "other.json"
+        override.write_text(other.to_json())
+        assert run("quantize", "--input", mixture_file,
+                   "--config", unit_cfg_file, "--out", packed) == 0
+        assert run("dequantize", "--input", packed, "--config", override,
+                   "--out", back) == 0
+        q = se.read_packed(packed)
+        q.config = other
+        want = se.decode_tensor(q).astype(np.float32)
+        assert np.float32(se.read_tensor(back)).tobytes() == want.tobytes()
+        assert not np.array_equal(want, se.fake_quant(
+            se.read_tensor(mixture_file), se.derive_config(1.0)))
+
     def test_bad_config_exit_2(self, tmp_path, mixture_file):
         bad = tmp_path / "bad.json"
         bad.write_text('{"scale": 1.0}')
@@ -93,6 +111,13 @@ _MALFORMED = {
         ("synth --dist gaussian --n -1 --seed 1 --out {out}", 2),
     "synth-beyond_binary32":
         ("synth --dist gaussian --n 10 --seed 1 --std 1e39 --out {out}", 2),
+    "synth-beyond_binary64":
+        ("synth --dist gaussian --n 1000 --seed 1 --std 1e308 --out {out}", 2),
+    "synth-lognormal_beyond_binary64":
+        ("synth --dist lognormal --n 4 --seed 1 --mean 1000 --out {out}", 2),
+    "synth-infinite_outlier_low":
+        ("synth --dist outlier_mixture --n 10000 --seed 1 --outlier-low=-inf "
+         "--out {out}", 2, "finite"),
     "calibrate-missing_input":
         ("calibrate --input {missing} --percentile 99 --out {out}", 1),
     "calibrate-zero_percentile":
@@ -101,12 +126,16 @@ _MALFORMED = {
         ("quantize --input {mix} --config {missing} --out {out}", 1),
     "quantize-bad_config":
         ("quantize --input {mix} --config {badcfg} --out {out}", 2),
+    "quantize-zero_fine_step":
+        ("quantize --input {mix} --config {tinycfg} --out {out}", 2, "steps"),
     "dequantize-missing_input":
         ("dequantize --input {missing} --out {out}", 1),
     "dequantize-corrupt_qse":
         ("dequantize --input {corrupt} --out {out}", 2),
     "dequantize-beyond_binary32":
         ("dequantize --input {huge} --out {out}", 2),
+    "dequantize-zero_fine_step_block":
+        ("dequantize --input {tinyqse} --out {out}", 2, "steps"),
     "eval-missing_config":
         ("eval --input {mix} --config {missing} --out {out}", 1),
     "eval-empty_input":
@@ -129,7 +158,15 @@ _MALFORMED = {
         ("trace --value 1.0 --config {missing}", 1),
     "trace-nan_value":
         ("trace --value nan --config {cfg}", 2),
+    "trace-infinite_coarse_step":
+        ("trace --value 2000 --config {hugecfg}", 2, "steps"),
+    "trace-non_utf8_config":
+        ("trace --value 1 --config {binarycfg}", 2, "UTF-8"),
 }
+
+# A fine step that underflows to 0 and a coarse step that overflows to inf.
+_TINY_STEP = (1e-300, 1e-310, 1.27e-298, 1e300, 4.0)
+_HUGE_STEP = (10.0, 40.0, 1270.0, 4.0, 1e308)
 
 
 # A tensor that fits binary32 and a config whose reconstruction of it does not.
@@ -145,8 +182,15 @@ class TestMalformedInput:
                  "missing": tmp_path / "missing", "out": tmp_path / "out",
                  "nodir": tmp_path / "nodir" / "out",
                  "badcfg": tmp_path / "bad.json", "empty": tmp_path / "empty.qsef",
-                 "corrupt": tmp_path / "corrupt.qse", "huge": tmp_path / "huge.qse"}
+                 "corrupt": tmp_path / "corrupt.qse", "huge": tmp_path / "huge.qse",
+                 "tinycfg": tmp_path / "tiny.json", "hugecfg": tmp_path / "hc.json",
+                 "tinyqse": tmp_path / "tiny.qse", "binarycfg": tmp_path / "bin.json"}
         paths["badcfg"].write_text('{"scale": 1.0}')
+        for key, fields in (("tinycfg", _TINY_STEP), ("hugecfg", _HUGE_STEP)):
+            paths[key].write_text(json.dumps(dict(zip(CODEC_FIELDS, fields))))
+        paths["tinyqse"].write_bytes(se.tensor_io.HEADER.pack(b"QSE1", 1, 0)
+                                     + se.tensor_io.CONFIG_FIELDS.pack(*_TINY_STEP))
+        paths["binarycfg"].write_bytes(b"\xff{}")
         se.write_tensor(paths["empty"], [])
         paths["corrupt"].write_bytes(b"QSE1\x01\x00\x00\x00" + b"\xff" * 10)
         # 3.4e38 encodes to the fine code 3.5e38, beyond binary32

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from softedge import (
@@ -11,6 +11,7 @@ from softedge import (
     QuantizedTensor,
     RegionClass,
     SoftEdgeCode,
+    TraceRecord,
     classify,
     decode_tensor,
     derive_config,
@@ -23,7 +24,8 @@ from softedge import (
     se_decode,
     se_encode,
 )
-from softedge.errors import NonCanonicalCode, NonFiniteInput
+from softedge.calibration import CODEC_FIELDS
+from softedge.errors import InvalidConfig, NonCanonicalCode, NonFiniteInput
 
 
 def region_codebook(region, cfg):
@@ -211,12 +213,15 @@ def test_fine_codebook_edge(unit_cfg):
     assert classify(16.0, unit_cfg) is RegionClass.MEDIUM
 
 
-@pytest.mark.parametrize("cfg", [
+_THRESHOLD_CFGS = [
     derive_config(1.0),
     derive_config(0.713),
     QuantConfig(scale=1, low_threshold=0.3, high_threshold=2.5,
                 fine_divisor=1000, coarse_multiplier=1),
-])
+]
+
+
+@pytest.mark.parametrize("cfg", _THRESHOLD_CFGS)
 def test_region_rule_agrees_at_thresholds(cfg):
     # classify, the encoder's (flag, region bit) and region_breakdown's
     # counts put each threshold neighbour in the same region
@@ -368,9 +373,63 @@ class TestHardwareTrace:
         assert t.reconstructed == 100.0
         assert t.abs_error == 0.0
 
-    def test_consistent_with_codec(self, unit_cfg):
-        for x in (-388.7, -16.0, -0.3, 7.77, 126.49, 127.51):
-            t = hardware_trace(x, unit_cfg)
-            c = se_encode(x, unit_cfg)
-            assert t.byte == c.byte and t.se_flag == c.se_flag
-            assert t.reconstructed == se_decode(c, unit_cfg)
+    def test_consistent_with_codec(self):
+        # every field equals the classify / se_encode / se_decode composition
+        steps = {RegionClass.SMALL: "fine_step", RegionClass.MEDIUM: "scale",
+                 RegionClass.LARGE: "coarse_step"}
+        for cfg in _THRESHOLD_CFGS:
+            L, H = cfg.low_threshold, cfg.high_threshold
+            xs = [m * cfg.scale for m in (0.0, 0.3, 7.77, 16.0, 126.49, 127.51,
+                                          388.7, 1e4)]
+            xs += [float(np.nextafter(t, d)) for t in (L, H) for d in (0, np.inf)]
+            for x in (*xs, L, H, *(-x for x in (*xs, L, H))):
+                c = se_encode(x, cfg)
+                region, recon = classify(x, cfg), se_decode(c, cfg)
+                if c.se_flag:
+                    bits = (c.sign_bit, c.region_bit, c.magnitude)
+                else:
+                    bits = (int(c.int8_value < 0), 0, abs(c.int8_value))
+                assert hardware_trace(x, cfg) == TraceRecord(
+                    x, region, getattr(cfg, steps[region]), c.se_flag, *bits,
+                    c.byte, recon, abs(x - recon))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+
+
+@st.composite
+def _accepted_configs(draw):
+    """Configs QuantConfig accepts: thresholds either anywhere or near scale."""
+    scale = draw(_POSITIVE)
+    near = st.floats(1e-3, 1e3).map(lambda r: r * scale)
+    low, high = sorted(draw(_POSITIVE | near) for _ in range(2))
+    fields = (scale, low, high, draw(st.floats(1, 1e308)), draw(st.floats(1, 1e308)))
+    try:
+        return QuantConfig(**dict(zip(CODEC_FIELDS, fields)))
+    except InvalidConfig:
+        reject()
+
+
+@settings(max_examples=300)
+@given(cfg=_accepted_configs(),
+       xs=st.lists(st.tuples(st.booleans(), _FINITE), min_size=1, max_size=24))
+@example(cfg=QuantConfig(scale=5e-324, low_threshold=1e-323,
+                         high_threshold=1e-322, fine_divisor=1,
+                         coarse_multiplier=1),
+         xs=[(False, 0.0), (False, 1e-323), (False, 1e308), (False, -5e-324)])
+@example(cfg=QuantConfig(scale=1e300, low_threshold=1e301, high_threshold=1e302,
+                         fine_divisor=1e300, coarse_multiplier=1.7e8),
+         xs=[(True, 0.49), (True, 100.0), (True, -1e5), (False, 1.7e308)])
+def test_accepted_config_round_trip_is_finite_and_quiet(cfg, xs):
+    # each x is absolute, or relative to the config's scale
+    x = np.array([r * cfg.scale if rel else r for rel, r in xs])
+    x = x[np.isfinite(x)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        decoded = decode_tensor(encode_tensor(x, cfg))
+        quantized = fake_quant(x, cfg)
+    assert not np.isnan(decoded).any()
+    with np.errstate(over="ignore"):
+        assert decoded.astype(np.float32).tobytes() == quantized.tobytes()
+

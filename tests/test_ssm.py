@@ -47,6 +47,17 @@ class TestForward:
         bound = float(np.sum(np.abs(p.c * p.b))) * np.max(np.abs(x)) / (1 - amax)
         assert np.all(np.abs(y) <= bound)
 
+    def test_output_beyond_binary64_rejected(self):
+        # finite input and parameters whose output overflows: an error with
+        # the first overflowing step, and no RuntimeWarning
+        big = np.finfo(np.float64).max  # y = big, then 1.5 * big
+        for p, x, index in (
+                (SsmParams(a=[0.5], b=[1.0], c=[1.0]), [big, big], 1),
+                (SsmParams(a=[0.5], b=[1e200], c=[1e200]), [1.0, 1.0], 0)):
+            with pytest.raises(InvalidParams, match="output") as ei:
+                ssm_forward(p, x)
+            assert ei.value.index == index
+
     def test_initial_state(self):
         p = SsmParams(a=[0.5], b=[0.0], c=[1.0], h0=[8.0])
         np.testing.assert_array_equal(ssm_forward(p, [0.0, 0.0]), [4.0, 2.0])

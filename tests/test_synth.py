@@ -86,6 +86,13 @@ class TestGenerate:
         g = generate(DistSpec(kind="gaussian", n=10**5, seed=6))
         assert np.mean(np.abs(t) > 4) > np.mean(np.abs(g) > 4)
 
+    def test_beyond_binary64_is_quiet_inf(self):
+        # runs under the suite's every-warning-is-an-error filter
+        g = generate(DistSpec(kind="gaussian", n=1000, seed=1, std=1e308))
+        assert np.isinf(g).any() and not np.isnan(g).any()
+        ln = generate(DistSpec(kind="lognormal", n=4, seed=1, mean=1000))
+        assert np.all(ln == np.inf)
+
     def test_all_finite(self):
         for kind in ("gaussian", "outlier_mixture", "student_t", "lognormal"):
             v = generate(DistSpec(kind=kind, n=10**4, seed=13))
@@ -113,3 +120,11 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             DistSpec(kind="outlier_mixture", n=1, seed=0,
                      outlier_low=5, outlier_high=5)
+
+    @pytest.mark.parametrize("field", ["mean", "std", "outlier_low",
+                                       "outlier_high"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"),
+                                       float("nan")])
+    def test_nonfinite_parameter(self, field, value):
+        with pytest.raises(InvalidSpec, match="finite"):
+            DistSpec(kind="outlier_mixture", n=1, seed=0, **{field: value})

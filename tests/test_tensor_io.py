@@ -10,8 +10,23 @@ from hypothesis import strategies as st
 
 from softedge import (
     QuantizedTensor,
+    SsmParams,
+    calibrate,
+    classify,
+    compare_quantizers,
     derive_config,
     encode_tensor,
+    fake_quant,
+    hardware_trace,
+    int8_encode,
+    make_params,
+    mse,
+    percentile_abs,
+    region_breakdown,
+    run_report,
+    se_encode,
+    ssm_forward,
+    ssm_forward_quantized,
     read_packed,
     read_tensor,
     write_packed,
@@ -20,7 +35,9 @@ from softedge import (
 from softedge.errors import (
     BadMagic,
     InvalidConfig,
+    InvalidParams,
     IoFailure,
+    NonFiniteInput,
     NonFiniteValue,
     SoftEdgeError,
     TruncatedPayload,
@@ -288,3 +305,79 @@ def test_fuzz_readers_raise_only_library_errors(tmp_path_factory, reader, data):
         reader(p)
     except SoftEdgeError:
         pass
+
+
+_CFG = derive_config(1.0)
+_PARAMS = make_params(3, 1)
+
+# Every public entry point that takes an array, and the class it raises at
+# the array's first NaN or infinity.
+_ENTRY_POINTS = {
+    "fake_quant": (lambda v: fake_quant(v, _CFG), NonFiniteInput),
+    "fake_quant_int8": (lambda v: fake_quant(v, _CFG, "int8"), NonFiniteInput),
+    "encode_tensor": (lambda v: encode_tensor(v, _CFG), NonFiniteInput),
+    "percentile_abs": (lambda v: percentile_abs(v, 99), NonFiniteInput),
+    "calibrate": (lambda v: calibrate(v, 99), NonFiniteInput),
+    "mse_ref": (lambda v: mse(v, np.zeros(v.shape)), NonFiniteInput),
+    "mse_approx": (lambda v: mse(np.zeros(v.shape), v), NonFiniteInput),
+    "compare_quantizers": (lambda v: compare_quantizers(v, _CFG),
+                           NonFiniteInput),
+    "region_breakdown": (lambda v: region_breakdown(v, _CFG), NonFiniteInput),
+    "SsmParams": (lambda v: SsmParams(a=np.full(v.shape, 0.5), b=v,
+                                      c=np.ones(v.shape)), InvalidParams),
+    "ssm_forward": (lambda v: ssm_forward(_PARAMS, v), InvalidParams),
+    "ssm_forward_quantized": (lambda v: ssm_forward_quantized(_PARAMS, v, _CFG),
+                              NonFiniteInput),
+    "run_report": (lambda v: run_report(_PARAMS, v, _CFG), InvalidParams),
+}
+
+# Raw element bytes: any bit pattern, plus signalling and quiet NaNs,
+# infinities, the smallest subnormal and the largest finite value.
+_F4_SPECIAL = [bytes.fromhex(h) for h in (
+    "0100807f", "010080ff", "0000c07f", "0000807f", "000080ff", "01000000",
+    "ffff7f7f", "0000803f")]
+_F8_SPECIAL = [bytes.fromhex(h) for h in (
+    "010000000000f07f", "000000000000f8ff", "000000000000f07f",
+    "000000000000f0ff", "0100000000000000", "ffffffffffffef7f",
+    "000000000000f03f")]
+_RAW_ARRAYS = st.one_of(
+    st.tuples(st.just("<f4"), st.lists(st.sampled_from(_F4_SPECIAL)
+                                       | st.binary(min_size=4, max_size=4),
+                                       max_size=12).map(b"".join)),
+    st.tuples(st.just("<f8"), st.lists(st.sampled_from(_F8_SPECIAL)
+                                       | st.binary(min_size=8, max_size=8),
+                                       max_size=12).map(b"".join)))
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+@given(raw=_RAW_ARRAYS)
+def test_fuzz_entry_points_check_values_as_given(entry, raw):
+    call, _ = _ENTRY_POINTS[entry]
+    v = np.frombuffer(raw[1], raw[0])
+    bad = np.flatnonzero(~np.isfinite(v))
+    try:
+        call(v)
+    except SoftEdgeError as e:
+        if bad.size:
+            assert e.index == bad[0]
+    else:
+        assert bad.size == 0
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+def test_binary32_signalling_nan_raises_documented_error(entry):
+    call, error = _ENTRY_POINTS[entry]
+    v = np.frombuffer(bytes.fromhex("0000803f0100807f0000803f"), "<f4")
+    with pytest.raises(error) as ei:
+        call(v)
+    assert ei.value.index == 1
+
+
+@pytest.mark.parametrize("scalar", [classify, se_encode, int8_encode,
+                                    hardware_trace])
+def test_binary32_signalling_nan_scalar(scalar):
+    snan = np.frombuffer(bytes.fromhex("0100807f"), "<f4")[0]
+    with pytest.raises(NonFiniteInput) as ei:
+        scalar(snan, _CFG)
+    assert ei.value.index == 0
+
