@@ -14,10 +14,10 @@ t = generate(DistSpec(
     std=1.0, outlier_fraction=0.001, outlier_low=10.0, outlier_high=30.0,
 ))
 
-for p in (99.9, 99.99, 99.999, 100.0):
-    cfg = se.calibrate(t, p)
-    r = se.compare_quantizers(t, cfg)
-    print(f"percentile {p:7.3f}: scale={cfg.scale:.5f}  "
+# one row per percentile, as calibrate + compare_quantizers would give
+for r in se.sweep(t, [99.9, 99.99, 99.999, 100.0]):
+    cfg = r.config
+    print(f"percentile {cfg.percentile:7.3f}: scale={cfg.scale:.5f}  "
           f"se_mse={r.soft_edge.mse:.3e}  int8_mse={r.int8.mse:.3e}  "
           f"sqnr gain={r.delta_sqnr_db:+.2f} dB")
 

@@ -11,6 +11,7 @@ simulator, bit-exact file formats, and a CLI.
 from .calibration import (
     QuantConfig,
     calibrate,
+    calibrate_grid,
     calibrate_scale,
     derive_config,
     percentile_abs,
@@ -38,6 +39,8 @@ from .metrics import (
     mse,
     region_breakdown,
     sqnr_db,
+    sweep,
+    SweepRow,
 )
 from .ssm import (
     SsmParams,
@@ -55,6 +58,7 @@ __version__ = "0.1.0"
 __all__ = [
     "QuantConfig",
     "calibrate",
+    "calibrate_grid",
     "calibrate_scale",
     "derive_config",
     "percentile_abs",
@@ -78,6 +82,8 @@ __all__ = [
     "mse",
     "region_breakdown",
     "sqnr_db",
+    "SweepRow",
+    "sweep",
     "SsmParams",
     "SsmRunReport",
     "make_params",

@@ -12,6 +12,7 @@ region thresholds default to fixed multiples of the scale:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -38,6 +39,7 @@ __all__ = [
     "calibrate_scale",
     "derive_config",
     "calibrate",
+    "calibrate_grid",
 ]
 
 
@@ -135,17 +137,25 @@ def _number(name: str, v) -> float:
         raise InvalidConfig(f"config field {name} out of range: {e}") from e
 
 
-def percentile_abs(values, p: float) -> float:
-    """p-th percentile of all |values| by linear interpolation between order
-    statistics: r = (p/100)*(n-1); result interpolates w[floor(r)] and the
-    next order statistic by frac(r).
-    """
+def _check_percentile(p: float):
     if not (0 < p <= 100):
         raise PercentileOutOfRange(f"percentile must be in (0, 100], got {p}")
+
+
+def _sorted_abs(values) -> np.ndarray:
+    """The checked |values| as float64, flattened and sorted ascending: the
+    one sort that percentile calibration reads."""
     v = check_finite(values).astype(np.float64, copy=False)
     if v.size == 0:
         raise EmptyTensor("cannot take a percentile of an empty tensor")
-    w = np.sort(np.abs(v), axis=None)
+    w = np.abs(v).reshape(-1)
+    w.sort()
+    return w
+
+
+def _interpolate(w: np.ndarray, p: float) -> float:
+    """p-th percentile of the ascending magnitudes w, by the rule that
+    ``percentile_abs`` documents."""
     r = (p / 100.0) * (w.size - 1)
     lo = int(math.floor(r))
     frac = r - lo
@@ -154,12 +164,24 @@ def percentile_abs(values, p: float) -> float:
     return float(w[lo] + frac * (w[lo + 1] - w[lo]))
 
 
-def calibrate_scale(values, p: float) -> float:
-    """Scale such that the p-th percentile of |values| maps to code 127."""
-    clip = percentile_abs(values, p)
+def _clip_scale(clip: float) -> float:
     if clip <= 0:
         raise DegenerateRange("all-zero calibration data (percentile of |v| is 0)")
     return clip / MAX_STANDARD_CODE
+
+
+def percentile_abs(values, p: float) -> float:
+    """p-th percentile of all |values| by linear interpolation between order
+    statistics: r = (p/100)*(n-1); result interpolates w[floor(r)] and the
+    next order statistic by frac(r).
+    """
+    _check_percentile(p)
+    return _interpolate(_sorted_abs(values), p)
+
+
+def calibrate_scale(values, p: float) -> float:
+    """Scale such that the p-th percentile of |values| maps to code 127."""
+    return _clip_scale(percentile_abs(values, p))
 
 
 def derive_config(scale: float, fine_divisor: float = 4.0,
@@ -185,3 +207,22 @@ def calibrate(values, p: float, fine_divisor: float = 4.0,
     scale = calibrate_scale(values, p)  # checks values before np.size counts
     return derive_config(scale, fine_divisor, coarse_multiplier,
                          percentile=p, calib_count=np.size(values))
+
+
+def calibrate_grid(values, percentiles, fine_divisors=(4.0,),
+                   coarse_multipliers=(4.0,)) -> list:
+    """``calibrate(values, p, fd, cm)`` of every grid row, p outermost, from
+    one sort of |values|.
+
+    The first row that fails, in grid order, raises what its ``calibrate``
+    would; an empty grid checks nothing.
+    """
+    configs, w = [], None
+    for p, fd, cm in itertools.product(percentiles, fine_divisors,
+                                       coarse_multipliers):
+        _check_percentile(p)
+        if w is None:
+            w = _sorted_abs(values)
+        configs.append(derive_config(_clip_scale(_interpolate(w, p)), fd, cm,
+                                     percentile=p, calib_count=w.size))
+    return configs

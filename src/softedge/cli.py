@@ -137,24 +137,19 @@ def cmd_sweep(args) -> int:
     if values.size == 0:
         print("empty input tensor", file=sys.stderr)
         return 2
+    rows = metrics.sweep(values, args.percentiles, args.fine_divisors,
+                         args.coarse_multipliers)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(SWEEP_COLUMNS)
-    for p in args.percentiles:
-        for fd in args.fine_divisors:
-            for cm in args.coarse_multipliers:
-                cfg = calibration.calibrate(values, p, fd, cm)
-                r = metrics.compare_quantizers(values, cfg)
-                w.writerow([
-                    repr(p), repr(fd), repr(cm), repr(cfg.scale),
-                    repr(cfg.low_threshold), repr(cfg.high_threshold),
-                    repr(r.soft_edge.mse), repr(r.soft_edge.sqnr_db),
-                    repr(r.int8.mse), repr(r.int8.sqnr_db),
-                    repr(r.delta_sqnr_db),
-                ])
+    for r in rows:
+        cfg = r.config
+        w.writerow([repr(v) for v in (
+            cfg.percentile, cfg.fine_divisor, cfg.coarse_multiplier, cfg.scale,
+            cfg.low_threshold, cfg.high_threshold, r.soft_edge.mse,
+            r.soft_edge.sqnr_db, r.int8.mse, r.int8.sqnr_db, r.delta_sqnr_db)])
     _write_text(args.out, buf.getvalue())
-    rows = len(args.percentiles) * len(args.fine_divisors) * len(args.coarse_multipliers)
-    print(f"rows={rows}")
+    print(f"rows={len(rows)}")
     return 0
 
 

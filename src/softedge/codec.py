@@ -58,6 +58,9 @@ REGION_BIT = 0x40
 MAGNITUDE_MASK = 0x3F
 MAX_MAGNITUDE = 63
 NEGATIVE_ZERO = 0x100 | SIGN_BIT  # flag<<8 | byte of the non-canonical code
+# Elements per block of the tensor kernels: a block's float64 temporaries
+# (256 KiB each) stay in cache instead of streaming through memory.
+BLOCK = 1 << 15
 
 
 class RegionClass(Enum):
@@ -271,9 +274,21 @@ def int8_decode(b: int, cfg: QuantConfig) -> float:
     return float(b) * cfg.scale
 
 
+def _blocked(x: np.ndarray, dtype, kernel):
+    """``kernel`` over BLOCK-element slices of the flattened x, each widened
+    to float64, written into one preallocated array of ``dtype`` shaped like
+    x. Every kernel step is elementwise, so the bits are those of one pass."""
+    flat = x.reshape(-1)
+    out = np.empty(flat.size, dtype)
+    for i in range(0, flat.size, BLOCK):
+        out[i:i + BLOCK] = kernel(flat[i:i + BLOCK].astype(np.float64, copy=False))
+    # [()] gives a 0-d input a scalar, as indexing it whole would
+    return out.reshape(x.shape)[()]
+
+
 def encode_tensor(values, cfg: QuantConfig) -> QuantizedTensor:
-    x = check_finite(values).astype(np.float64, copy=False)
-    key = _encode_index(x, cfg)
+    key = _blocked(check_finite(values), np.uint16,
+                   lambda b: _encode_index(b, cfg))
     return QuantizedTensor(config=cfg, flags=key > 0xFF,
                            codes=key.astype(np.uint8))
 
@@ -289,12 +304,14 @@ def fake_quant(values, cfg: QuantConfig, which: str = "soft_edge") -> np.ndarray
     ``which`` selects the soft-edge path or the plain INT8 baseline.
     Idempotent: fake_quant(fake_quant(t)) == fake_quant(t) bitwise.
     """
-    x = check_finite(values).astype(np.float64, copy=False)
+    x = check_finite(values)
     if which == "soft_edge":
-        return _tables(cfg).decode32[_encode_index(x, cfg)]
+        decode32 = _tables(cfg).decode32
+        return _blocked(x, np.float32, lambda b: decode32[_encode_index(b, cfg)])
     if which == "int8":
         with np.errstate(over="ignore"):
-            return (_int8_round(x, cfg) * cfg.scale).astype(np.float32)
+            return _blocked(x, np.float32,
+                            lambda b: _int8_round(b, cfg) * cfg.scale)
     raise ValueError(f"unknown quantizer {which!r}")
 
 

@@ -6,7 +6,9 @@ from :class:`ValidationError`; genuine I/O failures wrap the OS error in
 
 :func:`check_finite` is the package's one entry for tensors and one NaN/inf
 check: it returns the array it checked, in the caller's own dtype, or raises
-the caller's error class with ``index`` set to the first bad value.
+the caller's error class with ``index`` set to the first bad value. A value
+is bad if it is NaN, infinite, or does not fit the binary64 every caller
+widens to.
 """
 
 import numpy as np
@@ -86,13 +88,22 @@ class InvalidParams(ValidationError):
     pass
 
 
+_BINARY64_MAX = np.finfo(np.float64).max
+
+
 def check_finite(values, error=NonFiniteInput, where: str = "") -> np.ndarray:
-    """``values`` as an array; ``error``, with ``index``, at its first NaN/inf."""
+    """``values`` as an array; ``error``, with ``index``, at its first NaN/inf
+    or, in a dtype wider than binary64, its first value beyond binary64."""
     x = np.asarray(values)
     bad = ~np.isfinite(x)
+    wide = x.dtype.kind == "f" and np.finfo(x.dtype).max > _BINARY64_MAX
+    if wide:
+        bad |= np.abs(x) > _BINARY64_MAX
     if bad.any():
         idx = int(np.argmax(bad))
-        e = error(f"{where}non-finite value at index {idx}")
+        what = ("value beyond binary64" if wide and np.isfinite(x.flat[idx])
+                else "non-finite value")
+        e = error(f"{where}{what} at index {idx}")
         e.index = idx
         raise e
     return x

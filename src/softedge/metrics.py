@@ -16,10 +16,11 @@ import io
 import json
 import math
 from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 import numpy as np
 
-from .calibration import QuantConfig
+from .calibration import QuantConfig, calibrate_grid
 from .codec import RegionClass, _region_index, fake_quant
 from .errors import EmptyTensor, LengthMismatch, ZeroSignal, check_finite
 
@@ -31,6 +32,8 @@ __all__ = [
     "sqnr_db",
     "region_breakdown",
     "compare_quantizers",
+    "SweepRow",
+    "sweep",
 ]
 
 
@@ -124,13 +127,18 @@ def _sum(v: np.ndarray, square: bool = True):
     """sum(v*v), or sum(v) of v >= 0, as (s, e) with the sum equal to s * 2**e.
 
     Within binary64 this is np.sum's one pass, bit for bit, and e = 0. Only
-    a sum that overflowed is redone, on v scaled by an exact power of two.
+    a sum that overflowed is redone, on v scaled by an exact power of two; a
+    sum over an infinite v (the error of a reconstruction beyond binary32)
+    is +inf as it stands.
     """
     with np.errstate(over="ignore"):
         s = float(np.sum(v * v if square else v))
     if math.isfinite(s):
         return s, 0
-    k = math.frexp(float(np.max(np.abs(v))))[1]
+    top = float(np.max(np.abs(v)))
+    if top == math.inf:
+        return s, 0
+    k = math.frexp(top)[1]
     v = np.ldexp(v, -k)
     return float(np.sum(v * v if square else v)), 2 * k if square else k
 
@@ -211,13 +219,19 @@ def _delta(a: float, b: float) -> float:
     return a - b
 
 
+def _quantizer_stats(x: np.ndarray, cfg: QuantConfig, which: str, power):
+    """One quantizer row of x, whose ``_sum`` is ``power``, and its errors."""
+    err = x - fake_quant(x, cfg, which)
+    np.abs(err, out=err)
+    return QuantizerStats(**_error_stats(err, power)), err
+
+
 def compare_quantizers(values, cfg: QuantConfig) -> ComparisonReport:
     """Side-by-side soft-edge vs baseline INT8 report on one tensor."""
     x = check_finite(values).astype(np.float64, copy=False)
-    se_err = np.abs(x - fake_quant(x, cfg, "soft_edge"))
     power = _sum(x)
-    se = QuantizerStats(**_error_stats(se_err, power))
-    base = QuantizerStats(**_error_stats(np.abs(x - fake_quant(x, cfg, "int8")), power))
+    se, se_err = _quantizer_stats(x, cfg, "soft_edge", power)
+    base = _quantizer_stats(x, cfg, "int8", power)[0]
     return ComparisonReport(
         config=cfg,
         n=int(x.size),
@@ -228,3 +242,40 @@ def compare_quantizers(values, cfg: QuantConfig) -> ComparisonReport:
         delta_sqnr_db=_delta(se.sqnr_db, base.sqnr_db),
         delta_max_abs_err=_delta(se.max_abs_err, base.max_abs_err),
     )
+
+
+class SweepRow(NamedTuple):
+    """One calibration-grid row: its config and the two quantizer rows that
+    ``compare_quantizers`` reports for it."""
+
+    config: QuantConfig
+    soft_edge: QuantizerStats
+    int8: QuantizerStats
+
+    @property
+    def delta_sqnr_db(self) -> float:
+        return _delta(self.soft_edge.sqnr_db, self.int8.sqnr_db)
+
+
+def sweep(values, percentiles, fine_divisors=(4.0,),
+          coarse_multipliers=(4.0,)) -> list:
+    """A ``SweepRow`` per ``calibrate_grid`` row, in its order, equal to
+    ``compare_quantizers(values, calibrate(values, p, fd, cm))``.
+
+    The rows share their work: one sort, one input power, and one INT8 pass
+    per distinct scale (the INT8 row reads only the scale). Region rows are
+    not computed.
+    """
+    configs = calibrate_grid(values, percentiles, fine_divisors,
+                             coarse_multipliers)
+    if not configs:
+        return []
+    x = check_finite(values).astype(np.float64, copy=False)
+    power = _sum(x)
+    int8, rows = {}, []
+    for cfg in configs:
+        if cfg.scale not in int8:
+            int8[cfg.scale] = _quantizer_stats(x, cfg, "int8", power)[0]
+        rows.append(SweepRow(cfg, _quantizer_stats(x, cfg, "soft_edge", power)[0],
+                             int8[cfg.scale]))
+    return rows

@@ -1,14 +1,21 @@
 """Differential tests: every subcommand is a thin shell over the library."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import softedge as se
 from softedge.calibration import CODEC_FIELDS
-from softedge.cli import main
+from softedge.cli import SWEEP_COLUMNS, main
+from softedge.errors import ValidationError
 from softedge.synth import DistSpec, generate
 
 
@@ -144,6 +151,18 @@ _MALFORMED = {
         ("sweep --input {missing} --percentiles 99 --out {out}", 1),
     "sweep-empty_input":
         ("sweep --input {empty} --percentiles 99 --out {out}", 2),
+    "sweep-zero_after_valid_percentile":
+        ("sweep --input {mix} --percentiles 99,0 --out {out}", 2,
+         "percentile must be in (0, 100], got 0.0"),
+    "sweep-all_zero_input":
+        ("sweep --input {zeros} --percentiles 99 --out {out}", 2,
+         "all-zero calibration data"),
+    "sweep-fine_divisor_below_one":
+        ("sweep --input {mix} --percentiles 99 --fine-divisors 0.5 --out {out}",
+         2, "fine_divisor and coarse_multiplier must be >= 1"),
+    "sweep-degenerate_before_out_of_range":
+        ("sweep --input {zeros} --percentiles 50,0 --out {out}", 2,
+         "all-zero calibration data"),
     "ssm-missing_config":
         ("ssm --seed 1 --config {missing} --report {out}", 1),
     "ssm-zero_seq_len":
@@ -182,6 +201,7 @@ class TestMalformedInput:
                  "missing": tmp_path / "missing", "out": tmp_path / "out",
                  "nodir": tmp_path / "nodir" / "out",
                  "badcfg": tmp_path / "bad.json", "empty": tmp_path / "empty.qsef",
+                 "zeros": tmp_path / "zeros.qsef",
                  "corrupt": tmp_path / "corrupt.qse", "huge": tmp_path / "huge.qse",
                  "tinycfg": tmp_path / "tiny.json", "hugecfg": tmp_path / "hc.json",
                  "tinyqse": tmp_path / "tiny.qse", "binarycfg": tmp_path / "bin.json"}
@@ -192,6 +212,7 @@ class TestMalformedInput:
                                      + se.tensor_io.CONFIG_FIELDS.pack(*_TINY_STEP))
         paths["binarycfg"].write_bytes(b"\xff{}")
         se.write_tensor(paths["empty"], [])
+        se.write_tensor(paths["zeros"], np.zeros(8))
         paths["corrupt"].write_bytes(b"QSE1\x01\x00\x00\x00" + b"\xff" * 10)
         # 3.4e38 encodes to the fine code 3.5e38, beyond binary32
         se.write_packed(paths["huge"], se.encode_tensor(*_BEYOND_BINARY32))
@@ -330,6 +351,66 @@ class TestSweep:
         assert float(row[3]) == cfg.scale
         assert float(row[6]) == r.soft_edge.mse
         assert float(row[10]) == r.delta_sqnr_db
+
+
+def _sweep_by_rows(values, percentiles, fine_divisors, coarse_multipliers):
+    """The sweep CSV built row by row from calibrate and compare_quantizers."""
+    lines = [",".join(SWEEP_COLUMNS)]
+    for p in percentiles:
+        for fd in fine_divisors:
+            for cm in coarse_multipliers:
+                cfg = se.calibrate(values, p, fd, cm)
+                r = se.compare_quantizers(values, cfg)
+                lines.append(",".join(repr(v) for v in (
+                    p, fd, cm, cfg.scale, cfg.low_threshold, cfg.high_threshold,
+                    r.soft_edge.mse, r.soft_edge.sqnr_db, r.int8.mse,
+                    r.int8.sqnr_db, r.delta_sqnr_db)))
+    return "\n".join(lines) + "\n"
+
+
+# Binary32 values with ties, zeros, subnormals and the largest finite values.
+_SWEEP_VALUES = st.lists(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-45, -1e-40, 3.4028235e38,
+                     -3.4e38]) | st.floats(width=32, allow_nan=False,
+                                           allow_infinity=False),
+    min_size=1, max_size=10)
+_GRID_AXIS = st.lists(st.sampled_from([0.5, 1.0, 2.0, 4.0, 8.0]),
+                      min_size=1, max_size=3)
+_PERCENTILES = st.lists(st.sampled_from([50.0, 99.9, 100.0])
+                        | st.floats(0, 100, exclude_min=True),
+                        min_size=1, max_size=3)
+
+
+@settings(deadline=None, max_examples=60)
+@given(values=_SWEEP_VALUES, percentiles=_PERCENTILES, fine=_GRID_AXIS,
+       coarse=_GRID_AXIS)
+@example(values=[3.0], percentiles=[100.0, 100.0], fine=[4.0], coarse=[4.0])
+@example(values=[0.0, 1e-45], percentiles=[50.0, 100.0], fine=[1.0, 2.0],
+         coarse=[8.0])
+@example(values=[3.4028235e38, -3.4028235e38], percentiles=[99.9, 100.0],
+         fine=[1.0], coarse=[8.0, 1.0, 4.0])
+def test_sweep_equals_per_row_composition(values, percentiles, fine, coarse):
+    with tempfile.TemporaryDirectory() as d:
+        inp, out = Path(d) / "t.qsef", Path(d) / "sweep.csv"
+        se.write_tensor(inp, values)
+        values = se.read_tensor(inp)
+        try:
+            want = _sweep_by_rows(values, percentiles, fine, coarse)
+        except ValidationError as e:
+            want = e
+        argv = ["sweep", "--input", inp, "--out", out]
+        for flag, axis in (("--percentiles", percentiles),
+                           ("--fine-divisors", fine),
+                           ("--coarse-multipliers", coarse)):
+            argv += [flag, ",".join(repr(v) for v in axis)]
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = run(*argv)
+        if isinstance(want, ValidationError):
+            assert (code, err.getvalue()) == (2, f"{want}\n")
+            assert not out.exists()
+        else:
+            assert code == 0
+            assert out.read_bytes() == want.encode()
 
 
 class TestTrace:

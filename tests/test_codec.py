@@ -24,6 +24,7 @@ from softedge import (
     se_decode,
     se_encode,
 )
+from softedge import codec
 from softedge.calibration import CODEC_FIELDS
 from softedge.errors import InvalidConfig, NonCanonicalCode, NonFiniteInput
 
@@ -275,6 +276,38 @@ class TestTensorCodec:
         q = encode_tensor([], unit_cfg)
         assert len(q) == 0
         assert decode_tensor(q).size == 0
+
+
+def _one_pass(x, cfg):
+    """The kernels over the whole array at once: soft-edge and INT8
+    fake-quant, and the encoded flags and codes."""
+    key = codec._encode_index(x, cfg)
+    with np.errstate(over="ignore"):
+        int8 = (codec._int8_round(x, cfg) * cfg.scale).astype(np.float32)
+    return (codec._tables(cfg).decode32[key], int8, key > 0xFF,
+            key.astype(np.uint8))
+
+
+_B = codec.BLOCK
+
+
+@pytest.mark.parametrize("n", [0, 1, _B - 1, _B, _B + 1, 2 * _B + 1])
+@pytest.mark.parametrize("layout", ["flat", "2d", "strided"])
+def test_blocked_kernels_match_one_pass(n, layout):
+    # every region, both signs, the thresholds and values past binary32
+    cfg = derive_config(2e36)
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(2 * n) * rng.choice([1e36, 1e38, 3e39], 2 * n)
+    x[::7] = rng.choice([cfg.low_threshold, -cfg.high_threshold, 0.0, -0.0])
+    x = {"flat": x[:n], "2d": x[:n].reshape(n, 1),
+         "strided": x[1::2]}[layout]  # strided: a non-contiguous view
+    want_se, want_int8, want_flags, want_codes = _one_pass(x, cfg)
+    q = encode_tensor(x, cfg)
+    for got, want in ((fake_quant(x, cfg), want_se),
+                      (fake_quant(x, cfg, "int8"), want_int8),
+                      (q.flags, want_flags), (q.codes, want_codes)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestRegionLocalOptimality:

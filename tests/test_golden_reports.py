@@ -14,7 +14,7 @@ import json
 import pytest
 
 import softedge as se
-from softedge import metrics, ssm
+from softedge import calibration, metrics, ssm
 from softedge.cli import main
 
 GOLDEN_SHA256 = {
@@ -88,3 +88,25 @@ def test_one_fake_quant_per_quantizer(fake_quant_calls, unit_cfg):
     fake_quant_calls.clear()
     se.run_report(se.make_params(4, 1), x, unit_cfg)
     assert len(fake_quant_calls) == 2
+
+
+def test_sweep_shares_its_work(fake_quant_calls, monkeypatch):
+    counts = {"sort": 0, "percentile_abs": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(calibration, "_sorted_abs",
+                        counting("sort", calibration._sorted_abs))
+    monkeypatch.setattr(calibration, "percentile_abs",
+                        counting("percentile_abs", calibration.percentile_abs))
+    x = se.generate(se.DistSpec(kind="outlier_mixture", n=2048, seed=1))
+    rows = se.sweep(x, [99.0, 99.9, 99.0, 100.0], [2.0, 4.0], [4.0, 8.0])
+    assert len(rows) == 16
+    assert counts == {"sort": 1, "percentile_abs": 0}
+    which = [args[2] for args in fake_quant_calls]
+    assert which.count("soft_edge") == 16
+    assert which.count("int8") == 3  # one per distinct percentile

@@ -11,12 +11,14 @@ from hypothesis.extra.numpy import arrays
 
 from softedge import (
     RegionClass,
+    calibrate,
     compare_quantizers,
     derive_config,
     fake_quant,
     mse,
     region_breakdown,
     sqnr_db,
+    sweep,
 )
 from softedge.codec import _region_index
 from softedge.ssm import SsmParams, run_report
@@ -227,6 +229,20 @@ def test_huge_inputs_do_not_overflow(unit_cfg):
     assert doc["input_mse_soft_edge"] == doc["output_mse_int8"] == "inf"
     assert doc["input_max_abs_err_int8"] == 1e308
     assert math.isfinite(doc["output_sqnr_db_soft_edge"])
+
+
+def test_infinite_error_beside_an_overflowing_square():
+    """A reconstruction beyond binary32 errs by inf; a second error whose
+    square exceeds binary64 must not make the summed report warn."""
+    x = np.array([2.68e154, 1e160])
+    cfg = calibrate(x, 100.0)  # both quantizers reconstruct 1e160 as inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = compare_quantizers(x, cfg)
+        (row,) = sweep(x, [100.0])
+    for q in (r.soft_edge, r.int8, row.soft_edge, row.int8):
+        assert (q.mse, q.max_abs_err, q.sqnr_db) == (math.inf, math.inf, -math.inf)
+    assert r.regions[1].mean_abs_err == math.inf
 
 
 def test_sqnr_of_unrepresentable_ratio():

@@ -12,6 +12,7 @@ from softedge import (
     QuantizedTensor,
     SsmParams,
     calibrate,
+    calibrate_grid,
     classify,
     compare_quantizers,
     derive_config,
@@ -27,6 +28,7 @@ from softedge import (
     se_encode,
     ssm_forward,
     ssm_forward_quantized,
+    sweep,
     read_packed,
     read_tensor,
     write_packed,
@@ -329,6 +331,8 @@ _ENTRY_POINTS = {
     "ssm_forward_quantized": (lambda v: ssm_forward_quantized(_PARAMS, v, _CFG),
                               NonFiniteInput),
     "run_report": (lambda v: run_report(_PARAMS, v, _CFG), InvalidParams),
+    "calibrate_grid": (lambda v: calibrate_grid(v, [99, 100]), NonFiniteInput),
+    "sweep": (lambda v: sweep(v, [99, 100]), NonFiniteInput),
 }
 
 # Raw element bytes: any bit pattern, plus signalling and quiet NaNs,
@@ -369,6 +373,17 @@ def test_binary32_signalling_nan_raises_documented_error(entry):
     call, error = _ENTRY_POINTS[entry]
     v = np.frombuffer(bytes.fromhex("0000803f0100807f0000803f"), "<f4")
     with pytest.raises(error) as ei:
+        call(v)
+    assert ei.value.index == 1
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(np.float64).max,
+                    reason="longdouble is binary64 on this platform")
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+def test_beyond_binary64_raises_documented_error(entry):
+    call, error = _ENTRY_POINTS[entry]
+    v = np.array([1.0, np.longdouble("1e400"), 1.0], dtype=np.longdouble)
+    with pytest.raises(error, match="beyond binary64 at index 1") as ei:
         call(v)
     assert ei.value.index == 1
 
