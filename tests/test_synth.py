@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,28 @@ class TestGenerate:
         for kind in ("gaussian", "outlier_mixture", "student_t", "lognormal"):
             v = generate(DistSpec(kind=kind, n=10**4, seed=13))
             assert np.all(np.isfinite(v))
+
+
+# sha256 of generate(...).tobytes() at n = 3 * 2**16 + 5, which spans
+# several Box-Muller blocks and ends inside a partial one.
+MULTI_BLOCK_N = 3 * 2**16 + 5
+MULTI_BLOCK_SHA256 = {
+    ("gaussian", 0): "52fd7c77efac6a1a19a397c7fa4e63a501c7c787a8d9a0ec8ba7874ad3ad05b1",
+    ("gaussian", 9001): "5970256d26a70e228adc9bc4fdd333c92ca5e6b128d7d72cad0b6afce3b1efbc",
+    ("outlier_mixture", 0): "398aaca7ca6223e417863157a12d4ebe542cde34073642d2da9196470a61f933",
+    ("outlier_mixture", 9001): "099453b6cafb2bc45c69862c9fd61471932f1741e1407838fe55e08b6aa3b478",
+    ("student_t", 0): "a35f8a1b405962519c9bc9607f3c610ae96339b54e2fc064db63fca1cdceb638",
+    ("student_t", 9001): "3a10777504b6a662197b2edb1f51492f94d69fae5bac257e112a4e1ad17dd97b",
+    ("lognormal", 0): "72edd39e40d97dda0ce26bebe348cd64426edeb078ecf039bbfe0b9d1be19273",
+    ("lognormal", 9001): "942ae124b4fba46ae23cb885173d3f76d95e4352fd823c7cf2799c8bd148b312",
+}
+
+
+@pytest.mark.parametrize("kind, seed", sorted(MULTI_BLOCK_SHA256))
+def test_multi_block_digest(kind, seed):
+    v = generate(DistSpec(kind=kind, n=MULTI_BLOCK_N, seed=seed))
+    digest = hashlib.sha256(v.tobytes()).hexdigest()
+    assert digest == MULTI_BLOCK_SHA256[kind, seed]
 
 
 class TestSpecValidation:
