@@ -304,7 +304,13 @@ def fake_quant(values, cfg: QuantConfig, which: str = "soft_edge") -> np.ndarray
     ``which`` selects the soft-edge path or the plain INT8 baseline.
     Idempotent: fake_quant(fake_quant(t)) == fake_quant(t) bitwise.
     """
-    x = check_finite(values)
+    return _fake_quant_checked(check_finite(values), cfg, which)
+
+
+def _fake_quant_checked(x: np.ndarray, cfg: QuantConfig,
+                        which: str = "soft_edge") -> np.ndarray:
+    """``fake_quant`` of an array that ``check_finite`` has already passed,
+    for callers that checked it once for several passes."""
     if which == "soft_edge":
         decode32 = _tables(cfg).decode32
         return _blocked(x, np.float32, lambda b: decode32[_encode_index(b, cfg)])

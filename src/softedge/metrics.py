@@ -21,8 +21,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .calibration import QuantConfig, calibrate_grid
-from .codec import RegionClass, _region_index, fake_quant
+from .codec import RegionClass, _region_index
 from .errors import EmptyTensor, LengthMismatch, ZeroSignal, check_finite
+
+# codec's kernel without the finiteness check: each report checks its input
+# once, and every call here passes that checked float64 array.
+from .codec import _fake_quant_checked as fake_quant
 
 __all__ = [
     "RegionStats",
@@ -220,7 +224,8 @@ def _delta(a: float, b: float) -> float:
 
 
 def _quantizer_stats(x: np.ndarray, cfg: QuantConfig, which: str, power):
-    """One quantizer row of x, whose ``_sum`` is ``power``, and its errors."""
+    """One quantizer row of the checked float64 x, whose ``_sum`` is
+    ``power``, and its errors."""
     err = x - fake_quant(x, cfg, which)
     np.abs(err, out=err)
     return QuantizerStats(**_error_stats(err, power)), err
@@ -262,15 +267,15 @@ def sweep(values, percentiles, fine_divisors=(4.0,),
     """A ``SweepRow`` per ``calibrate_grid`` row, in its order, equal to
     ``compare_quantizers(values, calibrate(values, p, fd, cm))``.
 
-    The rows share their work: one sort, one input power, and one INT8 pass
-    per distinct scale (the INT8 row reads only the scale). Region rows are
-    not computed.
+    The rows share their work: one finiteness check and sort (in
+    ``calibrate_grid``), one input power, and one INT8 pass per distinct
+    scale (the INT8 row reads only the scale). Region rows are not computed.
     """
     configs = calibrate_grid(values, percentiles, fine_divisors,
                              coarse_multipliers)
     if not configs:
         return []
-    x = check_finite(values).astype(np.float64, copy=False)
+    x = np.asarray(values).astype(np.float64, copy=False)  # checked by the grid
     power = _sum(x)
     int8, rows = {}, []
     for cfg in configs:

@@ -16,6 +16,13 @@ another.
 Gaussians use the Box-Muller transform with both outputs consumed in order:
 pair j draws u1 from counter 2j and u2 from counter 2j+1, and yields
 r*cos(theta) then r*sin(theta) with r = sqrt(-2 ln u1), theta = 2*pi*u2.
+
+Any counter can be drawn on its own (Steele, Lea & Flood, OOPSLA 2014), so
+the counter layout is the whole contract: it fixes every output bit in
+whatever order the counters are drawn. ``generate`` keeps the layout but
+draws only the counters whose values it uses, BLOCK at a time into scratch
+that each block reuses; an outlier mixture reads its magnitude and sign
+counters at the outlier elements alone.
 """
 
 from __future__ import annotations
@@ -29,46 +36,95 @@ from .errors import InvalidSpec
 
 __all__ = ["DistSpec", "generate", "uniforms", "gaussians"]
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _INV_2_53 = 1.0 / (1 << 53)
+# Counters per block (2**15 Box-Muller pairs): a block's scratch stays in
+# cache and is reused, instead of a fresh n-element array per step.
+BLOCK = 1 << 16
+
+
+def _mix(seed: int, z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """splitmix64 in place: the uint64 counters z become their raw outputs.
+    t is scratch of z's size."""
+    z *= np.uint64(_GAMMA)  # state(k) = k * gamma + (seed + gamma)
+    z += np.uint64((seed + _GAMMA) & 0xFFFFFFFFFFFFFFFF)
+    z ^= np.right_shift(z, np.uint64(30), out=t)
+    z *= _MIX1
+    z ^= np.right_shift(z, np.uint64(27), out=t)
+    z *= _MIX2
+    z ^= np.right_shift(z, np.uint64(31), out=t)
+    return z
+
+
+def _splitmix64_at(seed: int, counters) -> np.ndarray:
+    """Raw 64-bit outputs at the given integer counters, in their order."""
+    z = np.asarray(counters).astype(np.uint64)
+    return _mix(seed, z, np.empty_like(z))
 
 
 def _splitmix64(seed: int, start: int, n: int) -> np.ndarray:
     """Raw 64-bit outputs for counters start .. start+n-1."""
-    k = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + k * _GAMMA
-        z ^= z >> np.uint64(30)
-        z *= _MIX1
-        z ^= z >> np.uint64(27)
-        z *= _MIX2
-        z ^= z >> np.uint64(31)
-    return z
+    return _splitmix64_at(seed, np.arange(start, start + n, dtype=np.uint64))
+
+
+def _unit(z: np.ndarray, out=None, open_zero: bool = False) -> np.ndarray:
+    """The uniform doubles of raw outputs z (which this shifts in place)."""
+    z >>= np.uint64(11)
+    bits = z.view(np.int64)  # below 2**53, so exact as int64 and as float64
+    out = np.empty(z.size) if out is None else out
+    if open_zero:
+        np.add(bits, 1.0, out=out)
+        out *= _INV_2_53
+        return out
+    return np.multiply(bits, _INV_2_53, out=out)
 
 
 def uniforms(seed: int, start: int, n: int, open_zero: bool = False) -> np.ndarray:
     """n uniform doubles from counters [start, start+n); [0,1) by default,
     (0,1] with open_zero (safe under log)."""
-    z = _splitmix64(seed, start, n) >> np.uint64(11)
-    if open_zero:
-        return (z.astype(np.float64) + 1.0) * _INV_2_53
-    return z.astype(np.float64) * _INV_2_53
+    return _unit(_splitmix64(seed, start, n), open_zero=open_zero)
+
+
+class _Draws:
+    """One seed's counters, drawn at most ``size`` (<= BLOCK) at a time into
+    scratch that every block reuses, so a block allocates nothing."""
+
+    def __init__(self, seed: int, size: int):
+        self.seed = seed
+        size += size & 1  # whole pairs
+        self.base = np.arange(size, dtype=np.uint64)
+        self.z, self.t = np.empty((2, size), dtype=np.uint64)
+        self.u = np.empty(size)
+        self.r, self.theta, self.c = np.empty((3, (size + 1) // 2))
+
+    def uniforms(self, start: int, m: int, open_zero: bool = False) -> np.ndarray:
+        """``uniforms(seed, start, m, open_zero)``, in scratch."""
+        z = np.add(self.base[:m], np.uint64(start), out=self.z[:m])
+        return _unit(_mix(self.seed, z, self.t[:m]), self.u[:m], open_zero)
+
+    def gaussians(self, start: int, out: np.ndarray) -> None:
+        """Write ``gaussians(seed, start, out.size)`` into out."""
+        m = out.size
+        pairs, half = (m + 1) // 2, m // 2
+        u = self.uniforms(start, 2 * pairs, open_zero=True)
+        r = np.log(u[0::2], out=self.r[:pairs])
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta = np.multiply(u[1::2], 2.0 * math.pi, out=self.theta[:pairs])
+        np.multiply(r, np.cos(theta, out=self.c[:pairs]), out=out[0::2])
+        s = np.sin(theta, out=self.c[:pairs])
+        np.multiply(r[:half], s[:half], out=out[1::2])
 
 
 def gaussians(seed: int, start: int, n: int) -> np.ndarray:
     """n standard normals via Box-Muller over counters
     [start, start + 2*ceil(n/2))."""
-    pairs = (n + 1) // 2
-    u = uniforms(seed, start, 2 * pairs, open_zero=True)
-    u1, u2 = u[0::2], u[1::2]
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * math.pi * u2
-    z = np.empty(2 * pairs, dtype=np.float64)
-    z[0::2] = r * np.cos(theta)
-    z[1::2] = r * np.sin(theta)
-    return z[:n]
+    draws, out = _Draws(seed, min(n, BLOCK)), np.empty(n)
+    for i in range(0, n, BLOCK):
+        draws.gaussians(start + i, out[i:i + BLOCK])
+    return out
 
 
 def _gaussian_counters(n: int) -> int:
@@ -115,47 +171,52 @@ class DistSpec:
 def generate(spec: DistSpec) -> np.ndarray:
     """Deterministic sample per (spec, seed); returns float64 values.
 
+    gaussian and lognormal (exp of the gaussian) read gaussians from
+    counters [0, 2*ceil(n/2)); student_t reads its numerator there and its
+    k chi-square gaussians from the next k ranges of that size, in order.
+
     outlier_mixture counter layout (n elements): decisions [0, n), body
     gaussians [n, n + 2*ceil(n/2)), outlier magnitudes and signs in the next
     two blocks of n. An element is an outlier when its decision uniform is
     below outlier_fraction; its magnitude is uniform in
     [outlier_low, outlier_high] of std units with a random sign.
+
+    The values are computed BLOCK elements at a time, with mean + std * z
+    applied in place (the same rounding).
     """
-    n, seed = spec.n, spec.seed
-    if n == 0:
-        return np.empty(0, dtype=np.float64)
-
-    if spec.kind == "gaussian":
-        return spec.mean + spec.std * gaussians(seed, 0, n)
-
-    if spec.kind == "lognormal":
-        return np.exp(spec.mean + spec.std * gaussians(seed, 0, n))
-
-    if spec.kind == "student_t":
-        # z / sqrt(chi2_k / k): numerator first, then k chi-square blocks
-        k = spec.degrees_of_freedom
-        off = 0
-        z = gaussians(seed, off, n)
-        off += _gaussian_counters(n)
-        chi2 = np.zeros(n, dtype=np.float64)
-        for _ in range(k):
-            g = gaussians(seed, off, n)
-            chi2 += g * g
-            off += _gaussian_counters(n)
-        return spec.mean + spec.std * z / np.sqrt(chi2 / k)
-
-    # outlier_mixture
-    off = 0
-    decisions = uniforms(seed, off, n)
-    off += n
-    body = spec.mean + spec.std * gaussians(seed, off, n)
-    off += _gaussian_counters(n)
-    mag_u = uniforms(seed, off, n)
-    off += n
-    sign_u = uniforms(seed, off, n)
-    magnitudes = spec.std * (
-        spec.outlier_low + mag_u * (spec.outlier_high - spec.outlier_low)
-    )
-    signs = np.where(sign_u < 0.5, -1.0, 1.0)
-    is_outlier = decisions < spec.outlier_fraction
-    return np.where(is_outlier, signs * magnitudes, body)
+    n, seed, kind = spec.n, spec.seed, spec.kind
+    g_n = _gaussian_counters(n)
+    draws, out = _Draws(seed, min(n, BLOCK)), np.empty(n)
+    body = n if kind == "outlier_mixture" else 0
+    if kind == "student_t":
+        chi2, g = np.empty((2, min(n, BLOCK)))
+    hits = []
+    for i in range(0, n, BLOCK):
+        z = out[i:i + BLOCK]
+        m = z.size
+        if kind == "outlier_mixture":
+            u = draws.uniforms(i, m)
+            hits.append(np.flatnonzero(u < spec.outlier_fraction) + i)
+        draws.gaussians(body + i, z)
+        z *= spec.std
+        if kind == "student_t":  # z / sqrt(chi2_k / k)
+            c, gm = chi2[:m], g[:m]
+            c.fill(0.0)
+            for j in range(1, spec.degrees_of_freedom + 1):
+                draws.gaussians(j * g_n + i, gm)
+                gm *= gm
+                c += gm
+            c /= spec.degrees_of_freedom
+            z /= np.sqrt(c, out=c)
+        z += spec.mean
+        if kind == "lognormal":
+            np.exp(z, out=z)
+    if hits:  # outlier_mixture: overwrite the body at the outliers
+        idx = np.concatenate(hits)
+        mag_u = _unit(_splitmix64_at(seed, idx + (n + g_n)))
+        sign_u = _unit(_splitmix64_at(seed, idx + (2 * n + g_n)))
+        magnitudes = spec.std * (
+            spec.outlier_low + mag_u * (spec.outlier_high - spec.outlier_low)
+        )
+        out[idx] = np.where(sign_u < 0.5, -1.0, 1.0) * magnitudes
+    return out

@@ -20,8 +20,10 @@ from softedge import (
     sqnr_db,
     sweep,
 )
+from softedge import calibration, codec, errors, metrics, ssm
 from softedge.codec import _region_index
-from softedge.ssm import SsmParams, run_report
+from softedge.ssm import SsmParams, make_params, run_report
+from softedge.synth import DistSpec, generate
 from softedge.errors import (
     EmptyTensor,
     LengthMismatch,
@@ -191,6 +193,33 @@ def test_fake_quant_error_drives_report(unit_cfg):
     assert r.soft_edge.mse == pytest.approx(mse(t, fq), rel=1e-15)
     small, _, _ = region_breakdown(t, unit_cfg)
     assert small.region is RegionClass.SMALL
+
+
+@pytest.fixture
+def finite_checks(monkeypatch):
+    """Every value that a layer passes to ``check_finite``, in call order."""
+    seen = []
+
+    def counting(values, *args, **kwargs):
+        seen.append(values)
+        return errors.check_finite(values, *args, **kwargs)
+
+    for layer in (calibration, codec, metrics, ssm):
+        monkeypatch.setattr(layer, "check_finite", counting)
+    return seen
+
+
+@pytest.mark.parametrize("report", [
+    compare_quantizers,
+    region_breakdown,
+    lambda x, cfg: sweep(x, [99.0, 100.0], [2.0, 4.0]),
+    lambda x, cfg: run_report(make_params(4, 1), x, cfg),
+], ids=["compare_quantizers", "region_breakdown", "sweep", "run_report"])
+def test_a_report_checks_its_input_once(finite_checks, unit_cfg, report):
+    # every pass of a report reads the float64 input it was given
+    x = generate(DistSpec(kind="outlier_mixture", n=4096, seed=1))
+    report(x, unit_cfg)
+    assert sum(v is x for v in finite_checks) == 1
 
 
 HUGE = np.array([1e308, -1e308, 1.0])

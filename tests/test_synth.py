@@ -1,10 +1,60 @@
 import hashlib
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from softedge.errors import InvalidSpec
-from softedge.synth import DistSpec, gaussians, generate, uniforms
+from softedge.synth import (
+    BLOCK,
+    DistSpec,
+    _splitmix64_at,
+    _unit,
+    gaussians,
+    generate,
+    uniforms,
+)
+
+
+def _uniforms_oracle(seed, start, n, open_zero=False):
+    """The module docstring's splitmix64 formula over the whole counter range
+    at once."""
+    k = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z = np.uint64(seed) + k * np.uint64(0x9E3779B97F4A7C15)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    if open_zero:
+        return (z.astype(np.float64) + 1.0) * 2.0**-53
+    return z.astype(np.float64) * 2.0**-53
+
+
+def _gaussians_oracle(seed, start, n):
+    """The whole-array Box-Muller formula: one pass over every counter."""
+    pairs = (n + 1) // 2
+    u = _uniforms_oracle(seed, start, 2 * pairs, open_zero=True)
+    u1, u2 = u[0::2], u[1::2]
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * math.pi * u2
+    z = np.empty(2 * pairs, dtype=np.float64)
+    z[0::2] = r * np.cos(theta)
+    z[1::2] = r * np.sin(theta)
+    return z[:n]
+
+
+seeds = st.integers(0, 2**64 - 1)
+starts = st.integers(0, 2**40)
+# sizes within a few elements of a block boundary, odd and even, and any size
+# up to three blocks
+near_boundary = st.builds(lambda k, d: k * BLOCK + d, st.integers(1, 2),
+                          st.integers(-3, 3))
 
 
 class TestPrng:
@@ -30,6 +80,47 @@ class TestPrng:
         a = gaussians(3, 0, 7)
         b = gaussians(3, 0, 8)
         np.testing.assert_array_equal(a, b[:7])
+
+
+class TestBlocks:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, start=starts,
+           n=st.one_of(near_boundary, st.integers(0, 3 * BLOCK)))
+    @example(seed=0, start=1, n=BLOCK + 1)
+    @example(seed=2**64 - 1, start=3, n=2 * BLOCK - 1)
+    def test_blocked_gaussians_match_whole_array(self, seed, start, n):
+        got = gaussians(seed, start, n)
+        assert got.tobytes() == _gaussians_oracle(seed, start, n).tobytes()
+
+    @settings(deadline=None)
+    @given(seed=seeds, start=starts, n=st.integers(1, 4096),
+           open_zero=st.booleans(), data=st.data())
+    def test_counter_array_draws_match_uniforms(self, seed, start, n,
+                                                open_zero, data):
+        want = uniforms(seed, start, n, open_zero)
+        assert want.tobytes() == _uniforms_oracle(seed, start, n,
+                                                  open_zero).tobytes()
+        idx = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=64)),
+                       dtype=np.int64)
+        got = _unit(_splitmix64_at(seed, idx + start), open_zero=open_zero)
+        assert got.tobytes() == want[idx].tobytes()
+
+    @pytest.mark.parametrize("kind, bound", [
+        ("outlier_mixture", 17), ("gaussian", 17), ("lognormal", 17),
+        ("student_t", 24),
+    ])
+    def test_peak_memory_per_element(self, kind, bound):
+        # the output is 8 B/elem; the rest is per-block scratch and the
+        # outlier indices, not n-element temporaries
+        n = 1 << 20
+        spec = DistSpec(kind=kind, n=n, seed=0)
+        tracemalloc.start()
+        try:
+            generate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= bound
 
 
 class TestGenerate:
