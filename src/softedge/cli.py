@@ -14,8 +14,6 @@ import math
 import sys
 import traceback
 
-import numpy as np
-
 from . import calibration, codec, metrics, ssm, synth, tensor_io
 from .errors import EmptyTensor, InvalidConfig, InvalidParams, IoFailure, ValidationError
 

@@ -274,21 +274,31 @@ def int8_decode(b: int, cfg: QuantConfig) -> float:
     return float(b) * cfg.scale
 
 
-def _blocked(x: np.ndarray, dtype, kernel):
-    """``kernel`` over BLOCK-element slices of the flattened x, each widened
-    to float64, written into one preallocated array of ``dtype`` shaped like
-    x. Every kernel step is elementwise, so the bits are those of one pass."""
+def _blocked(values, dtype, kernel):
+    """``kernel`` over BLOCK-element slices of the flattened values, each
+    widened to float64, written into one preallocated array of ``dtype``
+    shaped like them. Every kernel step is elementwise, so the bits are those
+    of one pass. A widened block with a NaN/inf sends the whole input to
+    ``check_finite``, which raises with the index; an input that is not
+    bool, integer or real float (its cast could drop a NaN or parse text)
+    goes there first."""
+    x = np.asarray(values)
+    if x.dtype.kind not in "biuf":
+        check_finite(x)
     flat = x.reshape(-1)
     out = np.empty(flat.size, dtype)
     for i in range(0, flat.size, BLOCK):
-        out[i:i + BLOCK] = kernel(flat[i:i + BLOCK].astype(np.float64, copy=False))
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = flat[i:i + BLOCK].astype(np.float64, copy=False)
+        if not np.isfinite(b).all():
+            check_finite(x)
+        out[i:i + BLOCK] = kernel(b)
     # [()] gives a 0-d input a scalar, as indexing it whole would
     return out.reshape(x.shape)[()]
 
 
 def encode_tensor(values, cfg: QuantConfig) -> QuantizedTensor:
-    key = _blocked(check_finite(values), np.uint16,
-                   lambda b: _encode_index(b, cfg))
+    key = _blocked(values, np.uint16, lambda b: _encode_index(b, cfg))
     return QuantizedTensor(config=cfg, flags=key > 0xFF,
                            codes=key.astype(np.uint8))
 
@@ -304,19 +314,13 @@ def fake_quant(values, cfg: QuantConfig, which: str = "soft_edge") -> np.ndarray
     ``which`` selects the soft-edge path or the plain INT8 baseline.
     Idempotent: fake_quant(fake_quant(t)) == fake_quant(t) bitwise.
     """
-    return _fake_quant_checked(check_finite(values), cfg, which)
-
-
-def _fake_quant_checked(x: np.ndarray, cfg: QuantConfig,
-                        which: str = "soft_edge") -> np.ndarray:
-    """``fake_quant`` of an array that ``check_finite`` has already passed,
-    for callers that checked it once for several passes."""
     if which == "soft_edge":
         decode32 = _tables(cfg).decode32
-        return _blocked(x, np.float32, lambda b: decode32[_encode_index(b, cfg)])
+        return _blocked(values, np.float32,
+                        lambda b: decode32[_encode_index(b, cfg)])
     if which == "int8":
         with np.errstate(over="ignore"):
-            return _blocked(x, np.float32,
+            return _blocked(values, np.float32,
                             lambda b: _int8_round(b, cfg) * cfg.scale)
     raise ValueError(f"unknown quantizer {which!r}")
 

@@ -21,12 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .calibration import QuantConfig, calibrate_grid
-from .codec import RegionClass, _region_index
+from .codec import RegionClass, _region_index, fake_quant
 from .errors import EmptyTensor, LengthMismatch, ZeroSignal, check_finite
-
-# codec's kernel without the finiteness check: each report checks its input
-# once, and every call here passes that checked float64 array.
-from .codec import _fake_quant_checked as fake_quant
 
 __all__ = [
     "RegionStats",

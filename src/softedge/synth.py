@@ -28,6 +28,7 @@ counters at the outlier elements alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,7 @@ def _mix(seed: int, z: np.ndarray, t: np.ndarray) -> np.ndarray:
     """splitmix64 in place: the uint64 counters z become their raw outputs.
     t is scratch of z's size."""
     z *= np.uint64(_GAMMA)  # state(k) = k * gamma + (seed + gamma)
-    z += np.uint64((seed + _GAMMA) & 0xFFFFFFFFFFFFFFFF)
+    z += np.uint64((int(seed) + _GAMMA) & 0xFFFFFFFFFFFFFFFF)
     z ^= np.right_shift(z, np.uint64(30), out=t)
     z *= _MIX1
     z ^= np.right_shift(z, np.uint64(27), out=t)
@@ -62,11 +63,6 @@ def _splitmix64_at(seed: int, counters) -> np.ndarray:
     """Raw 64-bit outputs at the given integer counters, in their order."""
     z = np.asarray(counters).astype(np.uint64)
     return _mix(seed, z, np.empty_like(z))
-
-
-def _splitmix64(seed: int, start: int, n: int) -> np.ndarray:
-    """Raw 64-bit outputs for counters start .. start+n-1."""
-    return _splitmix64_at(seed, np.arange(start, start + n, dtype=np.uint64))
 
 
 def _unit(z: np.ndarray, out=None, open_zero: bool = False) -> np.ndarray:
@@ -84,7 +80,8 @@ def _unit(z: np.ndarray, out=None, open_zero: bool = False) -> np.ndarray:
 def uniforms(seed: int, start: int, n: int, open_zero: bool = False) -> np.ndarray:
     """n uniform doubles from counters [start, start+n); [0,1) by default,
     (0,1] with open_zero (safe under log)."""
-    return _unit(_splitmix64(seed, start, n), open_zero=open_zero)
+    counters = np.arange(start, start + n, dtype=np.uint64)
+    return _unit(_splitmix64_at(seed, counters), open_zero=open_zero)
 
 
 class _Draws:
@@ -149,6 +146,9 @@ class DistSpec:
         kinds = {"gaussian", "outlier_mixture", "student_t", "lognormal"}
         if self.kind not in kinds:
             raise InvalidSpec(f"unknown distribution kind {self.kind!r}")
+        for f in ("n", "seed", "degrees_of_freedom"):
+            if not isinstance(getattr(self, f), numbers.Integral):
+                raise InvalidSpec(f"{f} must be an integer, got {getattr(self, f)!r}")
         if self.n < 0:
             raise InvalidSpec(f"n must be >= 0, got {self.n}")
         if not all(map(math.isfinite, (self.mean, self.std, self.outlier_low,

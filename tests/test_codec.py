@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, reject, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softedge import (
@@ -26,7 +26,7 @@ from softedge import (
 )
 from softedge import codec
 from softedge.calibration import CODEC_FIELDS
-from softedge.errors import InvalidConfig, NonCanonicalCode, NonFiniteInput
+from softedge.errors import NonCanonicalCode, NonFiniteInput
 
 
 def region_codebook(region, cfg):
@@ -310,6 +310,64 @@ def test_blocked_kernels_match_one_pass(n, layout):
         assert got.tobytes() == want.tobytes()
 
 
+_KERNEL_ENTRIES = {
+    "fake_quant": fake_quant,
+    "fake_quant_int8": lambda v, cfg: fake_quant(v, cfg, "int8"),
+    "encode_tensor": encode_tensor,
+}
+_WIDE = np.finfo(np.longdouble).max > np.finfo(np.float64).max
+
+
+def _with_bad(kind, positions, n=2 * _B + 3):
+    """n ones of the kind's dtype, with its bad value at ``positions``."""
+    dtype = {"snan32": np.float32, "beyond_binary64": np.longdouble}
+    v = np.ones(n, dtype.get(kind, np.float64))
+    for i in positions:
+        if kind == "snan32":  # set by bits: a float32 store could quiet it
+            v.view(np.uint32)[i] = 0x7F800001
+        else:
+            v[i] = {"nan": np.nan, "inf": -np.inf,
+                    "beyond_binary64": np.longdouble("1e400")}[kind]
+    return v
+
+
+@pytest.mark.parametrize("entry", _KERNEL_ENTRIES)
+@pytest.mark.parametrize("kind", [
+    "nan", "inf", "snan32",
+    pytest.param("beyond_binary64", marks=pytest.mark.skipif(
+        not _WIDE, reason="longdouble is binary64 on this platform")),
+])
+@pytest.mark.parametrize("pos", [0, _B - 1, _B, 2 * _B + 2])
+def test_blocked_kernels_report_the_global_index(entry, kind, pos, unit_cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInput, match=f"at index {pos}$") as ei:
+            _KERNEL_ENTRIES[entry](_with_bad(kind, [pos]), unit_cfg)
+    assert ei.value.index == pos
+
+
+@pytest.mark.parametrize("entry", _KERNEL_ENTRIES)
+@pytest.mark.parametrize("positions", [(_B - 1, _B), (5, 2 * _B + 1),
+                                       (_B + 7, 2 * _B + 2)])
+def test_blocked_kernels_report_the_first_bad_block(entry, positions, unit_cfg):
+    with pytest.raises(NonFiniteInput) as ei:
+        _KERNEL_ENTRIES[entry](_with_bad("nan", positions), unit_cfg)
+    assert ei.value.index == positions[0]
+
+
+@pytest.mark.parametrize("entry", _KERNEL_ENTRIES)
+@pytest.mark.parametrize("values, error", [
+    (["1.5", "2"], TypeError),
+    ([1, 2**70], TypeError),  # beyond int64: an object array
+    (np.array([1.0, 2.0], dtype=object), TypeError),
+    (np.array([1, complex(1, np.nan)]), NonFiniteInput),  # NaN the cast drops
+], ids=["str", "beyond_int64", "object", "complex_nan"])
+def test_kernels_check_what_a_float64_cast_would_hide(entry, values, error,
+                                                      unit_cfg):
+    with pytest.raises(error):
+        _KERNEL_ENTRIES[entry](values, unit_cfg)
+
+
 class TestRegionLocalOptimality:
     def test_brute_force_random(self, unit_cfg):
         rng = np.random.default_rng(11)
@@ -428,20 +486,36 @@ class TestHardwareTrace:
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
-_POSITIVE = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+_TOP = 1.7976931348623157e308
+_POSITIVE = st.floats(min_value=5e-324, max_value=_TOP)
+
+
+def _largest(ok, guess):
+    """The largest float f in [1, 1e308] with ok(f), for an ok that holds at 1
+    and, once false, stays false; the search starts at ``guess``."""
+    f = min(guess, 1e308)
+    while f < 1e308 and ok(math.nextafter(f, math.inf)):
+        f = math.nextafter(f, math.inf)
+    while not ok(f):
+        f = math.nextafter(f, 0)
+    return f
 
 
 @st.composite
 def _accepted_configs(draw):
-    """Configs QuantConfig accepts: thresholds either anywhere or near scale."""
+    """Configs QuantConfig accepts, drawn valid by construction: thresholds
+    anywhere or near scale (clamped into the positive floats), and every
+    fine divisor and coarse multiplier whose step neither underflows to 0
+    nor overflows."""
     scale = draw(_POSITIVE)
-    near = st.floats(1e-3, 1e3).map(lambda r: r * scale)
-    low, high = sorted(draw(_POSITIVE | near) for _ in range(2))
-    fields = (scale, low, high, draw(st.floats(1, 1e308)), draw(st.floats(1, 1e308)))
-    try:
-        return QuantConfig(**dict(zip(CODEC_FIELDS, fields)))
-    except InvalidConfig:
-        reject()
+    near = st.floats(1e-3, 1e3).map(lambda r: min(max(r * scale, 5e-324), _TOP))
+    low, high = sorted(draw(st.lists(_POSITIVE | near, min_size=2, max_size=2,
+                                     unique=True)))
+    fine = _largest(lambda d: scale / d > 0, scale / 5e-324 * 2)
+    coarse = _largest(lambda m: scale * m < math.inf, _TOP / scale)
+    fields = (scale, low, high, draw(st.floats(1, fine)),
+              draw(st.floats(1, coarse)))
+    return QuantConfig(**dict(zip(CODEC_FIELDS, fields)))
 
 
 @settings(max_examples=300)

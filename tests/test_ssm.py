@@ -136,6 +136,13 @@ class TestParamsValidation:
         with pytest.raises(InvalidParams):
             SsmParams(a=[0.5, 0.5], b=[1.0], c=[1.0])
 
+    @pytest.mark.parametrize("state_dim, seed", [
+        (2.5, 1), (2.0, 1), ("4", 1), (4, 1.5), (4, None),
+    ])
+    def test_make_params_non_integer(self, state_dim, seed):
+        with pytest.raises(InvalidParams, match="must be integers"):
+            make_params(state_dim, seed)
+
     def test_make_params_seeded_and_stable(self):
         p1, p2 = make_params(16, 7), make_params(16, 7)
         np.testing.assert_array_equal(p1.a, p2.a)

@@ -227,6 +227,24 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             DistSpec(kind="gaussian", n=1, seed=0, std=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 2.5), ("n", 2.0), ("n", "3"), ("n", None), ("seed", 1.5),
+        ("degrees_of_freedom", 2.5),
+    ])
+    def test_non_integer_size(self, field, value):
+        fields = {"n": 3, "seed": 0, field: value}
+        with pytest.raises(InvalidSpec, match=f"{field} must be an integer"):
+            DistSpec(kind="student_t", **fields)
+
+    @pytest.mark.parametrize("seed", [2**63 - 1, 2**64 - 1])
+    def test_numpy_integers_draw_as_python_ints(self, seed):
+        want = generate(DistSpec(kind="student_t", n=5, seed=seed,
+                                 degrees_of_freedom=3))
+        got = generate(DistSpec(kind="student_t", n=np.int64(5),
+                                seed=np.uint64(seed),
+                                degrees_of_freedom=np.int32(3)))
+        assert got.tobytes() == want.tobytes()
+
     def test_bad_fraction(self):
         with pytest.raises(InvalidSpec):
             DistSpec(kind="outlier_mixture", n=1, seed=0, outlier_fraction=1.0)
