@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softedge import (
+    DistSpec,
     QuantConfig,
     QuantizedTensor,
     RegionClass,
@@ -17,6 +19,7 @@ from softedge import (
     derive_config,
     encode_tensor,
     fake_quant,
+    generate,
     hardware_trace,
     int8_decode,
     int8_encode,
@@ -308,6 +311,49 @@ def test_blocked_kernels_match_one_pass(n, layout):
                       (q.flags, want_flags), (q.codes, want_codes)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+# sha256 of the blocked kernels' outputs at n = 3 * BLOCK + 5 (several
+# blocks, ending inside a partial one), seed 0. The outliers scaled by 2e37
+# under scale 2e36 reconstruct past binary32, so their fake-quant holds +/-inf.
+MULTI_BLOCK_N = 3 * _B + 5
+MULTI_BLOCK_INPUTS = {
+    "outlier_mixture": ("outlier_mixture", 1.0, 0.02),
+    "gaussian": ("gaussian", 1.0, 0.02),
+    "beyond_binary32": ("outlier_mixture", 2e37, 2e36),
+}
+MULTI_BLOCK_SHA256 = {
+    ("outlier_mixture", "soft_edge"): "cfa57ef96f47bc6f06c290847c75a9a57475ec949401c30f18c872ebf817c4de",
+    ("outlier_mixture", "int8"): "2a7c13a9ac7aa873df098f7aad47acdad1cacb6311cf72eb7819d61f98689f9c",
+    ("outlier_mixture", "flags"): "8b6171d823704f19e85a7d2ab08eff18c89e99bb20925df787fa8ca4d8d257ba",
+    ("outlier_mixture", "codes"): "a0cb49b722560f605101d0225d1ab0c710274372337bc7116c2d11d5cf1df25e",
+    ("gaussian", "soft_edge"): "2a6270a0aca687d84e960e469a18e2d9fd3937c04190dc8129b3f2834218b9e1",
+    ("gaussian", "int8"): "173fd4d59af5f8cb5a61b8596954ffe0a955a055d39fa5c676012612e5860cf4",
+    ("gaussian", "flags"): "b2c90ebbf3167cfc7b142314bb00a27fecea1eaa5bd41979821bfc39002420de",
+    ("gaussian", "codes"): "b7e67adaf932e3676e7e23127f6508355b250c6b28105c16c40d954a409b6071",
+    ("beyond_binary32", "soft_edge"): "9bba5f06b5eceaf5bf7ca6517774aa2ef11da805356a895ae75f13e6c6ff3866",
+    ("beyond_binary32", "int8"): "c865d41f4b342e4e8296e139f73df56dde84d74ae081dbed3cb9d8c2add35599",
+    ("beyond_binary32", "flags"): "c4f1ef937b0afb4da0996d59eb9db55a0831b7fb79fe87de9e77ca501e144e71",
+    ("beyond_binary32", "codes"): "02166a61bdab36490a4df5fb68cf2150aef324fb28c5981e412a81ce0640a754",
+}
+
+
+@pytest.mark.parametrize("name", MULTI_BLOCK_INPUTS)
+def test_multi_block_digest(name):
+    kind, c, scale = MULTI_BLOCK_INPUTS[name]
+    x = generate(DistSpec(kind=kind, n=MULTI_BLOCK_N, seed=0)) * c
+    cfg = derive_config(scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = encode_tensor(x, cfg)
+        outputs = {"soft_edge": fake_quant(x, cfg),
+                   "int8": fake_quant(x, cfg, "int8"),
+                   "flags": q.flags, "codes": q.codes}
+    if name == "beyond_binary32":
+        assert np.isinf(outputs["soft_edge"]).any()
+    for out, a in outputs.items():
+        digest = hashlib.sha256(a.tobytes()).hexdigest()
+        assert digest == MULTI_BLOCK_SHA256[name, out], out
 
 
 _KERNEL_ENTRIES = {
