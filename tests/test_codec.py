@@ -414,6 +414,56 @@ def test_kernels_check_what_a_float64_cast_would_hide(entry, values, error,
         _KERNEL_ENTRIES[entry](values, unit_cfg)
 
 
+def _spec_encode(x: float, cfg):
+    """(region, m, flag<<8 | byte) of x by the README rule, in Python floats:
+    the region, then m = min(floor((|x| - offset) / step + 0.5), top), then
+    the flag/byte layout. A small or medium zero is +0."""
+    ax = abs(x)
+    region = (0 if ax < cfg.low_threshold
+              else 2 if ax > cfg.high_threshold else 1)
+    offset, step, top = ((0.0, cfg.fine_step, 63), (0.0, cfg.scale, 127),
+                         (cfg.high_threshold, cfg.coarse_step, 63))[region]
+    m = min(math.floor((ax - offset) / step + 0.5), top)
+    negative = x < 0 and (m > 0 or region == 2)
+    if region == 1:
+        return region, m, (-m if negative else m) & 0xFF
+    return region, m, 0x100 | negative << 7 | (region == 2) << 6 | m
+
+
+def _spec_grid(cfg):
+    """Both signs of every region's reconstruction points, quarter and half
+    steps (and the floats beside each half step) for m up to top + 1, the
+    thresholds and the floats beside them, zeros and tiny negatives."""
+    rows = ((0.0, cfg.fine_step, 63), (0.0, cfg.scale, 127),
+            (cfg.high_threshold, cfg.coarse_step, 63))
+    mags = [cfg.low_threshold, cfg.high_threshold]
+    for offset, step, top in rows:
+        for m in range(top + 2):
+            mags += [offset + (m + d) * step for d in (-0.5, -0.25, 0.0, 0.25, 0.5)]
+    mags += [math.nextafter(v, t) for v in mags for t in (0.0, math.inf)]
+    mags = [v for v in mags if v > 0]
+    return [0.0, -0.0, -5e-324, -1e-300, *mags, *(-v for v in mags)]
+
+
+@pytest.mark.parametrize("cfg, reach", [
+    (derive_config(1.0), {0: range(64), 1: range(16, 128), 2: range(64)}),
+    # L < scale / 2: medium magnitudes from 0
+    (QuantConfig(scale=1.0, low_threshold=0.25, high_threshold=127.0),
+     {1: range(128), 2: range(64)}),
+], ids=["default", "low_below_half_scale"])
+def test_encoder_matches_spec_oracle(cfg, reach):
+    grid = _spec_grid(cfg)
+    q = encode_tensor(np.array(grid), cfg)
+    got = (q.flags.astype(int) << 8) | q.codes
+    want = [_spec_encode(x, cfg) for x in grid]
+    for x, g, (_, _, key) in zip(grid, got, want):
+        assert g == key, f"{x!r}: got {g:#05x}, want {key:#05x}"
+    seen = {(r, x < 0, m) for x, (r, m, _) in zip(grid, want)}
+    for region, ms in reach.items():
+        for negative in (False, True):
+            assert {(region, negative, m) for m in ms} <= seen
+
+
 class TestRegionLocalOptimality:
     def test_brute_force_random(self, unit_cfg):
         rng = np.random.default_rng(11)
