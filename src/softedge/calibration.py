@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -26,6 +25,7 @@ from .errors import (
     InvalidConfig,
     PercentileOutOfRange,
     check_finite,
+    check_number,
 )
 
 MAX_STANDARD_CODE = 127
@@ -61,8 +61,10 @@ class QuantConfig:
 
     def __post_init__(self):
         for f in (*CODEC_FIELDS, "percentile"):
-            object.__setattr__(self, f, _number(f, getattr(self, f)))
-        if not _number("calib_count", self.calib_count).is_integer():
+            object.__setattr__(self, f, check_number(
+                getattr(self, f), InvalidConfig, f"config field {f}"))
+        if not check_number(self.calib_count, InvalidConfig,
+                            "config field calib_count").is_integer():
             raise InvalidConfig(
                 f"calib_count must be an integer, got {self.calib_count!r}")
         object.__setattr__(self, "calib_count", int(self.calib_count))
@@ -125,16 +127,6 @@ class QuantConfig:
         return cls(**{k: doc[k] for k in CODEC_FIELDS},
                    percentile=doc.get("percentile", 100.0),
                    calib_count=doc.get("calib_count", 0))
-
-
-def _number(name: str, v) -> float:
-    """``v`` as a float; it must be a real number (not a bool) within binary64."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        raise InvalidConfig(f"config field {name} must be a number, got {v!r}")
-    try:
-        return float(v)
-    except OverflowError as e:
-        raise InvalidConfig(f"config field {name} out of range: {e}") from e
 
 
 def _check_percentile(p: float):

@@ -47,8 +47,7 @@ def _write_text(path, text: str):
 def cmd_calibrate(args) -> int:
     values = tensor_io.read_tensor(args.input)
     if values.size == 0:
-        print("empty calibration tensor", file=sys.stderr)
-        return 2
+        raise EmptyTensor("empty calibration tensor")
     cfg = calibration.calibrate(
         values, args.percentile, args.fine_divisor, args.coarse_multiplier
     )
@@ -133,8 +132,7 @@ def cmd_ssm(args) -> int:
 def cmd_sweep(args) -> int:
     values = tensor_io.read_tensor(args.input)
     if values.size == 0:
-        print("empty input tensor", file=sys.stderr)
-        return 2
+        raise EmptyTensor("empty input tensor")
     rows = metrics.sweep(values, args.percentiles, args.fine_divisors,
                          args.coarse_multipliers)
     buf = io.StringIO()
@@ -203,9 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", help="generate a synthetic QSEF tensor")
-    p.add_argument("--dist", required=True,
-                   choices=["gaussian", "outlier_mixture", "student_t",
-                            "lognormal"])
+    p.add_argument("--dist", required=True, choices=synth.KINDS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--mean", type=float, default=0.0)

@@ -17,12 +17,13 @@ Zero always encodes as flag 1, byte 0x00; the negative-zero pattern
 One kernel does all of it. ``_region_index`` picks the region, the region's
 (offset, step, top) row gives the magnitude m = min(floor((|x| - offset) /
 step + 0.5), top), rounding half away from zero, and the decoder gathers
-sign * (offset + m * step) from a 512-entry table indexed by flag<<8 | byte.
-A plain symmetric INT8 quantizer (hard clip at +/-127*scale) is provided as
-the comparison baseline; it rounds with the medium row.
+sign * (offset + m * step) from the config's one 512-entry table, indexed by
+flag<<8 | byte; ``fake_quant`` casts that gather into binary32. A plain
+symmetric INT8 quantizer (hard clip at +/-127*scale) is provided as the
+comparison baseline; it rounds with the medium row.
 
-The binary32 rule, for both quantizers' ``fake_quant``: a reconstruction
-beyond the binary32 range casts to +/-inf, and the cast never warns.
+The binary32 rule, one ``errstate`` in ``fake_quant`` for both quantizers: a
+reconstruction beyond binary32 casts to +/-inf, and the cast never warns.
 """
 
 from __future__ import annotations
@@ -156,30 +157,26 @@ class _Tables(NamedTuple):
     step: np.ndarray
     top: np.ndarray
     decode: np.ndarray  # float64 reconstruction of each flag<<8 | byte
-    decode32: np.ndarray  # the same, cast to binary32
 
 
-# The index encoding (region, negative, m) at [region << 8 | negative << 7 | m]
-# as flag<<8 | byte. Small and large magnitudes stop at 63, so the entries
-# past it are never read; a small zero is +0 whatever the sign.
-_m = np.arange(128)
-_six = 0x100 | (_m & MAGNITUDE_MASK)
-_CODE_INDEX = np.concatenate([
-    _six, np.where(_m > 0, _six | SIGN_BIT, _six),
-    _m, -_m & 0xFF,
-    _six | REGION_BIT, _six | REGION_BIT | SIGN_BIT,
-]).astype(np.uint16)
-
-# The fields of each flag<<8 | byte key, as the trace reports them: region
-# index, sign bit and magnitude (the |INT8| value for flag-0 codes).
+# The key layout, written once: region index, sign bit and magnitude (the
+# |INT8| value for flag-0 codes) of each flag<<8 | byte, as the trace reports.
 _flag, _byte = np.divmod(np.arange(512), 256)
 _KEY_REGION = np.where(_flag == 0, 1, np.where(_byte & REGION_BIT, 2, 0))
 _KEY_SIGN = _byte >> 7
 _KEY_MAGNITUDE = np.where(_flag == 0, np.where(_KEY_SIGN, 256 - _byte, _byte),
                           _byte & MAGNITUDE_MASK)
+# The encoder's index inverts it: the key of (region, negative, m) sits at
+# region << 8 | negative << 7 | m. A small or medium zero is +0 (the medium
+# slot keeps key 0); the slots past m = 63 are never read.
+_keys = np.flatnonzero(_KEY_MAGNITUDE < 128)
+_CODE_INDEX = np.zeros(3 << 8, np.uint16)
+_CODE_INDEX[_KEY_REGION[_keys] << 8 | _KEY_SIGN[_keys] << 7
+            | _KEY_MAGNITUDE[_keys]] = _keys
+_CODE_INDEX[SIGN_BIT] = 0x100
 for _a in (_CODE_INDEX, _KEY_REGION, _KEY_SIGN, _KEY_MAGNITUDE):
     _a.flags.writeable = False
-del _m, _six, _flag, _byte, _a
+del _flag, _byte, _keys, _a
 
 
 # The decode table holds all 512 keys: also -128 (flag 0, byte 0x80), never
@@ -193,7 +190,7 @@ def _tables(cfg: QuantConfig) -> _Tables:
     top = np.array([MAX_MAGNITUDE, MAX_STANDARD_CODE, MAX_MAGNITUDE], float)
     sign = np.where(_KEY_SIGN, -1.0, 1.0)
     decode = sign * (offset[_KEY_REGION] + _KEY_MAGNITUDE * step[_KEY_REGION])
-    tables = _Tables(offset, step, top, decode, decode.astype(np.float32))
+    tables = _Tables(offset, step, top, decode)
     for a in tables:
         a.flags.writeable = False
     return tables
@@ -315,14 +312,14 @@ def fake_quant(values, cfg: QuantConfig, which: str = "soft_edge") -> np.ndarray
     Idempotent: fake_quant(fake_quant(t)) == fake_quant(t) bitwise.
     """
     if which == "soft_edge":
-        decode32 = _tables(cfg).decode32
-        return _blocked(values, np.float32,
-                        lambda b: decode32[_encode_index(b, cfg)])
-    if which == "int8":
-        with np.errstate(over="ignore"):
-            return _blocked(values, np.float32,
-                            lambda b: _int8_round(b, cfg) * cfg.scale)
-    raise ValueError(f"unknown quantizer {which!r}")
+        decode = _tables(cfg).decode
+        kernel = lambda b: decode.take(_encode_index(b, cfg))
+    elif which == "int8":
+        kernel = lambda b: _int8_round(b, cfg) * cfg.scale
+    else:
+        raise ValueError(f"unknown quantizer {which!r}")
+    with np.errstate(over="ignore"):  # the binary32 rule
+        return _blocked(values, np.float32, kernel)
 
 
 def hardware_trace(x: float, cfg: QuantConfig) -> TraceRecord:

@@ -11,6 +11,8 @@ is bad if it is NaN, infinite, or does not fit the binary64 every caller
 widens to.
 """
 
+import numbers
+
 import numpy as np
 
 
@@ -89,6 +91,17 @@ class InvalidParams(ValidationError):
 
 
 _BINARY64_MAX = np.finfo(np.float64).max
+SIZE_MAX = int(np.iinfo(np.intp).max)  # the largest length numpy allocates
+
+
+def check_number(v, error, name: str) -> float:
+    """``v`` as a float; ``error`` unless it is a real within binary64, not a bool."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise error(f"{name} must be a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError as e:
+        raise error(f"{name} out of range: {e}") from e
 
 
 def check_finite(values, error=NonFiniteInput, where: str = "") -> np.ndarray:

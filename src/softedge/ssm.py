@@ -26,7 +26,7 @@ import numpy as np
 
 from .calibration import QuantConfig
 from .codec import fake_quant
-from .errors import InvalidParams, check_finite
+from .errors import SIZE_MAX, InvalidParams, check_finite
 from . import metrics
 from .synth import _gaussian_counters, gaussians, uniforms
 
@@ -93,11 +93,12 @@ def make_params(state_dim: int, seed: int) -> SsmParams:
     """Seeded parameters: a_i uniform in [0.5, 0.99], b_i and c_i standard
     normal. Counter layout: a from [0, N), b and c from the next gaussian
     blocks."""
-    if not all(isinstance(v, numbers.Integral) for v in (state_dim, seed)):
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral)
+           for v in (state_dim, seed)):
         raise InvalidParams(f"state_dim and seed must be integers, got "
                             f"{state_dim!r} and {seed!r}")
-    if state_dim < 1:
-        raise InvalidParams("state_dim must be >= 1")
+    if not 1 <= state_dim <= SIZE_MAX:
+        raise InvalidParams(f"state_dim must be in [1, {SIZE_MAX}], got {state_dim}")
     n = state_dim
     a = 0.5 + 0.49 * uniforms(seed, 0, n)
     gk = _gaussian_counters(n)

@@ -33,10 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import SIZE_MAX, InvalidSpec, check_number
 
 __all__ = ["DistSpec", "generate", "uniforms", "gaussians"]
 
+KINDS = ("gaussian", "outlier_mixture", "student_t", "lognormal")
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -143,14 +144,16 @@ class DistSpec:
     degrees_of_freedom: int = 4
 
     def __post_init__(self):
-        kinds = {"gaussian", "outlier_mixture", "student_t", "lognormal"}
-        if self.kind not in kinds:
+        if self.kind not in KINDS:
             raise InvalidSpec(f"unknown distribution kind {self.kind!r}")
         for f in ("n", "seed", "degrees_of_freedom"):
-            if not isinstance(getattr(self, f), numbers.Integral):
-                raise InvalidSpec(f"{f} must be an integer, got {getattr(self, f)!r}")
-        if self.n < 0:
-            raise InvalidSpec(f"n must be >= 0, got {self.n}")
+            v = getattr(self, f)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise InvalidSpec(f"{f} must be an integer, got {v!r}")
+        for f in ("mean", "std", "outlier_fraction", "outlier_low", "outlier_high"):
+            object.__setattr__(self, f, check_number(getattr(self, f), InvalidSpec, f))
+        if not 0 <= self.n <= SIZE_MAX:
+            raise InvalidSpec(f"n must be in [0, {SIZE_MAX}], got {self.n}")
         if not all(map(math.isfinite, (self.mean, self.std, self.outlier_low,
                                        self.outlier_high))):
             raise InvalidSpec("mean, std, outlier_low and outlier_high must be finite")

@@ -122,6 +122,9 @@ _MALFORMED = {
         ("synth --dist gaussian --n 1000 --seed 1 --std 1e308 --out {out}", 2),
     "synth-lognormal_beyond_binary64":
         ("synth --dist lognormal --n 4 --seed 1 --mean 1000 --out {out}", 2),
+    "synth-n_beyond_intp":
+        ("synth --dist gaussian --n 18446744073709551616 --seed 1 --out {out}", 2,
+         "n must be in [0, "),
     "synth-infinite_outlier_low":
         ("synth --dist outlier_mixture --n 10000 --seed 1 --outlier-low=-inf "
          "--out {out}", 2, "finite"),
@@ -173,6 +176,12 @@ _MALFORMED = {
          "--input"),
     "ssm-zero_state_dim":
         ("ssm --state-dim 0 --seed 1 --config {cfg} --report {out}", 2),
+    "ssm-seq_len_beyond_intp":
+        ("ssm --seq-len 18446744073709551616 --seed 1 --config {cfg} "
+         "--report {out}", 2, "n must be in [0, "),
+    "ssm-state_dim_beyond_intp":
+        ("ssm --state-dim 18446744073709551616 --seed 1 --config {cfg} "
+         "--report {out}", 2, "state_dim must be in [1, "),
     "trace-missing_config":
         ("trace --value 1.0 --config {missing}", 1),
     "trace-nan_value":

@@ -286,9 +286,9 @@ def _one_pass(x, cfg):
     fake-quant, and the encoded flags and codes."""
     key = codec._encode_index(x, cfg)
     with np.errstate(over="ignore"):
+        se = codec._tables(cfg).decode[key].astype(np.float32)
         int8 = (codec._int8_round(x, cfg) * cfg.scale).astype(np.float32)
-    return (codec._tables(cfg).decode32[key], int8, key > 0xFF,
-            key.astype(np.uint8))
+    return se, int8, key > 0xFF, key.astype(np.uint8)
 
 
 _B = codec.BLOCK

@@ -137,11 +137,18 @@ class TestParamsValidation:
             SsmParams(a=[0.5, 0.5], b=[1.0], c=[1.0])
 
     @pytest.mark.parametrize("state_dim, seed", [
-        (2.5, 1), (2.0, 1), ("4", 1), (4, 1.5), (4, None),
+        (2.5, 1), (2.0, 1), ("4", 1), (4, 1.5), (4, None), (True, 0),
+        (4, False), (4, "7"),
     ])
     def test_make_params_non_integer(self, state_dim, seed):
         with pytest.raises(InvalidParams, match="must be integers"):
             make_params(state_dim, seed)
+
+    @pytest.mark.parametrize("state_dim", [0, 2**63, 2**64])
+    def test_make_params_state_dim_out_of_range(self, state_dim):
+        # rejected before anything is allocated
+        with pytest.raises(InvalidParams, match="state_dim must be in"):
+            make_params(state_dim, 0)
 
     def test_make_params_seeded_and_stable(self):
         p1, p2 = make_params(16, 7), make_params(16, 7)

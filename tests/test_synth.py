@@ -229,12 +229,31 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("n", 2.5), ("n", 2.0), ("n", "3"), ("n", None), ("seed", 1.5),
-        ("degrees_of_freedom", 2.5),
+        ("degrees_of_freedom", 2.5), ("n", True), ("seed", True),
+        ("degrees_of_freedom", True), ("seed", "0"),
     ])
     def test_non_integer_size(self, field, value):
         fields = {"n": 3, "seed": 0, field: value}
         with pytest.raises(InvalidSpec, match=f"{field} must be an integer"):
             DistSpec(kind="student_t", **fields)
+
+    @pytest.mark.parametrize("field, value", [
+        ("mean", "1"), ("std", True), ("outlier_fraction", None),
+        ("outlier_low", np.bool_(False)), ("outlier_high", 1j),
+    ])
+    def test_non_number_parameter(self, field, value):
+        with pytest.raises(InvalidSpec, match=f"{field} must be a number"):
+            DistSpec(kind="outlier_mixture", n=3, seed=0, **{field: value})
+
+    def test_parameter_beyond_binary64(self):
+        with pytest.raises(InvalidSpec, match="mean out of range"):
+            DistSpec(kind="gaussian", n=3, seed=0, mean=10**400)
+
+    @pytest.mark.parametrize("n", [2**63, 2**64, np.uint64(2**64 - 1)])
+    def test_size_beyond_intp(self, n):
+        # rejected before anything is allocated
+        with pytest.raises(InvalidSpec, match="n must be in"):
+            DistSpec(kind="gaussian", n=n, seed=0)
 
     @pytest.mark.parametrize("seed", [2**63 - 1, 2**64 - 1])
     def test_numpy_integers_draw_as_python_ints(self, seed):
