@@ -356,6 +356,32 @@ def test_multi_block_digest(name):
         assert digest == MULTI_BLOCK_SHA256[name, out], out
 
 
+# sha256 of all 512 entries of the binary64 decode table, -128 and the
+# negative-zero key included. Under scale 2e36 the table holds values past
+# binary32.
+DECODE_TABLE_SHA256 = {
+    "default": (derive_config(1.0),
+                "d8c0ef58c08aeaca9e55051818f15d8709a5c95a0c2d17f20851429de9fef7f1"),
+    "fine_2_coarse_8": (
+        derive_config(0.37, fine_divisor=2.0, coarse_multiplier=8.0),
+        "646e383217aa21e6121a5bd2afa2435fe0060c0d49d2895340cff231baae041f"),
+    "beyond_binary32": (derive_config(2e36),
+                        "c4006d53d23c4776c0c24b3af0911c3a740b8d9ad5beea072f467474059ec0fc"),
+}
+
+
+@pytest.mark.parametrize("name", DECODE_TABLE_SHA256)
+def test_decode_table_digest(name):
+    cfg, want = DECODE_TABLE_SHA256[name]
+    decode = codec._tables(cfg).decode
+    assert decode.shape == (512,) and decode.dtype == np.float64
+    assert hashlib.sha256(decode.tobytes()).hexdigest() == want
+    # the non-canonical negative-zero code decodes to -0.0 under strict=False
+    assert decode[codec.NEGATIVE_ZERO] == 0 and np.signbit(decode[codec.NEGATIVE_ZERO])
+    if name == "beyond_binary32":
+        assert np.abs(decode).max() > np.finfo(np.float32).max
+
+
 _KERNEL_ENTRIES = {
     "fake_quant": fake_quant,
     "fake_quant_int8": lambda v, cfg: fake_quant(v, cfg, "int8"),
