@@ -1,12 +1,11 @@
 """The soft-edge quantizer.
 
 Values are classified by magnitude against thresholds L and H into three
-regions, each with its own step size:
+regions, each with its own row (offset, step, top):
 
-* Small  (|x| <  L): step = scale / fine_divisor, 6-bit sign-magnitude code
-* Medium (L <= |x| <= H): standard symmetric INT8, step = scale
-* Large  (|x| >  H): step = scale * coarse_multiplier, offset-encoded as
-  xhat = +/-(H + m * step), 6-bit magnitude
+* Small  (|x| <  L): (0, scale / fine_divisor, 63), sign-magnitude code
+* Medium (L <= |x| <= H): (0, scale, 127), standard symmetric INT8
+* Large  (|x| >  H): (H, scale * coarse_multiplier, 63), sign-magnitude code
 
 Each encoded element is an 8-bit code plus a 1-bit SE flag. Flag 0 means the
 byte is a two's-complement INT8 code in [-127, 127]. Flag 1 means the byte is
@@ -14,16 +13,15 @@ byte is a two's-complement INT8 code in [-127, 127]. Flag 1 means the byte is
 Zero always encodes as flag 1, byte 0x00; the negative-zero pattern
 (sign=1, region=0, m=0) is never emitted and rejected on strict decode.
 
-One kernel does all of it. ``_region_index`` picks the region, the region's
-(offset, step, top) row gives the magnitude m = min(floor((|x| - offset) /
-step + 0.5), top), rounding half away from zero, and the decoder gathers
-sign * (offset + m * step) from the config's one 512-entry table, indexed by
-flag<<8 | byte; ``fake_quant`` casts that gather into binary32. A plain
-symmetric INT8 quantizer (hard clip at +/-127*scale) is provided as the
-comparison baseline; it rounds with the medium row.
-
-The binary32 rule, one ``errstate`` in ``fake_quant`` for both quantizers: a
-reconstruction beyond binary32 casts to +/-inf, and the cast never warns.
+One magnitude kernel serves encode and fake-quant: m = min(floor((|x| -
+offset) / step + 0.5), top), half away from zero, then the value offset +
+m * step. Most values are small, so every |x| takes the small row, and only
+those at |x| >= L are redone with the medium row, and of those only the ones
+above H with the large row. The config's 512-entry decode table, indexed by
+flag<<8 | byte, is built from the same value expression, so fake-quant is
+decode-then-cast. The INT8 baseline (hard clip at +/-127*scale) rounds with
+the medium row. The binary32 rule, one ``errstate`` in ``fake_quant`` for
+both quantizers: a value beyond binary32 casts to +/-inf, quietly.
 """
 
 from __future__ import annotations
@@ -179,17 +177,25 @@ for _a in (_CODE_INDEX, _KEY_REGION, _KEY_SIGN, _KEY_MAGNITUDE):
 del _flag, _byte, _keys, _a
 
 
+def _value(m: np.ndarray, offset, step) -> np.ndarray:
+    """offset + m * step, in place over the float64 magnitudes m: the one
+    value expression, which ends the kernel and builds the decode table."""
+    np.multiply(m, step, out=m)
+    return np.add(m, offset, out=m)
+
+
 # The decode table holds all 512 keys: also -128 (flag 0, byte 0x80), never
-# emitted but accepted, and values that overflow or do not fit binary32, which
-# are read only if their code occurs.
+# emitted but accepted, the negative-zero key (-0.0), and values that
+# overflow or do not fit binary32, which are read only if their code occurs.
 @functools.lru_cache(maxsize=256)
 @np.errstate(over="ignore")
 def _tables(cfg: QuantConfig) -> _Tables:
     offset = np.array([0.0, 0.0, cfg.high_threshold])
     step = np.array([cfg.fine_step, cfg.scale, cfg.coarse_step])
     top = np.array([MAX_MAGNITUDE, MAX_STANDARD_CODE, MAX_MAGNITUDE], float)
-    sign = np.where(_KEY_SIGN, -1.0, 1.0)
-    decode = sign * (offset[_KEY_REGION] + _KEY_MAGNITUDE * step[_KEY_REGION])
+    value = _value(_KEY_MAGNITUDE.astype(float), offset[_KEY_REGION],
+                   step[_KEY_REGION])
+    decode = np.copysign(value, np.where(_KEY_SIGN, -1.0, 1.0), out=value)
     tables = _Tables(offset, step, top, decode)
     for a in tables:
         a.flags.writeable = False
@@ -210,16 +216,31 @@ def _round(ax: np.ndarray, offset, step, top) -> np.ndarray:
     return np.minimum(ax, top, out=ax)
 
 
-def _encode_index(x: np.ndarray, cfg: QuantConfig) -> np.ndarray:
-    """Encoder kernel: flag<<8 | byte (uint16) of each element of x."""
-    ax = np.abs(x)
-    region = _region_index(ax, cfg)
+def _kernel(x: np.ndarray, cfg: QuantConfig, offset, step) -> np.ndarray:
+    """The one magnitude kernel: offset[r] + m * step[r] of each element of
+    the 1-d float64 x, m and r being its rounded magnitude and region. Every
+    |x| is rounded with the small row; only those at |x| >= L are redone with
+    the medium row, and of those only the ones above H with the large row."""
     t = _tables(cfg)
-    m = _round(ax, t.offset[region], t.step[region], t.top[region])
-    key = np.left_shift(region, 8, dtype=np.uint16)
-    key |= np.left_shift(x < 0, 7, dtype=np.uint16)
-    key |= m.astype(np.uint16)
-    return _CODE_INDEX[key]
+    ax = np.abs(x)
+    mid = np.flatnonzero(ax >= cfg.low_threshold)
+    medium = ax.take(mid)
+    big = np.flatnonzero(medium > cfg.high_threshold)
+    rows = zip((ax, medium, medium.take(big)), t.offset, t.step, t.top)
+    out, medium, large = (_value(_round(*row), offset[r], step[r])
+                          for r, row in enumerate(rows))
+    medium[big] = large
+    out[mid] = medium
+    return out
+
+
+def _encode_index(x: np.ndarray, cfg: QuantConfig) -> np.ndarray:
+    """Encoder kernel: flag<<8 | byte (uint16) of each element of x, looked
+    up at region << 8 | negative << 7 | m; the kernel with offset region << 8
+    and step 1 gives region << 8 | m."""
+    key = _kernel(x, cfg, (0, 256, 512), (1, 1, 1)).astype(np.intp)
+    key |= np.left_shift(x < 0, 7, dtype=np.intp)
+    return _CODE_INDEX.take(key)
 
 
 def _int8_round(x: np.ndarray, cfg: QuantConfig) -> np.ndarray:
@@ -311,9 +332,9 @@ def fake_quant(values, cfg: QuantConfig, which: str = "soft_edge") -> np.ndarray
     ``which`` selects the soft-edge path or the plain INT8 baseline.
     Idempotent: fake_quant(fake_quant(t)) == fake_quant(t) bitwise.
     """
-    if which == "soft_edge":
-        decode = _tables(cfg).decode
-        kernel = lambda b: decode.take(_encode_index(b, cfg))
+    if which == "soft_edge":  # x's sign, and + 0.0 makes every zero +0
+        t = _tables(cfg)
+        kernel = lambda b: np.copysign(_kernel(b, cfg, t.offset, t.step), b) + 0.0
     elif which == "int8":
         kernel = lambda b: _int8_round(b, cfg) * cfg.scale
     else:

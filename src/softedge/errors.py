@@ -91,7 +91,9 @@ class InvalidParams(ValidationError):
 
 
 _BINARY64_MAX = np.finfo(np.float64).max
-SIZE_MAX = int(np.iinfo(np.intp).max)  # the largest length numpy allocates
+# The longest float64 array numpy can describe: its bytes, not only its
+# length, must fit intp.
+SIZE_MAX = int(np.iinfo(np.intp).max) // 8
 
 
 def check_number(v, error, name: str) -> float:

@@ -45,6 +45,10 @@ _INV_2_53 = 1.0 / (1 << 53)
 # Counters per block (2**15 Box-Muller pairs): a block's scratch stays in
 # cache and is reused, instead of a fresh n-element array per step.
 BLOCK = 1 << 16
+# student_t draws degrees_of_freedom gaussian blocks per output block, so its
+# time grows with them; at this bound it is already near a gaussian
+# (variance 1024/1022).
+MAX_DF = 1024
 
 
 def _mix(seed: int, z: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -165,8 +169,9 @@ class DistSpec:
             )
         if self.outlier_low >= self.outlier_high:
             raise InvalidSpec("need outlier_low < outlier_high")
-        if self.degrees_of_freedom < 1:
-            raise InvalidSpec("degrees_of_freedom must be >= 1")
+        if not 1 <= self.degrees_of_freedom <= MAX_DF:
+            raise InvalidSpec(f"degrees_of_freedom must be in [1, {MAX_DF}], "
+                              f"got {self.degrees_of_freedom}")
 
 
 # A value beyond binary64 becomes +/-inf quietly, for write_tensor to reject.

@@ -125,6 +125,12 @@ _MALFORMED = {
     "synth-n_beyond_intp":
         ("synth --dist gaussian --n 18446744073709551616 --seed 1 --out {out}", 2,
          "n must be in [0, "),
+    "synth-n_bytes_beyond_intp":  # 2**62 elements, 2**65 bytes of float64
+        ("synth --dist gaussian --n 4611686018427387904 --seed 1 --out {out}", 2,
+         "n must be in [0, "),
+    "synth-df_beyond_bound":
+        ("synth --dist student_t --df 100000000000 --n 4 --seed 1 --out {out}", 2,
+         "degrees_of_freedom must be in [1, 1024]"),
     "synth-infinite_outlier_low":
         ("synth --dist outlier_mixture --n 10000 --seed 1 --outlier-low=-inf "
          "--out {out}", 2, "finite"),
@@ -181,6 +187,9 @@ _MALFORMED = {
          "--report {out}", 2, "n must be in [0, "),
     "ssm-state_dim_beyond_intp":
         ("ssm --state-dim 18446744073709551616 --seed 1 --config {cfg} "
+         "--report {out}", 2, "state_dim must be in [1, "),
+    "ssm-state_dim_bytes_beyond_intp":
+        ("ssm --state-dim 4611686018427387904 --seed 1 --config {cfg} "
          "--report {out}", 2, "state_dim must be in [1, "),
     "trace-missing_config":
         ("trace --value 1.0 --config {missing}", 1),

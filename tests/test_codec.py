@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from softedge import (
     RegionClass,
     SoftEdgeCode,
     TraceRecord,
+    calibrate,
     classify,
     decode_tensor,
     derive_config,
@@ -282,11 +284,22 @@ class TestTensorCodec:
 
 
 def _one_pass(x, cfg):
-    """The kernels over the whole array at once: soft-edge and INT8
-    fake-quant, and the encoded flags and codes."""
-    key = codec._encode_index(x, cfg)
+    """The dense rule over the whole array at once: soft-edge and INT8
+    fake-quant, and the encoded flags and codes. Every element gathers its
+    region's (offset, step, top) row, and soft-edge fake-quant is a gather
+    from the decode table, so it is a different computation from the
+    region-sparse kernel."""
+    ax = np.abs(x)
+    region = np.add(ax >= cfg.low_threshold, ax > cfg.high_threshold,
+                    dtype=np.uint8)
+    t = codec._tables(cfg)
+    m = codec._round(ax, t.offset[region], t.step[region], t.top[region])
+    key = np.left_shift(region, 8, dtype=np.uint16)
+    key |= np.left_shift(x < 0, 7, dtype=np.uint16)
+    key |= m.astype(np.uint16)
+    key = codec._CODE_INDEX[key]
     with np.errstate(over="ignore"):
-        se = codec._tables(cfg).decode[key].astype(np.float32)
+        se = t.decode[key].astype(np.float32)
         int8 = (codec._int8_round(x, cfg) * cfg.scale).astype(np.float32)
     return se, int8, key > 0xFF, key.astype(np.uint8)
 
@@ -662,3 +675,58 @@ def test_accepted_config_round_trip_is_finite_and_quiet(cfg, xs):
     with np.errstate(over="ignore"):
         assert decoded.astype(np.float32).tobytes() == quantized.tobytes()
 
+
+def _branch_blocks(cfg, extra):
+    """Inputs that take each branch of the region-sparse kernel, each short
+    enough to be one block: no element at or above L, elements at or above L
+    but none above H, every element above H, and all of them mixed. The
+    magnitudes are 0, subnormals, the thresholds and the floats beside them,
+    the fine-codebook edge [L - fine_step / 2, L), the largest float (whose
+    reconstruction may lie past binary32) and the drawn ``extra``."""
+    L, H = cfg.low_threshold, cfg.high_threshold
+    edge = L - cfg.fine_step / 2
+    mags = [0.0, 5e-324, 1e-310, edge, math.nextafter(edge, L), (edge + L) / 2,
+            math.nextafter(L, 0), L, math.nextafter(L, math.inf),
+            math.nextafter(H, 0), H, math.nextafter(H, math.inf), 2 * H, _TOP,
+            *map(abs, extra)]
+    values = [s * m for m in mags if 0 <= m <= _TOP for s in (1.0, -1.0)]
+    return {"below_L": [v for v in values if abs(v) < L],
+            "none_above_H": [v for v in values if abs(v) <= H],
+            "all_above_H": [v for v in values if abs(v) > H],
+            "mixed": values}
+
+
+@settings(max_examples=200)
+@given(cfg=_accepted_configs(),
+       xs=st.lists(st.tuples(st.booleans(), _FINITE), max_size=8))
+@example(cfg=derive_config(2e36), xs=[(False, 3e38), (False, -1e39)])
+@example(cfg=derive_config(1.0), xs=[(False, 15.875), (True, 388.0)])
+def test_fake_quant_is_decode_then_cast(cfg, xs):
+    extra = [r * cfg.scale if rel else r for rel, r in xs]
+    blocks = _branch_blocks(cfg, [v for v in extra if math.isfinite(v)])
+    assert blocks["below_L"] and any(abs(v) >= cfg.low_threshold
+                                     for v in blocks["none_above_H"])
+    assert blocks["all_above_H"] or cfg.high_threshold == _TOP
+    for name, block in blocks.items():
+        x = np.array(block, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            want = decode_tensor(encode_tensor(x, cfg)).astype(np.float32)
+        assert fake_quant(x, cfg).tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("entry, bound", [("fake_quant", 6.0),
+                                          ("encode_tensor", 5.0)])
+def test_peak_memory_per_element(entry, bound):
+    # the outputs are 4 B/elem (float32; or the uint16 key and the flags and
+    # codes cut from it); the rest is per-block scratch, not n-element
+    # temporaries
+    n = 1 << 20
+    x = generate(DistSpec(kind="student_t", n=n, seed=0)).astype(np.float32)
+    cfg = calibrate(x, 99.99)
+    tracemalloc.start()
+    try:
+        _KERNEL_ENTRIES[entry](x, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= bound

@@ -144,7 +144,7 @@ class TestParamsValidation:
         with pytest.raises(InvalidParams, match="must be integers"):
             make_params(state_dim, seed)
 
-    @pytest.mark.parametrize("state_dim", [0, 2**63, 2**64])
+    @pytest.mark.parametrize("state_dim", [0, 2**62, 2**63, 2**64])
     def test_make_params_state_dim_out_of_range(self, state_dim):
         # rejected before anything is allocated
         with pytest.raises(InvalidParams, match="state_dim must be in"):

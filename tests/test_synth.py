@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from softedge.errors import InvalidSpec
 from softedge.synth import (
     BLOCK,
+    MAX_DF,
     DistSpec,
     _splitmix64_at,
     _unit,
@@ -249,11 +250,21 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec, match="mean out of range"):
             DistSpec(kind="gaussian", n=3, seed=0, mean=10**400)
 
-    @pytest.mark.parametrize("n", [2**63, 2**64, np.uint64(2**64 - 1)])
+    @pytest.mark.parametrize("n", [2**63, 2**64, np.uint64(2**64 - 1), 2**62])
     def test_size_beyond_intp(self, n):
         # rejected before anything is allocated
         with pytest.raises(InvalidSpec, match="n must be in"):
             DistSpec(kind="gaussian", n=n, seed=0)
+
+    def test_degrees_of_freedom_bound(self):
+        # student_t draws one gaussian block per degree of freedom
+        v = generate(DistSpec(kind="student_t", n=4, seed=1,
+                              degrees_of_freedom=MAX_DF))
+        assert v.size == 4 and np.all(np.isfinite(v))
+        for df in (0, MAX_DF + 1, 10**11):
+            with pytest.raises(InvalidSpec,
+                               match=r"degrees_of_freedom must be in \[1, 1024\]"):
+                DistSpec(kind="student_t", n=4, seed=1, degrees_of_freedom=df)
 
     @pytest.mark.parametrize("seed", [2**63 - 1, 2**64 - 1])
     def test_numpy_integers_draw_as_python_ints(self, seed):
