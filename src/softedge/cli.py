@@ -252,6 +252,9 @@ def main(argv=None) -> int:
     except ValidationError as e:
         print(str(e), file=sys.stderr)
         return 2
+    except MemoryError as e:  # a size within bounds can still be too large
+        print(f"input does not fit in memory: {e}", file=sys.stderr)
+        return 2
     except Exception as e:  # anything else is a defect in this program
         traceback.print_exc()
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)

@@ -13,23 +13,22 @@ byte is a two's-complement INT8 code in [-127, 127]. Flag 1 means the byte is
 Zero always encodes as flag 1, byte 0x00; the negative-zero pattern
 (sign=1, region=0, m=0) is never emitted and rejected on strict decode.
 
-One magnitude kernel serves encode and fake-quant: m = min(floor((|x| -
-offset) / step + 0.5), top), half away from zero, then the value offset +
-m * step. Most values are small, so every |x| takes the small row, and only
-those at |x| >= L are redone with the medium row, and of those only the ones
-above H with the large row. The config's 512-entry decode table, indexed by
-flag<<8 | byte, is built from the same value expression, so fake-quant is
-decode-then-cast. The INT8 baseline (hard clip at +/-127*scale) rounds with
-the medium row. The binary32 rule, one ``errstate`` in ``fake_quant`` for
-both quantizers: a value beyond binary32 casts to +/-inf, quietly.
+Rows are read from the config where used; no per-config state is kept. One
+magnitude kernel serves encode and fake-quant: m = min(floor(a / step +
+0.5), top), half away from zero, then the value offset + m * step. Most
+values are small, so every a = |x| takes the small row; only those at |x|
+>= L are redone with the medium row, and those above H, as a = |x| - H,
+with the large row. The 512-entry decode table, indexed by flag<<8 | byte,
+is built from the same value expression wherever it is read, so fake-quant
+is decode-then-cast. The INT8 baseline (hard clip at +/-127*scale) rounds
+with the medium row. The binary32 rule, one ``errstate`` in ``fake_quant``
+for both quantizers: a value beyond binary32 casts to +/-inf, quietly.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +56,7 @@ REGION_BIT = 0x40
 MAGNITUDE_MASK = 0x3F
 MAX_MAGNITUDE = 63
 NEGATIVE_ZERO = 0x100 | SIGN_BIT  # flag<<8 | byte of the non-canonical code
+_TOP = (MAX_MAGNITUDE, MAX_STANDARD_CODE, MAX_MAGNITUDE)  # caps, by region
 # Elements per block of the tensor kernels: a block's float64 temporaries
 # (256 KiB each) stay in cache instead of streaming through memory.
 BLOCK = 1 << 15
@@ -148,15 +148,6 @@ def _region_index(ax, cfg: QuantConfig):
                   dtype=np.uint8)
 
 
-class _Tables(NamedTuple):
-    """Per-config kernel tables; region rows are (small, medium, large)."""
-
-    offset: np.ndarray
-    step: np.ndarray
-    top: np.ndarray
-    decode: np.ndarray  # float64 reconstruction of each flag<<8 | byte
-
-
 # The key layout, written once: region index, sign bit and magnitude (the
 # |INT8| value for flag-0 codes) of each flag<<8 | byte, as the trace reports.
 _flag, _byte = np.divmod(np.arange(512), 256)
@@ -184,49 +175,47 @@ def _value(m: np.ndarray, offset, step) -> np.ndarray:
     return np.add(m, offset, out=m)
 
 
+def _rows(cfg: QuantConfig):
+    """The config's (offset, step) rows, by region: small, medium, large."""
+    return ((0.0, 0.0, cfg.high_threshold),
+            (cfg.fine_step, cfg.scale, cfg.coarse_step))
+
+
 # The decode table holds all 512 keys: also -128 (flag 0, byte 0x80), never
 # emitted but accepted, the negative-zero key (-0.0), and values that
 # overflow or do not fit binary32, which are read only if their code occurs.
-@functools.lru_cache(maxsize=256)
 @np.errstate(over="ignore")
-def _tables(cfg: QuantConfig) -> _Tables:
-    offset = np.array([0.0, 0.0, cfg.high_threshold])
-    step = np.array([cfg.fine_step, cfg.scale, cfg.coarse_step])
-    top = np.array([MAX_MAGNITUDE, MAX_STANDARD_CODE, MAX_MAGNITUDE], float)
-    value = _value(_KEY_MAGNITUDE.astype(float), offset[_KEY_REGION],
-                   step[_KEY_REGION])
-    decode = np.copysign(value, np.where(_KEY_SIGN, -1.0, 1.0), out=value)
-    tables = _Tables(offset, step, top, decode)
-    for a in tables:
-        a.flags.writeable = False
-    return tables
+def _decode_table(cfg: QuantConfig) -> np.ndarray:
+    """float64 reconstruction of each flag<<8 | byte."""
+    offset, step = np.array(_rows(cfg))[:, _KEY_REGION]
+    value = _value(_KEY_MAGNITUDE.astype(float), offset, step)
+    return np.copysign(value, np.where(_KEY_SIGN, -1.0, 1.0), out=value)
 
 
 # Huge finite inputs overflow the quotient to +inf, which the minimum clamps
 # to the top code; that overflow is expected, not an error.
 @np.errstate(over="ignore")
-def _round(ax: np.ndarray, offset, step, top) -> np.ndarray:
-    """The one rounding rule, min(floor((|x| - offset) / step + 0.5), top),
-    computed in place over the float64 magnitudes ``ax`` (>= offset), so it
-    rounds half away from zero."""
-    np.subtract(ax, offset, out=ax)
-    np.divide(ax, step, out=ax)
-    np.add(ax, 0.5, out=ax)
-    np.floor(ax, out=ax)
-    return np.minimum(ax, top, out=ax)
+def _round(a: np.ndarray, step, top) -> np.ndarray:
+    """The one rounding rule, min(floor(a / step + 0.5), top), computed in
+    place over the float64 magnitudes ``a`` (>= 0, the large row's already
+    less H), so it rounds half away from zero."""
+    np.divide(a, step, out=a)
+    np.add(a, 0.5, out=a)
+    np.floor(a, out=a)
+    return np.minimum(a, top, out=a)
 
 
 def _kernel(x: np.ndarray, cfg: QuantConfig, offset, step) -> np.ndarray:
     """The one magnitude kernel: offset[r] + m * step[r] of each element of
     the 1-d float64 x, m and r being its rounded magnitude and region. Every
     |x| is rounded with the small row; only those at |x| >= L are redone with
-    the medium row, and of those only the ones above H with the large row."""
-    t = _tables(cfg)
+    the medium row, and those above H, as |x| - H, with the large row."""
     ax = np.abs(x)
     mid = np.flatnonzero(ax >= cfg.low_threshold)
     medium = ax.take(mid)
     big = np.flatnonzero(medium > cfg.high_threshold)
-    rows = zip((ax, medium, medium.take(big)), t.offset, t.step, t.top)
+    rows = zip((ax, medium, medium.take(big) - cfg.high_threshold),
+               _rows(cfg)[1], _TOP)
     out, medium, large = (_value(_round(*row), offset[r], step[r])
                           for r, row in enumerate(rows))
     medium[big] = large
@@ -245,8 +234,7 @@ def _encode_index(x: np.ndarray, cfg: QuantConfig) -> np.ndarray:
 
 def _int8_round(x: np.ndarray, cfg: QuantConfig) -> np.ndarray:
     """Standard symmetric INT8 code of x, as a float in [-127, 127]."""
-    t = _tables(cfg)
-    return np.copysign(_round(np.abs(x), t.offset[1], t.step[1], t.top[1]), x)
+    return np.copysign(_round(np.abs(x), cfg.scale, MAX_STANDARD_CODE), x)
 
 
 def _decode_arrays(flags: np.ndarray, codes: np.ndarray, cfg: QuantConfig,
@@ -259,7 +247,7 @@ def _decode_arrays(flags: np.ndarray, codes: np.ndarray, cfg: QuantConfig,
         if np.any(neg_zero):
             idx = int(np.argmax(neg_zero))
             raise NonCanonicalCode(f"negative-zero small code at index {idx}")
-    return _tables(cfg).decode[key]
+    return _decode_table(cfg)[key]
 
 
 def _one(x: float) -> np.ndarray:
@@ -333,8 +321,8 @@ def fake_quant(values, cfg: QuantConfig, which: str = "soft_edge") -> np.ndarray
     Idempotent: fake_quant(fake_quant(t)) == fake_quant(t) bitwise.
     """
     if which == "soft_edge":  # x's sign, and + 0.0 makes every zero +0
-        t = _tables(cfg)
-        kernel = lambda b: np.copysign(_kernel(b, cfg, t.offset, t.step), b) + 0.0
+        offset, step = _rows(cfg)
+        kernel = lambda b: np.copysign(_kernel(b, cfg, offset, step), b) + 0.0
     elif which == "int8":
         kernel = lambda b: _int8_round(b, cfg) * cfg.scale
     else:
@@ -348,12 +336,11 @@ def hardware_trace(x: float, cfg: QuantConfig) -> TraceRecord:
     v = _one(x)
     key = int(_encode_index(v, cfg)[0])
     region = int(_KEY_REGION[key])
-    t = _tables(cfg)
-    value, recon = float(v[0]), float(t.decode[key])
+    value, recon = float(v[0]), float(_decode_table(cfg)[key])
     return TraceRecord(
         value=value,
         region=_REGIONS[region],
-        selected_step=float(t.step[region]),
+        selected_step=float(_rows(cfg)[1][region]),
         se_flag=key >> 8,
         sign_bit=int(_KEY_SIGN[key]),
         region_bit=int(region == 2),

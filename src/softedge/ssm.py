@@ -35,6 +35,9 @@ from .synth import _gaussian_counters, gaussians, uniforms
 # steps. At T = 65,536 and N = 16, blocks of 128 and 256 are equally fast
 # (about 3 ms a pass on a 2-vCPU VM); 64 and 512 are slower.
 BLOCK = 256
+# The largest N whose (BLOCK + 1) x N power table, the largest array
+# ssm_forward builds from N alone, numpy can describe.
+MAX_STATE_DIM = SIZE_MAX // (BLOCK + 1)
 
 __all__ = [
     "SsmParams",
@@ -97,8 +100,9 @@ def make_params(state_dim: int, seed: int) -> SsmParams:
            for v in (state_dim, seed)):
         raise InvalidParams(f"state_dim and seed must be integers, got "
                             f"{state_dim!r} and {seed!r}")
-    if not 1 <= state_dim <= SIZE_MAX:
-        raise InvalidParams(f"state_dim must be in [1, {SIZE_MAX}], got {state_dim}")
+    if not 1 <= state_dim <= MAX_STATE_DIM:
+        raise InvalidParams(f"state_dim must be in [1, {MAX_STATE_DIM}], "
+                            f"got {state_dim}")
     n = state_dim
     a = 0.5 + 0.49 * uniforms(seed, 0, n)
     gk = _gaussian_counters(n)

@@ -128,6 +128,9 @@ _MALFORMED = {
     "synth-n_bytes_beyond_intp":  # 2**62 elements, 2**65 bytes of float64
         ("synth --dist gaussian --n 4611686018427387904 --seed 1 --out {out}", 2,
          "n must be in [0, "),
+    "synth-n_beyond_memory":  # 2**50 elements: no allocator grants 8 PiB
+        ("synth --dist gaussian --n 1125899906842624 --seed 1 --out {out}", 2,
+         "does not fit in memory"),
     "synth-df_beyond_bound":
         ("synth --dist student_t --df 100000000000 --n 4 --seed 1 --out {out}", 2,
          "degrees_of_freedom must be in [1, 1024]"),
@@ -191,6 +194,15 @@ _MALFORMED = {
     "ssm-state_dim_bytes_beyond_intp":
         ("ssm --state-dim 4611686018427387904 --seed 1 --config {cfg} "
          "--report {out}", 2, "state_dim must be in [1, "),
+    "ssm-state_dim_beyond_power_table":  # SIZE_MAX, 2**60 - 1
+        ("ssm --state-dim 1152921504606846975 --seed 1 --config {cfg} "
+         "--report {out}", 2, "state_dim must be in [1, "),
+    "ssm-seq_len_beyond_memory":
+        ("ssm --seq-len 1125899906842624 --seed 1 --config {cfg} "
+         "--report {out}", 2, "does not fit in memory"),
+    "ssm-state_dim_beyond_memory":
+        ("ssm --state-dim 1125899906842624 --seed 1 --config {cfg} "
+         "--report {out}", 2, "does not fit in memory"),
     "trace-missing_config":
         ("trace --value 1.0 --config {missing}", 1),
     "trace-nan_value":

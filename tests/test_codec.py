@@ -286,20 +286,23 @@ class TestTensorCodec:
 def _one_pass(x, cfg):
     """The dense rule over the whole array at once: soft-edge and INT8
     fake-quant, and the encoded flags and codes. Every element gathers its
-    region's (offset, step, top) row, and soft-edge fake-quant is a gather
-    from the decode table, so it is a different computation from the
-    region-sparse kernel."""
+    region's (offset, step, top) row, written here from the config, and
+    soft-edge fake-quant is a gather from the decode table, so it is a
+    different computation from the region-sparse kernel."""
     ax = np.abs(x)
     region = np.add(ax >= cfg.low_threshold, ax > cfg.high_threshold,
                     dtype=np.uint8)
-    t = codec._tables(cfg)
-    m = codec._round(ax, t.offset[region], t.step[region], t.top[region])
+    offset = np.array([0.0, 0.0, cfg.high_threshold])[region]
+    step = np.array([cfg.fine_step, cfg.scale, cfg.coarse_step])[region]
+    top = np.array([63.0, 127.0, 63.0])[region]
+    with np.errstate(over="ignore"):
+        m = np.minimum(np.floor((ax - offset) / step + 0.5), top)
     key = np.left_shift(region, 8, dtype=np.uint16)
     key |= np.left_shift(x < 0, 7, dtype=np.uint16)
     key |= m.astype(np.uint16)
     key = codec._CODE_INDEX[key]
     with np.errstate(over="ignore"):
-        se = t.decode[key].astype(np.float32)
+        se = codec._decode_table(cfg)[key].astype(np.float32)
         int8 = (codec._int8_round(x, cfg) * cfg.scale).astype(np.float32)
     return se, int8, key > 0xFF, key.astype(np.uint8)
 
@@ -386,7 +389,7 @@ DECODE_TABLE_SHA256 = {
 @pytest.mark.parametrize("name", DECODE_TABLE_SHA256)
 def test_decode_table_digest(name):
     cfg, want = DECODE_TABLE_SHA256[name]
-    decode = codec._tables(cfg).decode
+    decode = codec._decode_table(cfg)
     assert decode.shape == (512,) and decode.dtype == np.float64
     assert hashlib.sha256(decode.tobytes()).hexdigest() == want
     # the non-canonical negative-zero code decodes to -0.0 under strict=False

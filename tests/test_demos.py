@@ -5,14 +5,14 @@ import runpy
 
 import pytest
 
-DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
+DEMOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("name", [
-    "01_quantizer_tour.py",
-    "02_outlier_tradeoff.py",
-    "03_ssm_error_propagation.py",
-])
-def test_demo_runs(name, capsys):
-    runpy.run_path(str(DEMOS / name), run_name="__main__")
+def test_demos_found():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(path, capsys):
+    runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out.strip()

@@ -13,7 +13,7 @@ from softedge import (
     ssm_forward_quantized,
 )
 from softedge.errors import InvalidParams
-from softedge.ssm import BLOCK
+from softedge.ssm import BLOCK, MAX_STATE_DIM
 from softedge.synth import DistSpec, generate
 
 
@@ -144,7 +144,8 @@ class TestParamsValidation:
         with pytest.raises(InvalidParams, match="must be integers"):
             make_params(state_dim, seed)
 
-    @pytest.mark.parametrize("state_dim", [0, 2**62, 2**63, 2**64])
+    @pytest.mark.parametrize("state_dim", [0, MAX_STATE_DIM + 1, 2**62, 2**63,
+                                           2**64])
     def test_make_params_state_dim_out_of_range(self, state_dim):
         # rejected before anything is allocated
         with pytest.raises(InvalidParams, match="state_dim must be in"):
