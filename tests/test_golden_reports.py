@@ -1,8 +1,9 @@
 """Frozen report bytes and the number of fake-quant passes per report.
 
 The digests pin the eval JSON and CSV, a 2x2x2 sweep CSV and the SSM report
-JSON on a small seeded input, so a refactor of the metrics or SSM code that
-changes any output bit fails here. The SSM report is produced with
+JSON on a small seeded input, and the eval and sweep outputs at two
+multi-leaf sizes, so a refactor of the metrics or SSM code that changes any
+output bit fails here. The SSM report is produced with
 ``ssm.ssm_forward`` replaced by the step-by-step loop oracle, because the
 chunked scan re-associates the recurrence's sums; the report of the scan
 itself must match it field by field within 1e-12 relative.
@@ -110,3 +111,76 @@ def test_sweep_shares_its_work(fake_quant_calls, monkeypatch):
     which = [args[2] for args in fake_quant_calls]
     assert which.count("soft_edge") == 16
     assert which.count("int8") == 3  # one per distinct percentile
+
+
+
+# Multi-leaf reports: sizes that are not powers of two and span several
+# 2**15-element leaves of the summation tree, at p99.99. The outlier mixture
+# has elements in all three regions; the gaussian's medium region is dense
+# (its small fraction is about 0.38).
+MULTI_LEAF_SHA256 = {
+    ("outlier_mixture", 3 * 2**15 + 5, "eval.json"):
+        "906b822bdcff99be3917ef2d055aaa98a90afb8ceccb9270101eceec4c067cd0",
+    ("outlier_mixture", 3 * 2**15 + 5, "eval.csv"):
+        "b0c89f94dae5977d3b2d8c5144fb386174957a8961f55d63455cabe7c7e7ed1f",
+    ("outlier_mixture", 3 * 2**15 + 5, "sweep.csv"):
+        "8ae7557ad0070012c569cf90c6367af7174da338d2b2bc29500ab245989c55b7",
+    ("outlier_mixture", 2**20 + 3, "eval.json"):
+        "324f4145bff95b8aa5879854b4a60ee3495e8f78980b8ea260d148dc45db5eca",
+    ("outlier_mixture", 2**20 + 3, "eval.csv"):
+        "ee299f031649b647ba767e505607e1e91e0934ee0a25a255fb6b2c8752dd8d95",
+    ("outlier_mixture", 2**20 + 3, "sweep.csv"):
+        "f8d578beeea26902153b8fe97fd10906732f55235035da0c35d0aead2cfe6e64",
+    ("gaussian", 3 * 2**15 + 5, "eval.json"):
+        "de0c49d2c55573c4a0151206f56b4aed747121d7d7f393da716fc4787eab8dcb",
+    ("gaussian", 3 * 2**15 + 5, "eval.csv"):
+        "5bff70a14fa9df6782fc5b56866fba4b36a09f3949f16697f31b4506f29eff06",
+    ("gaussian", 3 * 2**15 + 5, "sweep.csv"):
+        "3f61cebc1ee9a3c2211ba2db8f70e1107cda18f8c1c56b6d7167cd9517c9dfcf",
+    ("gaussian", 2**20 + 3, "eval.json"):
+        "b7d50c8bcb41082e5640706a867610cb8fdc9a4e903c8365dc2dc2e05b6e7ea8",
+    ("gaussian", 2**20 + 3, "eval.csv"):
+        "95f1cb9b02c422b0cf42235f1a40239c408a4e886963a6b110c4ce28598641b4",
+    ("gaussian", 2**20 + 3, "sweep.csv"):
+        "1a02000a8aac0c74db4daab028a4f286852dcb6763818cb08dad382ca2cd974f",
+}
+
+
+@pytest.fixture(scope="module",
+                params=sorted({case[:2] for case in MULTI_LEAF_SHA256}),
+                ids=lambda case: f"{case[0]}-{case[1]}")
+def multi_leaf(request, tmp_path_factory):
+    dist, n = request.param
+    d = tmp_path_factory.mktemp(f"{dist}{n}")
+
+    def run(*argv):
+        assert main([str(a) for a in argv]) == 0
+
+    run("synth", "--dist", dist, "--n", n, "--seed", 5, "--out", d / "x.qsef")
+    run("calibrate", "--input", d / "x.qsef", "--percentile", 99.99,
+        "--out", d / "cfg.json")
+    for fmt in ("json", "csv"):
+        run("eval", "--input", d / "x.qsef", "--config", d / "cfg.json",
+            "--format", fmt, "--out", d / f"eval.{fmt}")
+    run("sweep", "--input", d / "x.qsef", "--percentiles", "99.99,100",
+        "--fine-divisors", "2,4", "--coarse-multipliers", "4,8",
+        "--out", d / "sweep.csv")
+    return request.param, {name: (d / name).read_bytes()
+                           for name in ("eval.json", "eval.csv", "sweep.csv")}
+
+
+@pytest.mark.parametrize("name", ["eval.json", "eval.csv", "sweep.csv"])
+def test_multi_leaf_report_digest(multi_leaf, name):
+    case, outputs = multi_leaf
+    assert (hashlib.sha256(outputs[name]).hexdigest()
+            == MULTI_LEAF_SHA256[(*case, name)])
+
+
+def test_multi_leaf_mixture_fills_every_region(multi_leaf):
+    (dist, n), outputs = multi_leaf
+    counts = [r["count"] for r in json.loads(outputs["eval.json"])["regions"]]
+    assert sum(counts) == n
+    if dist == "outlier_mixture":
+        assert min(counts) > 0 and counts[0] > 2**15
+    else:  # a dense medium region spanning several leaves
+        assert 0.3 < counts[0] / n < 0.45 and counts[1] > 2**15
