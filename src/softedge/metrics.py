@@ -1,8 +1,21 @@
 """Quantization error metrics and soft-edge vs INT8 comparison reports.
 
-All accumulation happens in float64 via numpy's pairwise summation, so
-million-element reports are deterministic and accurate. A lossless tensor
-has infinite SQNR; the JSON serialization spells that as the string "inf".
+Every sum is a float64 sum with the bits np.sum gives over the whole
+array, so reports are deterministic and accurate. np.sum adds a contiguous
+float64 array along a fixed pairwise tree (Higham, "The accuracy of
+floating point summation", SIAM J. Sci. Comput. 1993): n splits at n/2,
+rounded down to a multiple of 8. A report walks that tree down to leaves of
+at most ``LEAF`` (2**15) elements and makes one pass over each leaf while
+it is in cache: it widens x, runs ``fake_quant`` for each quantizer, forms
+|x - fq| and takes the leaf's partial sums and max. The partials are added
+up the same tree. A region row sums its region's compacted errors, whose
+tree splits on the region's count: the counts are taken first, and each
+region's errors are staged in a leaf-sized buffer that is summed whenever
+a leaf of its tree fills. A sum that overflows binary64 reruns the pass on
+values scaled by 2**-k. No report builds an n-element temporary.
+
+A lossless tensor has infinite SQNR; the JSON serialization spells that as
+the string "inf".
 
 CSV schema (one row per quantizer and per region):
     kind, name, count, fraction, mse, sqnr_db, max_abs_err, mean_abs_err
@@ -21,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .calibration import QuantConfig, calibrate_grid
-from .codec import RegionClass, _region_index, fake_quant
+from .codec import BLOCK as LEAF, RegionClass, _region_index, fake_quant
 from .errors import EmptyTensor, LengthMismatch, ZeroSignal, check_finite
 
 __all__ = [
@@ -123,24 +136,114 @@ def _json_numbers(doc: dict) -> dict:
             for k, v in doc.items()}
 
 
-def _sum(v: np.ndarray, square: bool = True):
-    """sum(v*v), or sum(v) of v >= 0, as (s, e) with the sum equal to s * 2**e.
+def _tree(n: int, leaf):
+    """``leaf(m)`` of each leaf of numpy's pairwise-sum tree over n elements,
+    in order, added up that tree. Above ``LEAF`` elements, n splits at n // 2
+    rounded down to a multiple of 8, as np.sum splits it; so with ``leaf``
+    the np.sum of the next m values, this is np.sum of all n, bit for bit."""
+    if n <= LEAF:
+        return leaf(n)
+    half = n // 2 - n // 2 % 8
+    return _tree(half, leaf) + _tree(n - half, leaf)
 
-    Within binary64 this is np.sum's one pass, bit for bit, and e = 0. Only
-    a sum that overflowed is redone, on v scaled by an exact power of two; a
-    sum over an infinite v (the error of a reconstruction beyond binary32)
-    is +inf as it stands.
+
+def _leaves(n: int):
+    """(start, stop) of each leaf of the tree over n elements, in order."""
+    start = 0
+    for m in _tree(n, lambda m: [m]):  # lists add up by concatenation
+        yield start, start + m
+        start += m
+
+
+class _Column:
+    """Statistics of the non-negative float64 values pushed to it, in order,
+    whose total ``count`` is known up front: their max, and the sums of v*v
+    and, if ``linear``, of v, each with the bits of np.sum over all the
+    values. A leaf of the count's tree that arrives whole is summed where it
+    lies; one that arrives in pieces is staged in a leaf-sized buffer. Each
+    sum is taken of v * 2**-k, its k in ``scale`` (0 but in a rerun)."""
+
+    def __init__(self, count: int, linear: bool = False, scale=None):
+        self.count, self.top, self.fill = count, 0.0, 0
+        self.scale = scale or (0,) * (1 + linear)
+        self.sizes = _tree(count, lambda m: [m])
+        self.parts, self.buf = [], None
+
+    def push(self, v: np.ndarray):
+        if v.size:
+            self.top = max(self.top, float(np.max(v)))
+        while v.size:
+            size = self.sizes[len(self.parts)]
+            take = min(size - self.fill, v.size)
+            if take < size:
+                if self.buf is None:
+                    self.buf = np.empty(max(self.sizes))
+                self.buf[self.fill:self.fill + take] = v[:take]
+                self.fill += take
+                if self.fill < size:
+                    return
+                self.fill = 0
+            leaf = v[:take] if take == size else self.buf[:size]
+            self.parts.append(self._leaf_sums(leaf))
+            v = v[take:]
+
+    @np.errstate(over="ignore")
+    def _leaf_sums(self, v: np.ndarray) -> list:
+        out = []
+        for k, square in zip(self.scale, (True, False)):
+            w = np.ldexp(v, -k) if k else v
+            out.append(float(np.sum(w * w if square else w)))
+        return out
+
+    def sums(self) -> list:
+        """(s, e) of the sum of v*v, then (if linear) of v: each sum is
+        s * 2**e. A sum over an infinite value is +inf as it stands."""
+        out = []
+        for i, k in enumerate(self.scale):
+            parts = iter([p[i] for p in self.parts] or [0.0])  # 0 if empty
+            out.append((_tree(self.count, lambda m: next(parts)),
+                        k if i else 2 * k))
+        return out
+
+    def rescaled(self):
+        """The scale of a rerun: k = frexp(max)[1], so that the scaled values
+        stay below 1, for each sum that overflowed over finite values; None
+        when no sum did."""
+        if not math.isfinite(self.top):
+            return None
+        k = math.frexp(self.top)[1]
+        scale = tuple(0 if math.isfinite(s) else k for s, _ in self.sums())
+        return scale if any(scale) else None
+
+
+def _rerun(run) -> list:
+    """The columns of ``run(scales)``: run once unscaled and, if a sum
+    overflowed, again with each column's ``rescaled()`` scale."""
+    columns = run(None)
+    scales = [c.rescaled() for c in columns]
+    return run(scales) if any(scales) else columns
+
+
+def _stream(v, linear: bool = False) -> _Column:
+    """The column of |v| over the leaves of the flattened v."""
+    flat = np.asarray(v).reshape(-1)
+
+    def run(scales):
+        column = _Column(flat.size, linear, scales and scales[0])
+        for lo, hi in _leaves(flat.size):
+            column.push(np.abs(flat[lo:hi]))
+        return [column]
+    return _rerun(run)[0]
+
+
+def _sum(v):
+    """sum(v*v) as (s, e), the sum equal to s * 2**e.
+
+    Within binary64 this is np.sum's bits and e = 0. Only a sum that
+    overflowed is retaken, by the same leaf pass, of v scaled by an exact
+    power of two; a sum over an infinite v is +inf as it stands.
     """
-    with np.errstate(over="ignore"):
-        s = float(np.sum(v * v if square else v))
-    if math.isfinite(s):
-        return s, 0
-    top = float(np.max(np.abs(v)))
-    if top == math.inf:
-        return s, 0
-    k = math.frexp(top)[1]
-    v = np.ldexp(v, -k)
-    return float(np.sum(v * v if square else v)), 2 * k if square else k
+    return _stream(v).sums()[0]
 
 
 def _sqnr(power, noise) -> float:
@@ -156,25 +259,32 @@ def _sqnr(power, noise) -> float:
     return 10.0 * (math.log10(p) - math.log10(q) + (pe - qe) * math.log10(2))
 
 
-def _error_stats(err: np.ndarray, power=None, e: int = 0) -> dict:
-    """Statistics of the absolute errors err * 2**e, the one place reports
-    get them.
+def _stats(errors: _Column, power=None, e: int = 0) -> dict:
+    """Statistics of the absolute errors err * 2**e that ``errors`` holds,
+    the one place reports get them.
 
     Always "mse" and "max_abs_err". Given the reference's ``power`` (a
     ``_sum`` pair), also "sqnr_db" (a quantizer row); without, "mean_abs_err"
-    (a region row). A statistic reads +inf only when it exceeds binary64.
+    (a region row; the column is ``linear``). A statistic reads +inf only
+    when it exceeds binary64.
     """
-    if err.size == 0:
-        raise EmptyTensor("metrics need at least one element")
-    s, se = _sum(err)
+    (s, se), *linear = errors.sums()
     noise = (s, se + 2 * e)
     with np.errstate(over="ignore"):
-        stats = {"mse": float(np.ldexp(s / err.size, noise[1])),
-                 "max_abs_err": float(np.ldexp(np.max(err), e))}
+        stats = {"mse": float(np.ldexp(s / errors.count, noise[1])),
+                 "max_abs_err": float(np.ldexp(errors.top, e))}
         if power is not None:
             return {**stats, "sqnr_db": _sqnr(power, noise)}
-        s, se = _sum(err, square=False)
-        return {**stats, "mean_abs_err": float(np.ldexp(s / err.size, se + e))}
+        ((s, se),) = linear
+        return {**stats,
+                "mean_abs_err": float(np.ldexp(s / errors.count, se + e))}
+
+
+def _error_stats(err: np.ndarray, power=None, e: int = 0) -> dict:
+    """``_stats`` of an array of absolute errors."""
+    if err.size == 0:
+        raise EmptyTensor("metrics need at least one element")
+    return _stats(_stream(err, linear=power is None), power, e)
 
 
 def mse(ref, approx) -> float:
@@ -191,14 +301,59 @@ def sqnr_db(ref, approx) -> float:
     return _error_stats(err, power, e)["sqnr_db"]
 
 
-def _region_stats(x: np.ndarray, err: np.ndarray, cfg: QuantConfig):
-    index = _region_index(np.abs(x), cfg)
-    out = []
-    for i, region in enumerate(RegionClass):
-        e = err[index == i]
-        out.append(RegionStats(region, e.size, e.size / x.size, **_error_stats(e))
-                   if e.size else RegionStats(region, 0, 0.0, 0.0, 0.0, 0.0))
-    return tuple(out)
+def _region_counts(flat: np.ndarray, cfg: QuantConfig) -> tuple:
+    """Elements of the flat input in each region, small, medium and large
+    (L < H, so |x| > H implies |x| >= L)."""
+    mid = big = 0
+    for lo, hi in _leaves(flat.size):
+        ax = np.abs(flat[lo:hi].astype(np.float64, copy=False))
+        mid += int(np.count_nonzero(ax >= cfg.low_threshold))
+        big += int(np.count_nonzero(ax > cfg.high_threshold))
+    return flat.size - mid, mid - big, big
+
+
+def _abs_error(x: np.ndarray, cfg: QuantConfig, which: str) -> np.ndarray:
+    err = x - fake_quant(x, cfg, which)
+    return np.abs(err, out=err)
+
+
+def _report(x: np.ndarray, quantizers, regions=None) -> list:
+    """The columns of one pass over the leaves of the checked, non-empty x:
+    |x| (the input's power), then |x - fake_quant(x, cfg, which)| of each
+    (cfg, which) of ``quantizers``, then, given a config as ``regions``, the
+    first quantizer's errors in each of its regions, small, medium, large.
+
+    Each leaf is widened once and stays in cache while every quantizer runs
+    over it and its errors are summed, compacted and staged."""
+    flat = x.reshape(-1)
+    counts = _region_counts(flat, regions) if regions else ()
+
+    def run(scales):
+        scales = iter(scales or ())
+        power, *rows = (_Column(flat.size, scale=next(scales, None))
+                        for _ in range(1 + len(quantizers)))
+        by_region = [_Column(c, True, next(scales, None)) for c in counts]
+        for lo, hi in _leaves(flat.size):
+            b = flat[lo:hi].astype(np.float64, copy=False)
+            ax = np.abs(b)
+            power.push(ax)
+            errs = (_abs_error(b, *q) for q in quantizers)
+            first = next(errs)
+            rows[0].push(first)
+            for row, err in zip(rows[1:], errs):
+                row.push(err)
+            if regions:
+                index = _region_index(ax, regions)
+                for i, column in enumerate(by_region):
+                    column.push(first[index == i])
+        return [power, *rows, *by_region]
+    return _rerun(run)
+
+
+def _region_rows(columns, n: int) -> tuple:
+    return tuple(RegionStats(region, c.count, c.count / n, **_stats(c))
+                 if c.count else RegionStats(region, 0, 0.0, 0.0, 0.0, 0.0)
+                 for region, c in zip(RegionClass, columns))
 
 
 def region_breakdown(values, cfg: QuantConfig):
@@ -206,10 +361,10 @@ def region_breakdown(values, cfg: QuantConfig):
 
     Returns (small, medium, large) RegionStats; counts sum to n.
     """
-    x = check_finite(values).astype(np.float64, copy=False)
+    x = check_finite(values)
     if x.size == 0:
         raise EmptyTensor("region breakdown needs at least one element")
-    return _region_stats(x, np.abs(x - fake_quant(x, cfg, "soft_edge")), cfg)
+    return _region_rows(_report(x, [(cfg, "soft_edge")], cfg)[2:], x.size)
 
 
 def _delta(a: float, b: float) -> float:
@@ -219,26 +374,21 @@ def _delta(a: float, b: float) -> float:
     return a - b
 
 
-def _quantizer_stats(x: np.ndarray, cfg: QuantConfig, which: str, power):
-    """One quantizer row of the checked float64 x, whose ``_sum`` is
-    ``power``, and its errors."""
-    err = x - fake_quant(x, cfg, which)
-    np.abs(err, out=err)
-    return QuantizerStats(**_error_stats(err, power)), err
-
-
 def compare_quantizers(values, cfg: QuantConfig) -> ComparisonReport:
     """Side-by-side soft-edge vs baseline INT8 report on one tensor."""
-    x = check_finite(values).astype(np.float64, copy=False)
-    power = _sum(x)
-    se, se_err = _quantizer_stats(x, cfg, "soft_edge", power)
-    base = _quantizer_stats(x, cfg, "int8", power)[0]
+    x = check_finite(values)
+    if x.size == 0:
+        raise EmptyTensor("metrics need at least one element")
+    power, se, base, *regions = _report(
+        x, [(cfg, "soft_edge"), (cfg, "int8")], cfg)
+    power = power.sums()[0]
+    se, base = (QuantizerStats(**_stats(c, power)) for c in (se, base))
     return ComparisonReport(
         config=cfg,
         n=int(x.size),
         soft_edge=se,
         int8=base,
-        regions=_region_stats(x, se_err, cfg),
+        regions=_region_rows(regions, x.size),
         delta_mse=_delta(se.mse, base.mse),
         delta_sqnr_db=_delta(se.sqnr_db, base.sqnr_db),
         delta_max_abs_err=_delta(se.max_abs_err, base.max_abs_err),
@@ -264,19 +414,20 @@ def sweep(values, percentiles, fine_divisors=(4.0,),
     ``compare_quantizers(values, calibrate(values, p, fd, cm))``.
 
     The rows share their work: one finiteness check and sort (in
-    ``calibrate_grid``), one input power, and one INT8 pass per distinct
-    scale (the INT8 row reads only the scale). Region rows are not computed.
+    ``calibrate_grid``), then one leaf pass for the input power, every
+    soft-edge row and one INT8 row per distinct scale (the INT8 row reads
+    only the scale). Region rows are not computed.
     """
     configs = calibrate_grid(values, percentiles, fine_divisors,
                              coarse_multipliers)
     if not configs:
         return []
-    x = np.asarray(values).astype(np.float64, copy=False)  # checked by the grid
-    power = _sum(x)
-    int8, rows = {}, []
-    for cfg in configs:
-        if cfg.scale not in int8:
-            int8[cfg.scale] = _quantizer_stats(x, cfg, "int8", power)[0]
-        rows.append(SweepRow(cfg, _quantizer_stats(x, cfg, "soft_edge", power)[0],
-                             int8[cfg.scale]))
-    return rows
+    int8 = {cfg.scale: cfg for cfg in configs}  # one per distinct scale
+    power, *rows = _report(np.asarray(values),  # checked by the grid
+                           [(cfg, "soft_edge") for cfg in configs]
+                           + [(cfg, "int8") for cfg in int8.values()])
+    power = power.sums()[0]
+    rows = [QuantizerStats(**_stats(c, power)) for c in rows]
+    int8 = dict(zip(int8, rows[len(configs):]))
+    return [SweepRow(cfg, row, int8[cfg.scale])
+            for cfg, row in zip(configs, rows)]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import stat
 import struct
 
 import numpy as np
@@ -53,16 +54,19 @@ def _read_bytes(path) -> bytes:
         raise IoFailure(f"cannot read {path}: {e}") from e
 
 
-def _write_bytes(path, data: bytes) -> int:
-    """Write via a temporary file beside the target and os.replace, so a failed
-    write leaves no partial file. Targets that exist but are not regular files
-    (symlinks such as /dev/stdout, devices, directories) are opened in place."""
+def _write_bytes(path, *parts) -> int:
+    """Write the parts (bytes or contiguous arrays), in order, via a temporary
+    file beside the target and os.replace, so a failed write leaves no
+    partial file; returns the byte count. Targets that exist but are not
+    regular files (symlinks such as /dev/stdout, devices, directories) are
+    opened in place."""
     atomic = not os.path.lexists(path) or (
         os.path.isfile(path) and not os.path.islink(path))
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp" if atomic else path
     try:
         with open(tmp, "wb") as f:
-            f.write(data)
+            for part in parts:
+                f.write(part)
         if atomic:
             os.replace(tmp, path)
     except OSError as e:
@@ -70,7 +74,7 @@ def _write_bytes(path, data: bytes) -> int:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
         raise IoFailure(f"cannot write {path}: {e}") from e
-    return len(data)
+    return sum(memoryview(part).nbytes for part in parts)
 
 
 def _parse_header(data: bytes, magic: bytes, path) -> int:
@@ -89,36 +93,47 @@ def write_tensor(path, values) -> int:
     # Check the binary32 payload, as read_tensor does: a value beyond binary32
     # casts to +/-inf and is rejected like a NaN; a signalling NaN casts quiet.
     with np.errstate(over="ignore", invalid="ignore"):
-        v = np.asarray(values, dtype="<f4")
+        v = np.ascontiguousarray(values, dtype="<f4")
     check_finite(v, NonFiniteValue, f"{path}: in binary32, ")
-    data = HEADER.pack(FLOAT_MAGIC, VERSION, v.size) + v.tobytes()
-    return _write_bytes(path, data)
+    return _write_bytes(path, HEADER.pack(FLOAT_MAGIC, VERSION, v.size), v)
+
+
+def _read_payload(f, n: int, path) -> np.ndarray:
+    """The n binary32 values after the header of the open QSEF file f. A
+    regular file's size is checked against n before the array is allocated,
+    and the payload is read straight into it; any other input (a pipe) is
+    read whole first."""
+    st = os.fstat(f.fileno())
+    data = None if stat.S_ISREG(st.st_mode) else f.read()
+    size = st.st_size - HEADER.size if data is None else len(data)
+    if size != 4 * n:
+        raise TruncatedPayload(
+            f"{path}: header says {n} elements, payload holds {size // 4}")
+    if data is not None:
+        return np.frombuffer(data, dtype="<f4")
+    v = np.empty(n, dtype="<f4")
+    if f.readinto(v) != v.nbytes:
+        raise TruncatedPayload(f"{path}: file shrank while it was read")
+    return v
 
 
 def read_tensor(path) -> np.ndarray:
     """Read a QSEF file; returns the values as float64 (binary32-exact)."""
-    data = _read_bytes(path)
-    n = _parse_header(data, FLOAT_MAGIC, path)
-    payload = data[HEADER.size:]
-    if len(payload) != 4 * n:
-        raise TruncatedPayload(
-            f"{path}: header says {n} elements, payload holds {len(payload) // 4}"
-        )
+    try:
+        with open(path, "rb") as f:
+            n = _parse_header(f.read(HEADER.size), FLOAT_MAGIC, path)
+            v = _read_payload(f, n, path)
+    except OSError as e:
+        raise IoFailure(f"cannot read {path}: {e}") from e
     # Check before widening: casting a signalling NaN raises a warning.
-    v = np.frombuffer(payload, dtype="<f4")
     return check_finite(v, NonFiniteValue, f"{path}: ").astype(np.float64)
 
 
 def write_packed(path, q: QuantizedTensor) -> int:
     """Write a quantized tensor as QSE1; returns the byte count written."""
-    bitmap = np.packbits(q.flags, bitorder="little").tobytes()
-    data = (
-        HEADER.pack(PACKED_MAGIC, VERSION, len(q))
-        + CONFIG_FIELDS.pack(*q.config.codec_fields)
-        + bitmap
-        + q.codes.tobytes()
-    )
-    return _write_bytes(path, data)
+    return _write_bytes(path, HEADER.pack(PACKED_MAGIC, VERSION, len(q)),
+                        CONFIG_FIELDS.pack(*q.config.codec_fields),
+                        np.packbits(q.flags, bitorder="little"), q.codes)
 
 
 def read_packed(path) -> QuantizedTensor:

@@ -159,6 +159,12 @@ _MALFORMED = {
         ("eval --input {mix} --config {missing} --out {out}", 1),
     "eval-empty_input":
         ("eval --input {empty} --config {cfg} --out {out}", 2),
+    "eval-count_beyond_file":  # 2**60 elements in a 16-byte file
+        ("eval --input {hugecount} --config {cfg} --out {out}", 2,
+         "header says 1152921504606846976 elements, payload holds 0"),
+    "eval-trailing_bytes":
+        ("eval --input {trailing} --config {cfg} --out {out}", 2,
+         "header says 8 elements, payload holds 8"),
     "sweep-missing_input":
         ("sweep --input {missing} --percentiles 99 --out {out}", 1),
     "sweep-empty_input":
@@ -234,7 +240,9 @@ class TestMalformedInput:
                  "zeros": tmp_path / "zeros.qsef",
                  "corrupt": tmp_path / "corrupt.qse", "huge": tmp_path / "huge.qse",
                  "tinycfg": tmp_path / "tiny.json", "hugecfg": tmp_path / "hc.json",
-                 "tinyqse": tmp_path / "tiny.qse", "binarycfg": tmp_path / "bin.json"}
+                 "tinyqse": tmp_path / "tiny.qse", "binarycfg": tmp_path / "bin.json",
+                 "hugecount": tmp_path / "huge.qsef",
+                 "trailing": tmp_path / "trailing.qsef"}
         paths["badcfg"].write_text('{"scale": 1.0}')
         for key, fields in (("tinycfg", _TINY_STEP), ("hugecfg", _HUGE_STEP)):
             paths[key].write_text(json.dumps(dict(zip(CODEC_FIELDS, fields))))
@@ -243,6 +251,8 @@ class TestMalformedInput:
         paths["binarycfg"].write_bytes(b"\xff{}")
         se.write_tensor(paths["empty"], [])
         se.write_tensor(paths["zeros"], np.zeros(8))
+        paths["hugecount"].write_bytes(se.tensor_io.HEADER.pack(b"QSEF", 1, 2**60))
+        paths["trailing"].write_bytes(paths["zeros"].read_bytes() + b"\0")
         paths["corrupt"].write_bytes(b"QSE1\x01\x00\x00\x00" + b"\xff" * 10)
         # 3.4e38 encodes to the fine code 3.5e38, beyond binary32
         se.write_packed(paths["huge"], se.encode_tensor(*_BEYOND_BINARY32))

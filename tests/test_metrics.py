@@ -1,11 +1,11 @@
 import json
 import math
-
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -303,3 +303,92 @@ def test_in_range_bits_match_straight_formulas(pair, scale):
     signal, err_power = float(np.sum(ref * ref)), float(np.sum(d * d))
     assume(signal > 0 and err_power > 0 and 0 < signal / err_power < math.inf)
     assert sqnr_db(ref, approx) == 10.0 * math.log10(signal / err_power)
+
+
+LEAF = metrics.LEAF
+
+
+def test_overflow_in_a_later_leaf(unit_cfg):
+    """A square that overflows only in the last of four leaves reruns the
+    leaf pass scaled by 2**-k: the report keeps the bits of the whole-array
+    rescale, with no RuntimeWarning."""
+    n = 3 * LEAF + 5  # leaves of 24576, 24576, 24576 and 24581 elements
+    x = np.random.default_rng(3).normal(0.0, 40.0, n)
+    x[-2:] = 1e200, -1e200
+
+    def rescaled(v):  # sum(v*v) of the whole array, scaled by 2**-k
+        k = math.frexp(float(np.max(v)))[1]
+        w = np.ldexp(v, -k)
+        return float(np.sum(w * w)), 2 * k
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = compare_quantizers(x, unit_cfg)
+        power = rescaled(np.abs(x))
+        for q, which in ((r.soft_edge, "soft_edge"), (r.int8, "int8")):
+            err = np.abs(x - fake_quant(x, unit_cfg, which))
+            assert q.mse == math.inf and q.max_abs_err == float(np.max(err))
+            assert q.sqnr_db == metrics._sqnr(power, rescaled(err))
+            assert math.isfinite(q.sqnr_db)
+    e = np.abs(x - fake_quant(x, unit_cfg))[_region_index(np.abs(x),
+                                                          unit_cfg) == 2]
+    large = r.regions[2]
+    assert (large.count, large.mse, large.max_abs_err) == (
+        e.size, math.inf, float(np.max(e)))
+    assert large.mean_abs_err == float(np.mean(e))
+
+
+# Sizes around numpy's 8-wide unrolled loop, its 128-element blocks, one and
+# two leaves, and odd sizes up to about four leaves.
+_TREE_SIZES = (st.integers(1, 9) | st.integers(127, 129)
+               | st.sampled_from([LEAF - 1, LEAF + 1, 2 * LEAF - 8,
+                                  2 * LEAF + 8])
+               | st.integers(0, 2 * LEAF).map(lambda k: 2 * k + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=_TREE_SIZES, seed=st.integers(0, 2**32 - 1),
+       df=st.sampled_from([1.0, 1.5, 3.0]), cuts=st.integers(1, 40))
+def test_leaf_tree_is_numpy_sum(n, seed, df, cuts):
+    """The reports add leaf partials up ``metrics._tree``, which copies the
+    pairwise tree np.sum follows over a contiguous float64 array. That tree
+    is a numpy internal, not an API: this test is what guards it across
+    numpy versions. The leaf-combine must equal np.sum bit for bit, of v
+    and of v*v, for heavy-tailed v of either sign, and a column fed the
+    values in arbitrary pieces (as region rows are) must give the same bits.
+    On numpy 2.4.6 it held in 1,000 generated cases.
+    """
+    rng = np.random.default_rng(seed)
+    v = rng.standard_t(df, n) * 10.0 ** rng.integers(-8, 9, n)
+    for w in (v, v * v):
+        leaves = iter(metrics._leaves(n))
+        got = metrics._tree(n, lambda m: float(np.sum(w[slice(*next(leaves))])))
+        assert got == float(np.sum(w))
+    a = np.abs(v)
+    column = metrics._Column(n, linear=True)
+    for piece in np.array_split(a, np.sort(rng.integers(0, n, cuts))):
+        column.push(piece)
+    assert column.sums() == [(float(np.sum(a * a)), 0), (float(np.sum(a)), 0)]
+    assert column.top == float(np.max(a))
+    assert metrics._sum(v) == (float(np.sum(v * v)), 0)
+
+
+@pytest.mark.parametrize("kind", ["student_t", "outlier_mixture", "gaussian"])
+@pytest.mark.parametrize("report, bound", [
+    (compare_quantizers, 10.0),
+    (lambda x, cfg: sweep(x, [99.99]), 12.5),
+], ids=["compare_quantizers", "sweep"])
+def test_peak_memory_per_element(kind, report, bound):
+    # a report keeps leaf-sized scratch, not n-element temporaries; the
+    # finiteness check's mask (1 B/elem) and the sweep's sorted |x| (8 B/elem)
+    # are the only input-sized allocations
+    n = 1 << 20
+    x = generate(DistSpec(kind=kind, n=n, seed=0))
+    cfg = calibrate(x, 99.99)
+    tracemalloc.start()
+    try:
+        report(x, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= bound

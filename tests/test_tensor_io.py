@@ -2,6 +2,8 @@ import hashlib
 import math
 import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,6 +76,51 @@ class TestFloatFormat:
         p.write_bytes(data)
         with pytest.raises(TruncatedPayload):
             read_tensor(p)
+
+    def test_count_beyond_file_allocates_nothing(self, tmp_path):
+        # 2**60 elements claimed by a 16-byte file: rejected before the
+        # payload array (4 EiB) is allocated
+        p = tmp_path / "t.qsef"
+        p.write_bytes(struct.pack("<4sB3xQ", b"QSEF", 1, 2**60))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedPayload, match="header says "
+                               f"{2**60} elements, payload holds 0"):
+                read_tensor(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_trailing_bytes(self, tmp_path):
+        p = tmp_path / "t.qsef"
+        p.write_bytes(struct.pack("<4sB3xQ2f", b"QSEF", 1, 2, 1.0, 2.0)
+                      + b"\0\0\0")
+        with pytest.raises(TruncatedPayload,
+                           match="header says 2 elements, payload holds 2"):
+            read_tensor(p)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("extra, error", [(b"", None),
+                                              (b"\0", TruncatedPayload)])
+    def test_reads_a_pipe(self, tmp_path, extra, error):
+        # a pipe has no size to check up front: it is read whole, then checked
+        p = tmp_path / "t.qsef"
+        write_tensor(p, [1.0, -2.5, 0.0])
+        data = p.read_bytes() + extra
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+        writer.start()
+        try:
+            if error is None:
+                np.testing.assert_array_equal(read_tensor(fifo),
+                                              [1.0, -2.5, 0.0])
+            else:
+                with pytest.raises(error):
+                    read_tensor(fifo)
+        finally:
+            writer.join()
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "t.qsef"
@@ -246,16 +293,18 @@ def _well_formed(n):
                                       127.0, 4.0, 4.0) + b))
 
 
-# Arbitrary bytes; a header (valid or invalid magic and version, small
-# element count) cut anywhere and followed by arbitrary bytes; or a
-# well-formed layout.
+# Arbitrary bytes; a header (valid or invalid magic and version, a small
+# element count or one far beyond the file) cut anywhere and followed by
+# arbitrary bytes; or a well-formed layout, possibly with trailing bytes.
 _FILE_BYTES = (st.binary(max_size=200) | st.builds(
     lambda magic, version, count, cut, body:
         struct.pack("<4sB3xQ", magic, version, count)[:cut] + body,
     st.sampled_from([b"QSEF", b"QSE1", b"QSEX", b"\0\0\0\0"]),
-    st.sampled_from([0, 1, 2, 255]), st.integers(0, 40),
+    st.sampled_from([0, 1, 2, 255]),
+    st.integers(0, 40) | st.sampled_from([2**60, 2**64 - 1]),
     st.integers(0, 16), st.binary(max_size=200))
-    | st.integers(0, 40).flatmap(_well_formed))
+    | st.builds(bytes.__add__, st.integers(0, 40).flatmap(_well_formed),
+                st.binary(max_size=8)))
 
 
 def _binary32(x):
@@ -307,6 +356,27 @@ def test_fuzz_readers_raise_only_library_errors(tmp_path_factory, reader, data):
         reader(p)
     except SoftEdgeError:
         pass
+
+
+@pytest.mark.parametrize("kind", ["student_t", "outlier_mixture", "gaussian"])
+@pytest.mark.parametrize("call, bound", [
+    (lambda p, x: read_tensor(p), 12.5),  # the result, 8 B/elem, and the
+    (write_tensor, 6.0),                  # binary32 payload, 4 B/elem
+], ids=["read_tensor", "write_tensor"])
+def test_peak_memory_per_element(tmp_path, kind, call, bound):
+    # the payload is read into, or written from, one binary32 array: no
+    # bytes copy of it and no concatenation
+    n = 1 << 20
+    p = tmp_path / "t.qsef"
+    x = generate(DistSpec(kind=kind, n=n, seed=0))
+    write_tensor(p, x)
+    tracemalloc.start()
+    try:
+        call(p, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= bound
 
 
 _CFG = derive_config(1.0)
