@@ -25,6 +25,7 @@ Region rows leave sqnr_db empty.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -187,7 +188,6 @@ class _Column:
             self.parts.append(self._leaf_sums(leaf))
             v = v[take:]
 
-    @np.errstate(over="ignore")
     def _leaf_sums(self, v: np.ndarray) -> list:
         out = []
         for k, square in zip(self.scale, (True, False)):
@@ -195,9 +195,11 @@ class _Column:
             out.append(float(np.sum(w * w if square else w)))
         return out
 
+    @functools.cached_property
     def sums(self) -> list:
-        """(s, e) of the sum of v*v, then (if linear) of v: each sum is
-        s * 2**e. A sum over an infinite value is +inf as it stands."""
+        """(s, e) of the sum of v*v, then (if linear) of v, once every value
+        is pushed: each sum is s * 2**e. A sum over an infinite value is +inf
+        as it stands."""
         out = []
         for i, k in enumerate(self.scale):
             parts = iter([p[i] for p in self.parts] or [0.0])  # 0 if empty
@@ -212,10 +214,11 @@ class _Column:
         if not math.isfinite(self.top):
             return None
         k = math.frexp(self.top)[1]
-        scale = tuple(0 if math.isfinite(s) else k for s, _ in self.sums())
+        scale = tuple(0 if math.isfinite(s) else k for s, _ in self.sums)
         return scale if any(scale) else None
 
 
+@np.errstate(over="ignore")  # a sum may overflow; the rerun retakes it
 def _rerun(run) -> list:
     """The columns of ``run(scales)``: run once unscaled and, if a sum
     overflowed, again with each column's ``rescaled()`` scale."""
@@ -224,14 +227,14 @@ def _rerun(run) -> list:
     return run(scales) if any(scales) else columns
 
 
-def _stream(v, linear: bool = False) -> _Column:
-    """The column of |v| over the leaves of the flattened v."""
-    flat = np.asarray(v).reshape(-1)
+def _stream(v: np.ndarray, linear: bool = False) -> _Column:
+    """The column of the non-negative v, pushed a leaf at a time."""
+    flat = v.reshape(-1)
 
     def run(scales):
         column = _Column(flat.size, linear, scales and scales[0])
         for lo, hi in _leaves(flat.size):
-            column.push(np.abs(flat[lo:hi]))
+            column.push(flat[lo:hi])
         return [column]
     return _rerun(run)[0]
 
@@ -243,7 +246,7 @@ def _sum(v):
     overflowed is retaken, by the same leaf pass, of v scaled by an exact
     power of two; a sum over an infinite v is +inf as it stands.
     """
-    return _stream(v).sums()[0]
+    return _stream(np.abs(v)).sums[0]
 
 
 def _sqnr(power, noise) -> float:
@@ -268,7 +271,7 @@ def _stats(errors: _Column, power=None, e: int = 0) -> dict:
     (a region row; the column is ``linear``). A statistic reads +inf only
     when it exceeds binary64.
     """
-    (s, se), *linear = errors.sums()
+    (s, se), *linear = errors.sums
     noise = (s, se + 2 * e)
     with np.errstate(over="ignore"):
         stats = {"mse": float(np.ldexp(s / errors.count, noise[1])),
@@ -381,7 +384,7 @@ def compare_quantizers(values, cfg: QuantConfig) -> ComparisonReport:
         raise EmptyTensor("metrics need at least one element")
     power, se, base, *regions = _report(
         x, [(cfg, "soft_edge"), (cfg, "int8")], cfg)
-    power = power.sums()[0]
+    power = power.sums[0]
     se, base = (QuantizerStats(**_stats(c, power)) for c in (se, base))
     return ComparisonReport(
         config=cfg,
@@ -426,7 +429,7 @@ def sweep(values, percentiles, fine_divisors=(4.0,),
     power, *rows = _report(np.asarray(values),  # checked by the grid
                            [(cfg, "soft_edge") for cfg in configs]
                            + [(cfg, "int8") for cfg in int8.values()])
-    power = power.sums()[0]
+    power = power.sums[0]
     rows = [QuantizerStats(**_stats(c, power)) for c in rows]
     int8 = dict(zip(int8, rows[len(configs):]))
     return [SweepRow(cfg, row, int8[cfg.scale])

@@ -368,7 +368,7 @@ def test_leaf_tree_is_numpy_sum(n, seed, df, cuts):
     column = metrics._Column(n, linear=True)
     for piece in np.array_split(a, np.sort(rng.integers(0, n, cuts))):
         column.push(piece)
-    assert column.sums() == [(float(np.sum(a * a)), 0), (float(np.sum(a)), 0)]
+    assert column.sums == [(float(np.sum(a * a)), 0), (float(np.sum(a)), 0)]
     assert column.top == float(np.max(a))
     assert metrics._sum(v) == (float(np.sum(v * v)), 0)
 
