@@ -1,7 +1,7 @@
 """Quantization error metrics and soft-edge vs INT8 comparison reports.
 
 Every sum is a float64 sum with the bits np.sum gives over the whole
-array, so reports are deterministic and accurate. np.sum adds a contiguous
+flattened array, so reports are deterministic and accurate. np.sum adds a contiguous
 float64 array along a fixed pairwise tree (Higham, "The accuracy of
 floating point summation", SIAM J. Sci. Comput. 1993): n splits at n/2,
 rounded down to a multiple of 8. A report walks that tree down to leaves of
@@ -340,11 +340,10 @@ def _report(x: np.ndarray, quantizers, regions=None) -> list:
             b = flat[lo:hi].astype(np.float64, copy=False)
             ax = np.abs(b)
             power.push(ax)
-            errs = (_abs_error(b, *q) for q in quantizers)
-            first = next(errs)
+            first = _abs_error(b, *quantizers[0])
             rows[0].push(first)
-            for row, err in zip(rows[1:], errs):
-                row.push(err)
+            for row, q in zip(rows[1:], quantizers[1:]):
+                row.push(_abs_error(b, *q))
             if regions:
                 index = _region_index(ax, regions)
                 for i, column in enumerate(by_region):
