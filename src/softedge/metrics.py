@@ -228,13 +228,10 @@ def _rerun(run) -> list:
 
 
 def _stream(v: np.ndarray, linear: bool = False) -> _Column:
-    """The column of the non-negative v, pushed a leaf at a time."""
-    flat = v.reshape(-1)
-
+    """The column of the non-negative v, summed where it lies."""
     def run(scales):
-        column = _Column(flat.size, linear, scales and scales[0])
-        for lo, hi in _leaves(flat.size):
-            column.push(flat[lo:hi])
+        column = _Column(v.size, linear, scales and scales[0])
+        column.push(v.reshape(-1))
         return [column]
     return _rerun(run)[0]
 
