@@ -1,18 +1,20 @@
 """Quantization error metrics and soft-edge vs INT8 comparison reports.
 
 Every sum is a float64 sum with the bits np.sum gives over the whole
-flattened array, so reports are deterministic and accurate. np.sum adds a contiguous
-float64 array along a fixed pairwise tree (Higham, "The accuracy of
-floating point summation", SIAM J. Sci. Comput. 1993): n splits at n/2,
+flattened array, so reports are deterministic and accurate. np.sum adds a
+contiguous float64 array along a fixed pairwise tree (Higham, "The accuracy
+of floating point summation", SIAM J. Sci. Comput. 1993): n splits at n/2,
 rounded down to a multiple of 8. A report walks that tree down to leaves of
 at most ``LEAF`` (2**15) elements and makes one pass over each leaf while
 it is in cache: it widens x, runs ``fake_quant`` for each quantizer, forms
 |x - fq| and takes the leaf's partial sums and max. The partials are added
 up the same tree. A region row sums its region's compacted errors, whose
 tree splits on the region's count: the counts are taken first, and each
-region's errors are staged in a leaf-sized buffer that is summed whenever
-a leaf of its tree fills. A sum that overflows binary64 reruns the pass on
-values scaled by 2**-k. No report builds an n-element temporary.
+region's errors are staged in a leaf-sized buffer that is summed whenever a
+leaf of its tree fills. A sum that overflows binary64 reruns the pass on
+values scaled by 2**-k. The pass builds no n-element float temporary; the
+one finiteness check's mask (1 B/elem) and the sweep's sort are a report's
+only input-sized allocations.
 
 A lossless tensor has infinite SQNR; the JSON serialization spells that as
 the string "inf".

@@ -362,8 +362,8 @@ def test_leaf_tree_is_numpy_sum(n, seed, df, cuts):
     v = rng.standard_t(df, n) * 10.0 ** rng.integers(-8, 9, n)
     for w in (v, v * v):
         leaves = iter(metrics._leaves(n))
-        got = metrics._tree(n, lambda m: float(np.sum(w[slice(*next(leaves))])))
-        assert got == float(np.sum(w))
+        leaf_sum = lambda m: float(np.sum(w[slice(*next(leaves))]))
+        assert metrics._tree(n, leaf_sum) == float(np.sum(w))
     a = np.abs(v)
     column = metrics._Column(n, linear=True)
     for piece in np.array_split(a, np.sort(rng.integers(0, n, cuts))):
