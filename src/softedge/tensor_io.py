@@ -13,7 +13,10 @@ QSE1 (packed quantized tensor):
     n code bytes
 
 Both formats round-trip bit-exactly and are byte-identical regardless of
-host endianness.
+host endianness. Both are read one way: the count fixes the size of the
+body after the header (4n bytes, or 40 + ceil(n/8) + n for QSE1), a regular
+file must match it before the body is read into one byte array, and a pipe
+is read whole, then checked. A QSE1 pad bit that is set is rejected.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .errors import (
     BadMagic,
     InvalidConfig,
     IoFailure,
+    NonCanonicalCode,
     NonFiniteValue,
     TruncatedPayload,
     VersionMismatch,
@@ -77,15 +81,36 @@ def _write_bytes(path, *parts) -> int:
     return sum(memoryview(part).nbytes for part in parts)
 
 
-def _parse_header(data: bytes, magic: bytes, path) -> int:
-    if len(data) < HEADER.size:
-        raise TruncatedPayload(f"{path}: file shorter than header")
-    got_magic, version, count = HEADER.unpack_from(data)
-    if got_magic != magic:
-        raise BadMagic(f"{path}: expected magic {magic!r}, got {got_magic!r}")
-    if version != VERSION:
-        raise VersionMismatch(f"{path}: unsupported version {version}")
-    return count
+def _read_body(path, magic: bytes) -> tuple[int, np.ndarray]:
+    """The count and the body of a QSEF or QSE1 file, as one writable uint8
+    array, read and checked as the module docstring says."""
+    try:
+        with open(path, "rb") as f:
+            head = f.read(HEADER.size)
+            if len(head) < HEADER.size:
+                raise TruncatedPayload(f"{path}: file shorter than header")
+            got_magic, version, n = HEADER.unpack(head)
+            if got_magic != magic:
+                raise BadMagic(f"{path}: expected magic {magic!r}, got {got_magic!r}")
+            if version != VERSION:
+                raise VersionMismatch(f"{path}: unsupported version {version}")
+            st = os.fstat(f.fileno())
+            data = None if stat.S_ISREG(st.st_mode) else bytearray(f.read())
+            size = st.st_size - HEADER.size if data is None else len(data)
+            floats = magic == FLOAT_MAGIC
+            want = 4 * n if floats else CONFIG_FIELDS.size + (n + 7) // 8 + n
+            if size != want:
+                held = f"{size // 4}" if floats else f"{size} bytes, not {want}"
+                raise TruncatedPayload(
+                    f"{path}: header says {n} elements, payload holds {held}")
+            if data is not None:
+                return n, np.frombuffer(data, dtype=np.uint8)
+            body = np.empty(want, dtype=np.uint8)
+            if f.readinto(body) != want:
+                raise TruncatedPayload(f"{path}: file shrank while it was read")
+            return n, body
+    except OSError as e:
+        raise IoFailure(f"cannot read {path}: {e}") from e
 
 
 def write_tensor(path, values) -> int:
@@ -98,33 +123,9 @@ def write_tensor(path, values) -> int:
     return _write_bytes(path, HEADER.pack(FLOAT_MAGIC, VERSION, v.size), v)
 
 
-def _read_payload(f, n: int, path) -> np.ndarray:
-    """The n binary32 values after the header of the open QSEF file f. A
-    regular file's size is checked against n before the array is allocated,
-    and the payload is read straight into it; any other input (a pipe) is
-    read whole first."""
-    st = os.fstat(f.fileno())
-    data = None if stat.S_ISREG(st.st_mode) else f.read()
-    size = st.st_size - HEADER.size if data is None else len(data)
-    if size != 4 * n:
-        raise TruncatedPayload(
-            f"{path}: header says {n} elements, payload holds {size // 4}")
-    if data is not None:
-        return np.frombuffer(data, dtype="<f4")
-    v = np.empty(n, dtype="<f4")
-    if f.readinto(v) != v.nbytes:
-        raise TruncatedPayload(f"{path}: file shrank while it was read")
-    return v
-
-
 def read_tensor(path) -> np.ndarray:
     """Read a QSEF file; returns the values as float64 (binary32-exact)."""
-    try:
-        with open(path, "rb") as f:
-            n = _parse_header(f.read(HEADER.size), FLOAT_MAGIC, path)
-            v = _read_payload(f, n, path)
-    except OSError as e:
-        raise IoFailure(f"cannot read {path}: {e}") from e
+    v = _read_body(path, FLOAT_MAGIC)[1].view("<f4")
     # Check before widening: casting a signalling NaN raises a warning.
     return check_finite(v, NonFiniteValue, f"{path}: ").astype(np.float64)
 
@@ -137,26 +138,15 @@ def write_packed(path, q: QuantizedTensor) -> int:
 
 
 def read_packed(path) -> QuantizedTensor:
-    """Read a QSE1 file back into a QuantizedTensor."""
-    data = _read_bytes(path)
-    n = _parse_header(data, PACKED_MAGIC, path)
-    off = HEADER.size
-    if len(data) < off + CONFIG_FIELDS.size:
-        raise TruncatedPayload(f"{path}: truncated config block")
-    fields = CONFIG_FIELDS.unpack_from(data, off)
-    off += CONFIG_FIELDS.size
+    """Read a QSE1 file back into a QuantizedTensor; its codes view the body."""
+    n, body = _read_body(path, PACKED_MAGIC)
+    fields = CONFIG_FIELDS.unpack_from(body)
     try:
         cfg = QuantConfig(**dict(zip(CODEC_FIELDS, fields)))
     except InvalidConfig as e:
         raise InvalidConfig(f"{path}: {e}") from e
-    bitmap_len = (n + 7) // 8
-    if len(data) != off + bitmap_len + n:
-        raise TruncatedPayload(
-            f"{path}: expected {off + bitmap_len + n} bytes, got {len(data)}"
-        )
-    bitmap = np.frombuffer(data, dtype=np.uint8, count=bitmap_len, offset=off)
-    flags = np.unpackbits(bitmap, count=n, bitorder="little").astype(bool)
-    codes = np.frombuffer(
-        data, dtype=np.uint8, count=n, offset=off + bitmap_len
-    ).copy()
+    bitmap, codes = np.split(body[CONFIG_FIELDS.size:], [(n + 7) // 8])
+    if n % 8 and bitmap[-1] >> (n % 8):
+        raise NonCanonicalCode(f"{path}: SE-flag bitmap has pad bits set")
+    flags = np.unpackbits(bitmap, count=n, bitorder="little").view(bool)
     return QuantizedTensor(config=cfg, flags=flags, codes=codes)

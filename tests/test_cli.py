@@ -155,6 +155,11 @@ _MALFORMED = {
         ("dequantize --input {huge} --out {out}", 2),
     "dequantize-zero_fine_step_block":
         ("dequantize --input {tinyqse} --out {out}", 2, "steps"),
+    "dequantize-count_beyond_file":  # 2**60 elements in a 56-byte file
+        ("dequantize --input {hugecountqse} --out {out}", 2,
+         "header says 1152921504606846976 elements, payload holds 40 bytes"),
+    "dequantize-nonzero_pad_bits":
+        ("dequantize --input {padbits} --out {out}", 2, "pad bit"),
     "eval-missing_config":
         ("eval --input {mix} --config {missing} --out {out}", 1),
     "eval-empty_input":
@@ -242,7 +247,9 @@ class TestMalformedInput:
                  "tinycfg": tmp_path / "tiny.json", "hugecfg": tmp_path / "hc.json",
                  "tinyqse": tmp_path / "tiny.qse", "binarycfg": tmp_path / "bin.json",
                  "hugecount": tmp_path / "huge.qsef",
-                 "trailing": tmp_path / "trailing.qsef"}
+                 "trailing": tmp_path / "trailing.qsef",
+                 "hugecountqse": tmp_path / "hugecount.qse",
+                 "padbits": tmp_path / "padbits.qse"}
         paths["badcfg"].write_text('{"scale": 1.0}')
         for key, fields in (("tinycfg", _TINY_STEP), ("hugecfg", _HUGE_STEP)):
             paths[key].write_text(json.dumps(dict(zip(CODEC_FIELDS, fields))))
@@ -253,6 +260,15 @@ class TestMalformedInput:
         se.write_tensor(paths["zeros"], np.zeros(8))
         paths["hugecount"].write_bytes(se.tensor_io.HEADER.pack(b"QSEF", 1, 2**60))
         paths["trailing"].write_bytes(paths["zeros"].read_bytes() + b"\0")
+        paths["hugecountqse"].write_bytes(
+            se.tensor_io.HEADER.pack(b"QSE1", 1, 2**60)
+            + se.tensor_io.CONFIG_FIELDS.pack(*se.derive_config(1.0).codec_fields))
+        # bit 7 of a 3-element bitmap byte is a pad bit
+        se.write_packed(paths["padbits"],
+                        se.encode_tensor([1.0, -2.0, 300.0], se.derive_config(1.0)))
+        raw = bytearray(paths["padbits"].read_bytes())
+        raw[56] |= 0x80
+        paths["padbits"].write_bytes(raw)
         paths["corrupt"].write_bytes(b"QSE1\x01\x00\x00\x00" + b"\xff" * 10)
         # 3.4e38 encodes to the fine code 3.5e38, beyond binary32
         se.write_packed(paths["huge"], se.encode_tensor(*_BEYOND_BINARY32))

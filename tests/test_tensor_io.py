@@ -41,6 +41,7 @@ from softedge.errors import (
     InvalidConfig,
     InvalidParams,
     IoFailure,
+    NonCanonicalCode,
     NonFiniteInput,
     NonFiniteValue,
     SoftEdgeError,
@@ -48,6 +49,21 @@ from softedge.errors import (
     VersionMismatch,
 )
 from softedge.synth import DistSpec, generate
+
+_NO_FIFO = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+
+
+def _read_through_pipe(tmp_path, data, reader):
+    """reader's result for data written to a named pipe, which has no size
+    to check up front: the reader reads it whole, then checks it."""
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+    writer.start()
+    try:
+        return reader(fifo)
+    finally:
+        writer.join()
 
 
 class TestFloatFormat:
@@ -100,27 +116,19 @@ class TestFloatFormat:
                            match="header says 2 elements, payload holds 2"):
             read_tensor(p)
 
-    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @_NO_FIFO
     @pytest.mark.parametrize("extra, error", [(b"", None),
                                               (b"\0", TruncatedPayload)])
     def test_reads_a_pipe(self, tmp_path, extra, error):
-        # a pipe has no size to check up front: it is read whole, then checked
         p = tmp_path / "t.qsef"
         write_tensor(p, [1.0, -2.5, 0.0])
         data = p.read_bytes() + extra
-        fifo = tmp_path / "pipe"
-        os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_bytes, args=(data,))
-        writer.start()
-        try:
-            if error is None:
-                np.testing.assert_array_equal(read_tensor(fifo),
-                                              [1.0, -2.5, 0.0])
-            else:
-                with pytest.raises(error):
-                    read_tensor(fifo)
-        finally:
-            writer.join()
+        if error is None:
+            np.testing.assert_array_equal(
+                _read_through_pipe(tmp_path, data, read_tensor), [1.0, -2.5, 0.0])
+        else:
+            with pytest.raises(error):
+                _read_through_pipe(tmp_path, data, read_tensor)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "t.qsef"
@@ -216,6 +224,58 @@ class TestPackedFormat:
         write_packed(p, q)
         p.write_bytes(p.read_bytes()[:-1])
         with pytest.raises(TruncatedPayload):
+            read_packed(p)
+
+    def test_count_beyond_file_allocates_nothing(self, tmp_path):
+        # 2**60 elements claimed by a 56-byte file (header and config):
+        # rejected before the body (over 1 EiB) is allocated
+        p = tmp_path / "t.qse"
+        p.write_bytes(struct.pack("<4sB3xQ", b"QSE1", 1, 2**60)
+                      + struct.pack("<5d", *derive_config(1.0).codec_fields))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedPayload, match="header says "
+                               f"{2**60} elements, payload holds 40 bytes"):
+                read_packed(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_trailing_bytes(self, tmp_path):
+        p = tmp_path / "t.qse"
+        write_packed(p, self._tensor(2))
+        p.write_bytes(p.read_bytes() + b"\0")
+        with pytest.raises(TruncatedPayload, match="header says 2 elements, "
+                           "payload holds 44 bytes, not 43"):
+            read_packed(p)
+
+    @_NO_FIFO
+    @pytest.mark.parametrize("extra, error", [(b"", None),
+                                              (b"\0", TruncatedPayload)])
+    def test_reads_a_pipe(self, tmp_path, extra, error):
+        p = tmp_path / "t.qse"
+        q = self._tensor(10)
+        write_packed(p, q)
+        data = p.read_bytes() + extra
+        if error is None:
+            got = _read_through_pipe(tmp_path, data, read_packed)
+            # writable, as the codes read from a regular file are
+            assert got == q and got.codes.flags.writeable
+        else:
+            with pytest.raises(error):
+                _read_through_pipe(tmp_path, data, read_packed)
+
+    @pytest.mark.parametrize("bit", [3, 7])
+    def test_nonzero_pad_bits_rejected(self, tmp_path, bit):
+        # three elements use bits 0-2 of the one bitmap byte; a pad bit set
+        # would make a second file for the same tensor
+        p = tmp_path / "t.qse"
+        write_packed(p, self._tensor(3))
+        raw = bytearray(p.read_bytes())
+        raw[56] |= 1 << bit
+        p.write_bytes(raw)
+        with pytest.raises(NonCanonicalCode, match="pad bit"):
             read_packed(p)
 
     def test_bad_magic(self, tmp_path):
@@ -362,14 +422,17 @@ def test_fuzz_readers_raise_only_library_errors(tmp_path_factory, reader, data):
 @pytest.mark.parametrize("call, bound", [
     (lambda p, x: read_tensor(p), 12.5),  # the result, 8 B/elem, and the
     (write_tensor, 6.0),                  # binary32 payload, 4 B/elem
-], ids=["read_tensor", "write_tensor"])
+    # the body, 1.125 B/elem, and the unpacked flags, 1 B/elem
+    (lambda p, x: read_packed(p.with_suffix(".qse")), 2.5),
+], ids=["read_tensor", "write_tensor", "read_packed"])
 def test_peak_memory_per_element(tmp_path, kind, call, bound):
-    # the payload is read into, or written from, one binary32 array: no
-    # bytes copy of it and no concatenation
+    # the payload is read into, or written from, one array: no bytes copy of
+    # it and no concatenation
     n = 1 << 20
     p = tmp_path / "t.qsef"
     x = generate(DistSpec(kind=kind, n=n, seed=0))
     write_tensor(p, x)
+    write_packed(p.with_suffix(".qse"), encode_tensor(x, calibrate(x, 99.99)))
     tracemalloc.start()
     try:
         call(p, x)
