@@ -135,11 +135,13 @@ def _check_percentile(p: float):
 
 
 def _sorted_abs(values) -> np.ndarray:
-    """The checked |values| as float64, flattened and sorted ascending: the
-    one sort that percentile calibration reads."""
-    v = check_finite(values).astype(np.float64, copy=False)
+    """The checked |values|, binary32 if given binary32 (exact) else float64,
+    flattened and sorted ascending: the one sort that calibration reads."""
+    v = check_finite(values)
     if v.size == 0:
         raise EmptyTensor("cannot take a percentile of an empty tensor")
+    if v.dtype != np.float32:
+        v = v.astype(np.float64, copy=False)
     w = np.abs(v).reshape(-1)
     w.sort()
     return w
@@ -147,13 +149,15 @@ def _sorted_abs(values) -> np.ndarray:
 
 def _interpolate(w: np.ndarray, p: float) -> float:
     """p-th percentile of the ascending magnitudes w, by the rule that
-    ``percentile_abs`` documents."""
+    ``percentile_abs`` documents, in float64: under NEP 50 a binary32 w[i]
+    and a Python float combine in binary32, so w[i] is widened first."""
     r = (p / 100.0) * (w.size - 1)
     lo = int(math.floor(r))
     frac = r - lo
     if lo >= w.size - 1:
         return float(w[-1])
-    return float(w[lo] + frac * (w[lo + 1] - w[lo]))
+    a, b = float(w[lo]), float(w[lo + 1])
+    return a + frac * (b - a)
 
 
 def _clip_scale(clip: float) -> float:

@@ -70,7 +70,7 @@ def cmd_dequantize(args) -> int:
     q = tensor_io.read_packed(args.input)
     if args.config is not None:
         q.config = _load_config(args.config)
-    values = codec.decode_tensor(q)
+    values = codec.decode_tensor(q, dtype="<f4")
     nbytes = tensor_io.write_tensor(args.out, values)
     print(f"n={len(q)} bytes={nbytes}")
     return 0
@@ -100,7 +100,7 @@ def cmd_synth(args) -> int:
         outlier_high=args.outlier_high,
         degrees_of_freedom=args.df,
     )
-    values = synth.generate(spec)
+    values = synth.generate(spec, dtype="<f4")
     nbytes = tensor_io.write_tensor(args.out, values)
     print(f"n={spec.n} bytes={nbytes}")
     return 0

@@ -21,8 +21,8 @@ values are small, so every a = |x| takes the small row; only those at |x|
 with the large row. The 512-entry decode table, indexed by flag<<8 | byte,
 is built from the same value expression wherever it is read, so fake-quant
 is decode-then-cast. The INT8 baseline (hard clip at +/-127*scale) rounds
-with the medium row. The binary32 rule, one ``errstate`` in ``fake_quant``
-for both quantizers: a value beyond binary32 casts to +/-inf, quietly.
+with the medium row. The binary32 rule, in ``fake_quant`` and a binary32
+``decode_tensor``: a value beyond binary32 casts to +/-inf, quietly.
 """
 
 from __future__ import annotations
@@ -237,17 +237,18 @@ def _int8_round(x: np.ndarray, cfg: QuantConfig) -> np.ndarray:
     return np.copysign(_round(np.abs(x), cfg.scale, MAX_STANDARD_CODE), x)
 
 
-def _decode_arrays(flags: np.ndarray, codes: np.ndarray, cfg: QuantConfig,
-                   strict: bool = True) -> np.ndarray:
-    """Vectorized decoder core; returns float64 reconstructions."""
+def _decode_arrays(flags: np.ndarray, codes: np.ndarray, table: np.ndarray,
+                   strict: bool = True, start: int = 0) -> np.ndarray:
+    """Vectorized decoder core: the float64 ``table`` entry of each element;
+    a strict one rejects the negative-zero code at ``start`` + its index."""
     key = np.left_shift(flags, 8, dtype=np.uint16)
     key |= codes
     if strict:
         neg_zero = key == NEGATIVE_ZERO
         if np.any(neg_zero):
-            idx = int(np.argmax(neg_zero))
+            idx = start + int(np.argmax(neg_zero))
             raise NonCanonicalCode(f"negative-zero small code at index {idx}")
-    return _decode_table(cfg)[key]
+    return table[key]
 
 
 def _one(x: float) -> np.ndarray:
@@ -269,7 +270,7 @@ def se_encode(x: float, cfg: QuantConfig) -> SoftEdgeCode:
 def se_decode(c: SoftEdgeCode, cfg: QuantConfig, strict: bool = True) -> float:
     flags = np.asarray([bool(c.se_flag)])
     codes = np.asarray([c.byte], dtype=np.uint8)
-    return float(_decode_arrays(flags, codes, cfg, strict=strict)[0])
+    return float(_decode_arrays(flags, codes, _decode_table(cfg), strict)[0])
 
 
 def int8_encode(x: float, cfg: QuantConfig) -> int:
@@ -309,9 +310,19 @@ def encode_tensor(values, cfg: QuantConfig) -> QuantizedTensor:
                            codes=key.astype(np.uint8))
 
 
-def decode_tensor(q: QuantizedTensor, strict: bool = True) -> np.ndarray:
-    """Reconstruct values (float64) from an encoded tensor."""
-    return _decode_arrays(q.flags, q.codes, q.config, strict=strict)
+def decode_tensor(q: QuantizedTensor, strict: bool = True,
+                  dtype=np.float64) -> np.ndarray:
+    """Reconstruct values from an encoded tensor, BLOCK elements at a time:
+    as float64, or each decoded value cast to ``dtype`` (decode-then-cast;
+    a value beyond it casts to +/-inf, quietly)."""
+    table = _decode_table(q.config)
+    flags, codes = q.flags.reshape(-1), q.codes.reshape(-1)
+    out = np.empty(codes.size, dtype)
+    with np.errstate(over="ignore"):  # the binary32 rule
+        for i in range(0, out.size, BLOCK):
+            out[i:i + BLOCK] = _decode_arrays(
+                flags[i:i + BLOCK], codes[i:i + BLOCK], table, strict, i)
+    return out.reshape(q.codes.shape)
 
 
 def fake_quant(values, cfg: QuantConfig, which: str = "soft_edge") -> np.ndarray:

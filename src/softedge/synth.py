@@ -174,10 +174,12 @@ class DistSpec:
                               f"got {self.degrees_of_freedom}")
 
 
-# A value beyond binary64 becomes +/-inf quietly, for write_tensor to reject.
+# A value beyond binary64, or beyond ``dtype``, becomes +/-inf quietly, for
+# write_tensor to reject.
 @np.errstate(over="ignore")
-def generate(spec: DistSpec) -> np.ndarray:
-    """Deterministic sample per (spec, seed); returns float64 values.
+def generate(spec: DistSpec, dtype=np.float64) -> np.ndarray:
+    """Deterministic sample per (spec, seed); returns float64 values, or
+    each value cast to ``dtype`` (the CLI asks for binary32, its file type).
 
     gaussian and lognormal (exp of the gaussian) read gaussians from
     counters [0, 2*ceil(n/2)); student_t reads its numerator there and its
@@ -189,22 +191,23 @@ def generate(spec: DistSpec) -> np.ndarray:
     below outlier_fraction; its magnitude is uniform in
     [outlier_low, outlier_high] of std units with a random sign.
 
-    The values are computed BLOCK elements at a time, with mean + std * z
-    applied in place (the same rounding).
+    The values are computed in float64 BLOCK elements at a time, with
+    mean + std * z applied in place (the same rounding); a block's outliers
+    overwrite its body before the block is cast to ``dtype``.
     """
     n, seed, kind = spec.n, spec.seed, spec.kind
     g_n = _gaussian_counters(n)
-    draws, out = _Draws(seed, min(n, BLOCK)), np.empty(n)
+    size = min(n, BLOCK)
+    draws, out = _Draws(seed, size), np.empty(n, dtype)
+    wide = None if out.dtype == np.float64 else np.empty(size)
     body = n if kind == "outlier_mixture" else 0
     if kind == "student_t":
-        chi2, g = np.empty((2, min(n, BLOCK)))
-    hits = []
+        chi2, g = np.empty((2, size))
     for i in range(0, n, BLOCK):
-        z = out[i:i + BLOCK]
+        z = out[i:i + BLOCK] if wide is None else wide[:min(BLOCK, n - i)]
         m = z.size
         if kind == "outlier_mixture":
-            u = draws.uniforms(i, m)
-            hits.append(np.flatnonzero(u < spec.outlier_fraction) + i)
+            hits = np.flatnonzero(draws.uniforms(i, m) < spec.outlier_fraction)
         draws.gaussians(body + i, z)
         z *= spec.std
         if kind == "student_t":  # z / sqrt(chi2_k / k)
@@ -219,12 +222,13 @@ def generate(spec: DistSpec) -> np.ndarray:
         z += spec.mean
         if kind == "lognormal":
             np.exp(z, out=z)
-    if hits:  # outlier_mixture: overwrite the body at the outliers
-        idx = np.concatenate(hits)
-        mag_u = _unit(_splitmix64_at(seed, idx + (n + g_n)))
-        sign_u = _unit(_splitmix64_at(seed, idx + (2 * n + g_n)))
-        magnitudes = spec.std * (
-            spec.outlier_low + mag_u * (spec.outlier_high - spec.outlier_low)
-        )
-        out[idx] = np.where(sign_u < 0.5, -1.0, 1.0) * magnitudes
+        if kind == "outlier_mixture":  # overwrite the body at the outliers
+            mag_u = _unit(_splitmix64_at(seed, hits + (i + n + g_n)))
+            sign_u = _unit(_splitmix64_at(seed, hits + (i + 2 * n + g_n)))
+            magnitudes = spec.std * (
+                spec.outlier_low + mag_u * (spec.outlier_high - spec.outlier_low)
+            )
+            z[hits] = np.where(sign_u < 0.5, -1.0, 1.0) * magnitudes
+        if wide is not None:
+            out[i:i + m] = z
     return out

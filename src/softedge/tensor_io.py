@@ -124,10 +124,9 @@ def write_tensor(path, values) -> int:
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read a QSEF file; returns the values as float64 (binary32-exact)."""
+    """Read a QSEF file; returns the checked binary32 payload, unwidened."""
     v = _read_body(path, FLOAT_MAGIC)[1].view("<f4")
-    # Check before widening: casting a signalling NaN raises a warning.
-    return check_finite(v, NonFiniteValue, f"{path}: ").astype(np.float64)
+    return check_finite(v, NonFiniteValue, f"{path}: ")
 
 
 def write_packed(path, q: QuantizedTensor) -> int:

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from softedge import (
     QuantConfig,
     calibrate,
+    calibrate_grid,
     calibrate_scale,
     derive_config,
     percentile_abs,
 )
+from softedge import calibration
 from softedge.calibration import CODEC_FIELDS
 from softedge.errors import (
     DegenerateRange,
@@ -245,3 +247,42 @@ def test_calibrate_records_provenance():
     assert cfg.scale == 100.0 / 127.0
     assert cfg.percentile == 100
     assert cfg.calib_count == 100
+
+
+_F32_MAX = float(np.finfo(np.float32).max)
+_F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
+_F32_SUBNORMAL_MAX = float(np.nextafter(np.finfo(np.float32).tiny,
+                                        np.float32(0)))
+_BINARY32 = (st.floats(width=32, allow_nan=False, allow_infinity=False)
+             | st.sampled_from([0.0, -0.0, _F32_TINY, -_F32_TINY,
+                                _F32_SUBNORMAL_MAX, 1.0, _F32_MAX, -_F32_MAX]))
+
+
+def _outcome(call):
+    """The config JSON ``call`` gives (repr keeps every bit), or its error."""
+    try:
+        return [c.to_json() for c in call()]
+    except SoftEdgeError as e:
+        return type(e), str(e)
+
+
+@given(values=st.lists(_BINARY32, min_size=1, max_size=24),
+       p=st.floats(0, 100, exclude_min=True) | st.sampled_from([25.0, 100.0]))
+@example(values=[3.5], p=37.5)  # n = 1
+@example(values=[_F32_MAX, -_F32_MAX, 1.0, -0.0, 0.0], p=25.0)  # rank 1: frac 0
+@example(values=[2.0, -2.0, 2.0, 1.0, 3.0], p=50.0)  # ties, rank 2
+@example(values=[_F32_TINY, -_F32_SUBNORMAL_MAX, 0.0], p=100.0)
+@example(values=[-0.0, 0.0], p=99.0)  # all zero: the same error
+def test_binary32_calibration_is_the_widened_calibration(values, p):
+    # the binary32 sort must give the float64 sort's order statistics, and
+    # its interpolation must run in float64 (not in binary32, as numpy
+    # scalar arithmetic with a Python float would)
+    x32 = np.array(values, dtype=np.float32)
+    x64 = x32.astype(np.float64)
+    for x in (x32, x64):
+        assert calibration._sorted_abs(x).dtype == x.dtype
+    assert _outcome(lambda: [calibrate(x32, p)]) == _outcome(
+        lambda: [calibrate(x64, p)])
+    grid = ([p, 100.0, 50.0], [1.0, 4.0], [4.0])
+    assert _outcome(lambda: calibrate_grid(x32, *grid)) == _outcome(
+        lambda: calibrate_grid(x64, *grid))

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,8 @@ _MALFORMED = {
          "header says 1152921504606846976 elements, payload holds 40 bytes"),
     "dequantize-nonzero_pad_bits":
         ("dequantize --input {padbits} --out {out}", 2, "pad bit"),
+    "dequantize-negative_zero_past_first_block":  # index 2**15 + 3
+        ("dequantize --input {negzero} --out {out}", 2, "at index 32771"),
     "eval-missing_config":
         ("eval --input {mix} --config {missing} --out {out}", 1),
     "eval-empty_input":
@@ -249,7 +252,8 @@ class TestMalformedInput:
                  "hugecount": tmp_path / "huge.qsef",
                  "trailing": tmp_path / "trailing.qsef",
                  "hugecountqse": tmp_path / "hugecount.qse",
-                 "padbits": tmp_path / "padbits.qse"}
+                 "padbits": tmp_path / "padbits.qse",
+                 "negzero": tmp_path / "negzero.qse"}
         paths["badcfg"].write_text('{"scale": 1.0}')
         for key, fields in (("tinycfg", _TINY_STEP), ("hugecfg", _HUGE_STEP)):
             paths[key].write_text(json.dumps(dict(zip(CODEC_FIELDS, fields))))
@@ -270,6 +274,11 @@ class TestMalformedInput:
         raw[56] |= 0x80
         paths["padbits"].write_bytes(raw)
         paths["corrupt"].write_bytes(b"QSE1\x01\x00\x00\x00" + b"\xff" * 10)
+        # the negative-zero code (flag 1, byte 0x80) in the second block
+        flags, codes = np.ones(2**15 + 8, bool), np.zeros(2**15 + 8, np.uint8)
+        codes[2**15 + 3] = 0x80
+        se.write_packed(paths["negzero"], se.QuantizedTensor(
+            se.derive_config(1.0), flags, codes))
         # 3.4e38 encodes to the fine code 3.5e38, beyond binary32
         se.write_packed(paths["huge"], se.encode_tensor(*_BEYOND_BINARY32))
         assert run(*argv.format(**paths).split()) == code
@@ -349,7 +358,7 @@ class TestSynth:
                    "--seed", "42", "--out", out) == 0
         want = generate(DistSpec(kind="gaussian", n=1000, seed=42))
         got = se.read_tensor(out)
-        assert got.tobytes() == np.float64(np.float32(want)).tobytes()
+        assert got.tobytes() == np.float32(want).tobytes()
 
     def test_invalid_spec_exit_2(self, tmp_path):
         rc = run("synth", "--dist", "gaussian", "--n", "10", "--seed", "1",
@@ -467,6 +476,47 @@ def test_sweep_equals_per_row_composition(values, percentiles, fine, coarse):
         else:
             assert code == 0
             assert out.read_bytes() == want.encode()
+
+
+# Each pipeline stage at 2**20 elements: {x} is written by synth, {cfg} by
+# calibrate and {qse} by quantize.
+_STAGES = {
+    "synth": "synth --dist outlier_mixture --n {n} --seed 0 --out {x}",
+    "calibrate": "calibrate --input {x} --percentile 99.99 --out {cfg}",
+    "quantize": "quantize --input {x} --config {cfg} --out {qse}",
+    "dequantize": "dequantize --input {qse} --out {out}",
+    "eval": "eval --input {x} --config {cfg} --out {out}",
+    "sweep": "sweep --input {x} --percentiles 99.9,99.99,100 "
+             "--fine-divisors 2,4 --out {out}",
+}
+
+
+@pytest.fixture(scope="module")
+def stage_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("stages")
+    paths = {k: d / k for k in ("x", "cfg", "qse", "out")}
+    for stage in ("synth", "calibrate", "quantize"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(*_STAGES[stage].format(n=1 << 20, **paths).split()) == 0
+    return paths
+
+
+@pytest.mark.parametrize("stage", _STAGES)
+def test_stage_peak_memory_per_element(stage_files, stage):
+    # binary32 end to end: a stage holds its binary32 payload (4 B/elem) and
+    # at most as much again (the key, flags and codes of quantize, the
+    # binary32 sort of |x| in calibrate and sweep); float64 lives only in
+    # block-sized scratch
+    n = 1 << 20
+    argv = _STAGES[stage].format(n=n, **stage_files).split()
+    with contextlib.redirect_stdout(io.StringIO()):
+        tracemalloc.start()
+        try:
+            assert run(*argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak / n <= 8.5
 
 
 class TestTrace:
