@@ -4,17 +4,21 @@ Every sum is a float64 sum with the bits np.sum gives over the whole
 flattened array, so reports are deterministic and accurate. np.sum adds a
 contiguous float64 array along a fixed pairwise tree (Higham, "The accuracy
 of floating point summation", SIAM J. Sci. Comput. 1993): n splits at n/2,
-rounded down to a multiple of 8. A report walks that tree down to leaves of
-at most ``LEAF`` (2**15) elements and makes one pass over each leaf while
-it is in cache: it widens x, runs ``fake_quant`` for each quantizer, forms
-|x - fq| and takes the leaf's partial sums and max. The partials are added
-up the same tree. A region row sums its region's compacted errors, whose
-tree splits on the region's count: the counts are taken first, and each
-region's errors are staged in a leaf-sized buffer that is summed whenever a
-leaf of its tree fills. A sum that overflows binary64 reruns the pass on
-values scaled by 2**-k. The pass builds no n-element float temporary; the
-one finiteness check's mask (1 B/elem) and the sweep's sort are a report's
-only input-sized allocations.
+rounded down to a multiple of 8. Every statistic (``mse``, ``sqnr_db`` and
+``ssm.run_report`` too) comes from a walk of that tree down to leaves of at
+most ``LEAF`` (2**15) elements that makes one pass over each leaf while it
+is in cache: it widens x, forms |x - a| for each approximation a (the
+leaf's ``fake_quant``, or a given array's leaf, widened) and takes the
+leaf's partial sums and max. The partials are added up the same tree. A
+region row sums its region's compacted errors, whose tree splits on the
+region's count: the counts are taken first, and each region's errors are
+staged in a leaf-sized buffer that is summed whenever a leaf of its tree
+fills. A sum that overflows binary64 reruns the pass on values scaled by
+2**-k. The pass builds no n-element float temporary; the finiteness checks'
+masks (1 B/elem) and the sweep's sort are a report's only input-sized
+allocations, but for one rare path: a pair whose difference overflows
+binary64 (opposite signs near +-1e308) retakes the pass on whole-array
+halves of both operands.
 
 A lossless tensor has infinite SQNR; the JSON serialization spells that as
 the string "inf".
@@ -114,25 +118,6 @@ class ComparisonReport:
         return buf.getvalue()
 
 
-def _pair_error(ref, approx):
-    """The float64 reference r and |ref - approx| = err * 2**e, as (r, err, e).
-
-    e is 0 unless the difference overflowed binary64 (opposite signs near
-    +-1e308); then err is the difference of the halved operands and e is 1.
-    """
-    r = check_finite(ref, where="ref: ").astype(np.float64, copy=False)
-    a = check_finite(approx, where="approx: ").astype(np.float64, copy=False)
-    if r.shape != a.shape:
-        raise LengthMismatch(f"length mismatch: {r.size} vs {a.size}")
-    if r.size == 0:
-        raise EmptyTensor("metrics need at least one element")
-    try:
-        with np.errstate(over="raise"):
-            return r, np.abs(r - a), 0
-    except FloatingPointError:
-        return r, np.abs(r * 0.5 - a * 0.5), 1
-
-
 def _json_numbers(doc: dict) -> dict:
     """``doc`` with non-finite floats spelled "inf" / "-inf" / "nan" for JSON."""
     return {k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
@@ -229,28 +214,9 @@ def _rerun(run) -> list:
     return run(scales) if any(scales) else columns
 
 
-def _stream(v: np.ndarray, linear: bool = False) -> _Column:
-    """The column of the non-negative v, summed where it lies."""
-    def run(scales):
-        column = _Column(v.size, linear, scales and scales[0])
-        column.push(v.reshape(-1))
-        return [column]
-    return _rerun(run)[0]
-
-
-def _sum(v):
-    """sum(v*v) as (s, e), the sum equal to s * 2**e.
-
-    Within binary64 this is np.sum's bits and e = 0. Only a sum that
-    overflowed is retaken, by the same leaf pass, of v scaled by an exact
-    power of two; a sum over an infinite v is +inf as it stands.
-    """
-    return _stream(np.abs(v)).sums[0]
-
-
 def _sqnr(power, noise) -> float:
-    """10*log10(power / noise) of two ``_sum`` pairs: +inf for zero noise,
-    -inf for zero power."""
+    """10*log10(power / noise) of two (s, e) pairs, each the sum s * 2**e:
+    +inf for zero noise, -inf for zero power."""
     (p, pe), (q, qe) = power, noise
     if q == 0:
         return math.inf
@@ -265,8 +231,8 @@ def _stats(errors: _Column, power=None, e: int = 0) -> dict:
     """Statistics of the absolute errors err * 2**e that ``errors`` holds,
     the one place reports get them.
 
-    Always "mse" and "max_abs_err". Given the reference's ``power`` (a
-    ``_sum`` pair), also "sqnr_db" (a quantizer row); without, "mean_abs_err"
+    Always "mse" and "max_abs_err". Given the reference's ``power`` (an
+    (s, e) pair), also "sqnr_db" (a quantizer row); without, "mean_abs_err"
     (a region row; the column is ``linear``). A statistic reads +inf only
     when it exceeds binary64.
     """
@@ -282,25 +248,42 @@ def _stats(errors: _Column, power=None, e: int = 0) -> dict:
                 "mean_abs_err": float(np.ldexp(s / errors.count, se + e))}
 
 
-def _error_stats(err: np.ndarray, power=None, e: int = 0) -> dict:
-    """``_stats`` of an array of absolute errors."""
-    if err.size == 0:
+def _pair_stats(ref, approx):
+    """(power, stats) of a checked, non-empty ref and an approx of its shape:
+    the (s, e) pair of the reference's power and ``_stats`` of |ref - approx|.
+
+    One leaf pass, unless a difference overflowed binary64; the errors are
+    then retaken from whole-array halves of both operands, and scaled back.
+    """
+    r, a = (np.asarray(v).reshape(-1) for v in (ref, approx))
+    if r.size == 0:
         raise EmptyTensor("metrics need at least one element")
-    return _stats(_stream(err, linear=power is None), power, e)
+    power, err = _report(r, [a])
+    power, e = power.sums[0], int(err.top == math.inf)
+    if e:
+        r, a = (np.multiply(v, 0.5, dtype=np.float64) for v in (r, a))
+        err = _report(r, [a])[1]
+    return power, _stats(err, power, e)
+
+
+def _checked_pair(ref, approx):
+    r = check_finite(ref, where="ref: ")
+    a = check_finite(approx, where="approx: ")
+    if r.shape != a.shape:
+        raise LengthMismatch(f"length mismatch: {r.size} vs {a.size}")
+    return _pair_stats(r, a)
 
 
 def mse(ref, approx) -> float:
-    _, err, e = _pair_error(ref, approx)
-    return _error_stats(err, e=e)["mse"]
+    return _checked_pair(ref, approx)[1]["mse"]
 
 
 def sqnr_db(ref, approx) -> float:
     """10*log10(signal power / error power); +inf when the error is zero."""
-    r, err, e = _pair_error(ref, approx)
-    power = _sum(r)
+    power, stats = _checked_pair(ref, approx)
     if power[0] <= 0:
         raise ZeroSignal("reference tensor has zero power")
-    return _error_stats(err, power, e)["sqnr_db"]
+    return stats["sqnr_db"]
 
 
 def _region_counts(flat: np.ndarray, cfg: QuantConfig) -> tuple:
@@ -314,35 +297,39 @@ def _region_counts(flat: np.ndarray, cfg: QuantConfig) -> tuple:
     return flat.size - mid, mid - big, big
 
 
-def _abs_error(x: np.ndarray, cfg: QuantConfig, which: str) -> np.ndarray:
-    err = x - fake_quant(x, cfg, which)
+def _abs_error(b: np.ndarray, approx, lo: int, hi: int) -> np.ndarray:
+    """|b - a| of the widened leaf b = x[lo:hi] and its approximation a."""
+    a = (fake_quant(b, *approx) if isinstance(approx, tuple)
+         else approx[lo:hi].astype(np.float64, copy=False))
+    err = b - a
     return np.abs(err, out=err)
 
 
-def _report(x: np.ndarray, quantizers, regions=None) -> list:
+def _report(x: np.ndarray, approximations, regions=None) -> list:
     """The columns of one pass over the leaves of the checked, non-empty x:
-    |x| (the input's power), then |x - fake_quant(x, cfg, which)| of each
-    (cfg, which) of ``quantizers``, then, given a config as ``regions``, the
-    first quantizer's errors in each of its regions, small, medium, large.
+    |x| (the input's power), then |x - a| of each approximation a, a
+    (cfg, which) pair for fake_quant(x, cfg, which) or a checked array
+    shaped like the flattened x, then, given a config as ``regions``, the
+    first one's errors in each of its regions, small, medium, large.
 
-    Each leaf is widened once and stays in cache while every quantizer runs
-    over it and its errors are summed, compacted and staged."""
+    Each leaf is widened once and stays in cache while every approximation
+    of it is formed or sliced, and its errors summed, compacted and staged."""
     flat = x.reshape(-1)
     counts = _region_counts(flat, regions) if regions else ()
 
     def run(scales):
         scales = iter(scales or ())
         power, *rows = (_Column(flat.size, scale=next(scales, None))
-                        for _ in range(1 + len(quantizers)))
+                        for _ in range(1 + len(approximations)))
         by_region = [_Column(c, True, next(scales, None)) for c in counts]
         for lo, hi in _leaves(flat.size):
             b = flat[lo:hi].astype(np.float64, copy=False)
             ax = np.abs(b)
             power.push(ax)
-            first = _abs_error(b, *quantizers[0])
+            first = _abs_error(b, approximations[0], lo, hi)
             rows[0].push(first)
-            for row, q in zip(rows[1:], quantizers[1:]):
-                row.push(_abs_error(b, *q))
+            for row, a in zip(rows[1:], approximations[1:]):
+                row.push(_abs_error(b, a, lo, hi))
             if regions:
                 index = _region_index(ax, regions)
                 for i, column in enumerate(by_region):

@@ -1,7 +1,7 @@
 """Deterministic synthetic activation generators.
 
 Randomness comes from a counter-based splitmix64 generator, fully specified
-here so streams are bitwise reproducible across platforms and languages:
+here; its integer outputs and uniforms are exact on any platform:
 
     state(k) = (seed + (k + 1) * 0x9E3779B97F4A7C15) mod 2^64
     z = state(k); z ^= z >> 30; z *= 0xBF58476D1CE4E5B9
@@ -16,13 +16,17 @@ another.
 Gaussians use the Box-Muller transform with both outputs consumed in order:
 pair j draws u1 from counter 2j and u2 from counter 2j+1, and yields
 r*cos(theta) then r*sin(theta) with r = sqrt(-2 ln u1), theta = 2*pi*u2.
+numpy's float64 log and exp differ by 1 ulp between its AVX-512 and
+baseline loops, so float64 outputs can differ across CPUs; the binary32
+outputs the CLI writes held under both (ROADMAP, State and item 3).
 
 Any counter can be drawn on its own (Steele, Lea & Flood, OOPSLA 2014), so
-the counter layout is the whole contract: it fixes every output bit in
-whatever order the counters are drawn. ``generate`` keeps the layout but
-draws only the counters whose values it uses, BLOCK at a time into scratch
-that each block reuses; an outlier mixture reads its magnitude and sign
-counters at the outlier elements alone.
+the counter layout is the whole contract: given numpy's math loops, it
+fixes every output bit in whatever order the counters are drawn.
+``generate`` keeps the layout but draws only the counters whose values it
+uses, BLOCK at a time into scratch that each block reuses; an outlier
+mixture reads its magnitude and sign counters at the outlier elements
+alone.
 """
 
 from __future__ import annotations

@@ -306,6 +306,7 @@ def test_in_range_bits_match_straight_formulas(pair, scale):
 
 
 LEAF = metrics.LEAF
+_SSM_PARAMS = make_params(16, 7)
 
 
 def test_overflow_in_a_later_leaf(unit_cfg):
@@ -336,6 +337,30 @@ def test_overflow_in_a_later_leaf(unit_cfg):
     assert (large.count, large.mse, large.max_abs_err) == (
         e.size, math.inf, float(np.max(e)))
     assert large.mean_abs_err == float(np.mean(e))
+
+
+def test_pair_overflow_in_a_later_leaf():
+    """A difference that overflows binary64 only in the last of four leaves
+    retakes the pair's pass on halved operands: MSE reads inf, and SQNR
+    keeps the bits of the whole-array rescale, with no RuntimeWarning."""
+    n = 3 * LEAF + 5
+    rng = np.random.default_rng(5)
+    ref = rng.normal(0.0, 40.0, n)
+    approx = ref + rng.normal(0.0, 1.0, n)
+    ref[-2], approx[-2] = 1e308, -1e308
+
+    def rescaled(v):  # sum(v*v) of the whole array, scaled by 2**-k
+        k = math.frexp(float(np.max(v)))[1]
+        w = np.ldexp(v, -k)
+        return float(np.sum(w * w)), 2 * k
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mse(ref, approx) == math.inf
+        s, e = rescaled(np.abs(ref * 0.5 - approx * 0.5))
+        db = sqnr_db(ref, approx)
+        assert db == metrics._sqnr(rescaled(np.abs(ref)), (s, e + 2))
+    assert db == pytest.approx(-6.0206, abs=1e-4)  # 1e616 against 4e616
 
 
 # Sizes around numpy's 8-wide unrolled loop, its 128-element blocks, one and
@@ -370,24 +395,32 @@ def test_leaf_tree_is_numpy_sum(n, seed, df, cuts):
         column.push(piece)
     assert column.sums == [(float(np.sum(a * a)), 0), (float(np.sum(a)), 0)]
     assert column.top == float(np.max(a))
-    assert metrics._sum(v) == (float(np.sum(v * v)), 0)
+    assert metrics._pair_stats(v, v)[0] == (float(np.sum(v * v)), 0)
 
 
 @pytest.mark.parametrize("kind", ["student_t", "outlier_mixture", "gaussian"])
-@pytest.mark.parametrize("report, bound", [
-    (compare_quantizers, 10.0),
-    (lambda x, cfg: sweep(x, [99.99]), 12.5),
-], ids=["compare_quantizers", "sweep"])
-def test_peak_memory_per_element(kind, report, bound):
+@pytest.mark.parametrize("report, dtype, bound", [
+    (lambda x, fq, cfg: compare_quantizers(x, cfg), np.float64, 10.0),
+    (lambda x, fq, cfg: sweep(x, [99.99]), np.float64, 12.5),
+    (lambda x, fq, cfg: mse(x, fq), np.float64, 2.0),
+    (lambda x, fq, cfg: mse(x, fq), np.float32, 2.0),
+    (lambda x, fq, cfg: sqnr_db(x, fq), np.float64, 2.0),
+    (lambda x, fq, cfg: sqnr_db(x, fq), np.float32, 2.0),
+    (lambda x, fq, cfg: run_report(_SSM_PARAMS, x, cfg), np.float32, 44.0),
+], ids=["compare_quantizers", "sweep", "mse", "mse_f32", "sqnr_db",
+        "sqnr_db_f32", "run_report_f32"])
+def test_peak_memory_per_element(kind, report, dtype, bound):
     # a report keeps leaf-sized scratch, not n-element temporaries; the
-    # finiteness check's mask (1 B/elem) and the sweep's sorted |x| (8 B/elem)
-    # are the only input-sized allocations
+    # finiteness checks' masks (1 B/elem) and the sweep's sorted |x|
+    # (8 B/elem) are the only input-sized allocations of the metrics. The
+    # SSM report adds its runs' float64 inputs and outputs.
     n = 1 << 20
-    x = generate(DistSpec(kind=kind, n=n, seed=0))
+    x = generate(DistSpec(kind=kind, n=n, seed=0)).astype(dtype)
     cfg = calibrate(x, 99.99)
+    fq = fake_quant(x, cfg).astype(dtype)
     tracemalloc.start()
     try:
-        report(x, cfg)
+        report(x, fq, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

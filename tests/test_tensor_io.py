@@ -419,8 +419,9 @@ def test_fuzz_readers_raise_only_library_errors(tmp_path_factory, reader, data):
 
 @pytest.mark.parametrize("kind", ["student_t", "outlier_mixture", "gaussian"])
 @pytest.mark.parametrize("call, bound", [
-    (lambda p, x: read_tensor(p), 12.5),  # the result, 8 B/elem, and the
-    (write_tensor, 6.0),                  # binary32 payload, 4 B/elem
+    # the binary32 payload, 4 B/elem, and the check's mask, 1 B/elem
+    (lambda p, x: read_tensor(p), 6.0),
+    (write_tensor, 6.0),  # the binary32 payload, 4 B/elem
     # the body, 1.125 B/elem, and the unpacked flags, 1 B/elem
     (lambda p, x: read_packed(p.with_suffix(".qse")), 2.5),
 ], ids=["read_tensor", "write_tensor", "read_packed"])
