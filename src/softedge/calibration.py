@@ -129,9 +129,12 @@ class QuantConfig:
                    calib_count=doc.get("calib_count", 0))
 
 
-def _check_percentile(p: float):
+def _check_percentile(p) -> float:
+    """p as a Python float, so a binary32 p computes in float64 like any other."""
+    p = check_number(p, PercentileOutOfRange, "percentile")
     if not (0 < p <= 100):
         raise PercentileOutOfRange(f"percentile must be in (0, 100], got {p}")
+    return p
 
 
 def _sorted_abs(values) -> np.ndarray:
@@ -171,7 +174,7 @@ def percentile_abs(values, p: float) -> float:
     statistics: r = (p/100)*(n-1); result interpolates w[floor(r)] and the
     next order statistic by frac(r).
     """
-    _check_percentile(p)
+    p = _check_percentile(p)
     return _interpolate(_sorted_abs(values), p)
 
 
@@ -184,6 +187,10 @@ def derive_config(scale: float, fine_divisor: float = 4.0,
                   coarse_multiplier: float = 4.0, percentile: float = 100.0,
                   calib_count: int = 0) -> QuantConfig:
     """Build a QuantConfig with the default threshold rule from a scale."""
+    scale = check_number(scale, InvalidConfig, "scale")
+    fine_divisor = check_number(fine_divisor, InvalidConfig, "fine_divisor")
+    coarse_multiplier = check_number(coarse_multiplier, InvalidConfig,
+                                     "coarse_multiplier")
     if fine_divisor < 1 or coarse_multiplier < 1:
         raise InvalidConfig("fine_divisor and coarse_multiplier must be >= 1")
     return QuantConfig(
@@ -216,7 +223,7 @@ def calibrate_grid(values, percentiles, fine_divisors=(4.0,),
     configs, w = [], None
     for p, fd, cm in itertools.product(percentiles, fine_divisors,
                                        coarse_multipliers):
-        _check_percentile(p)
+        p = _check_percentile(p)
         if w is None:
             w = _sorted_abs(values)
         configs.append(derive_config(_clip_scale(_interpolate(w, p)), fd, cm,

@@ -270,7 +270,7 @@ def _checked_pair(ref, approx):
     r = check_finite(ref, where="ref: ")
     a = check_finite(approx, where="approx: ")
     if r.shape != a.shape:
-        raise LengthMismatch(f"length mismatch: {r.size} vs {a.size}")
+        raise LengthMismatch(f"shape mismatch: {r.shape} vs {a.shape}")
     return _pair_stats(r, a)
 
 

@@ -157,12 +157,14 @@ def run_report(params: SsmParams, x, cfg: QuantConfig) -> SsmRunReport:
     SSM run and its input rows. ``metrics._pair_stats`` takes each pair's
     rows, input and output, in one leaf pass with no n-element error array.
     The full-precision run is the one check of x; a quantized input is
-    checked by its own run, as its binary32 cast can overflow to infinity.
+    checked as it leaves fake_quant, whose binary32 cast can overflow to
+    infinity, so the error names its quantizer.
     """
     y_ref = ssm_forward(params, x)
     fields = {}
     for which in ("soft_edge", "int8"):
-        xq = fake_quant(x, cfg, which).astype(np.float64)
+        xq = check_finite(fake_quant(x, cfg, which), InvalidParams,
+                          f"{which}-quantized input: ").astype(np.float64)
         _, out = metrics._pair_stats(y_ref, ssm_forward(params, xq))
         _, inp = metrics._pair_stats(x, xq)
         fields.update({

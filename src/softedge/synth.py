@@ -24,9 +24,9 @@ Any counter can be drawn on its own (Steele, Lea & Flood, OOPSLA 2014), so
 the counter layout is the whole contract: given numpy's math loops, it
 fixes every output bit in whatever order the counters are drawn.
 ``generate`` keeps the layout but draws only the counters whose values it
-uses, BLOCK at a time into scratch that each block reuses; an outlier
-mixture reads its magnitude and sign counters at the outlier elements
-alone.
+uses, BLOCK at a time through ``uniforms`` and one Box-Muller, each block
+with its own block-sized temporaries; an outlier mixture reads its
+magnitude and sign counters at the outlier elements alone.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _INV_2_53 = 1.0 / (1 << 53)
-# Counters per block (2**15 Box-Muller pairs): a block's scratch stays in
-# cache and is reused, instead of a fresh n-element array per step.
+# Counters per block (2**15 Box-Muller pairs): a block's temporaries stay
+# in cache, instead of a fresh n-element array per step.
 BLOCK = 1 << 16
 # student_t draws degrees_of_freedom gaussian blocks per output block, so its
 # time grows with them; at this bound it is already near a gaussian
@@ -55,9 +55,9 @@ BLOCK = 1 << 16
 MAX_DF = 1024
 
 
-def _mix(seed: int, z: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """splitmix64 in place: the uint64 counters z become their raw outputs.
-    t is scratch of z's size."""
+def _mix(seed: int, z: np.ndarray) -> np.ndarray:
+    """splitmix64 in place: the uint64 counters z become their raw outputs."""
+    t = np.empty_like(z)  # every shift lands here, not in a fresh array
     z *= np.uint64(_GAMMA)  # state(k) = k * gamma + (seed + gamma)
     z += np.uint64((int(seed) + _GAMMA) & 0xFFFFFFFFFFFFFFFF)
     z ^= np.right_shift(z, np.uint64(30), out=t)
@@ -70,71 +70,50 @@ def _mix(seed: int, z: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _splitmix64_at(seed: int, counters) -> np.ndarray:
     """Raw 64-bit outputs at the given integer counters, in their order."""
-    z = np.asarray(counters).astype(np.uint64)
-    return _mix(seed, z, np.empty_like(z))
+    return _mix(seed, np.asarray(counters).astype(np.uint64))
 
 
-def _unit(z: np.ndarray, out=None, open_zero: bool = False) -> np.ndarray:
+def _unit(z: np.ndarray, open_zero: bool = False) -> np.ndarray:
     """The uniform doubles of raw outputs z (which this shifts in place)."""
     z >>= np.uint64(11)
     bits = z.view(np.int64)  # below 2**53, so exact as int64 and as float64
-    out = np.empty(z.size) if out is None else out
     if open_zero:
-        np.add(bits, 1.0, out=out)
-        out *= _INV_2_53
-        return out
-    return np.multiply(bits, _INV_2_53, out=out)
+        u = bits + 1.0
+        u *= _INV_2_53
+        return u
+    return bits * _INV_2_53
 
 
 def uniforms(seed: int, start: int, n: int, open_zero: bool = False) -> np.ndarray:
     """n uniform doubles from counters [start, start+n); [0,1) by default,
     (0,1] with open_zero (safe under log)."""
-    counters = np.arange(start, start + n, dtype=np.uint64)
-    return _unit(_splitmix64_at(seed, counters), open_zero=open_zero)
+    z = np.arange(start, start + n, dtype=np.uint64)
+    return _unit(_mix(seed, z), open_zero)
 
 
-class _Draws:
-    """One seed's counters, drawn at most ``size`` (<= BLOCK) at a time into
-    scratch that every block reuses, so a block allocates nothing."""
+def _gaussian_counters(n: int) -> int:
+    return 2 * ((n + 1) // 2)
 
-    def __init__(self, seed: int, size: int):
-        self.seed = seed
-        size += size & 1  # whole pairs
-        self.base = np.arange(size, dtype=np.uint64)
-        self.z, self.t = np.empty((2, size), dtype=np.uint64)
-        self.u = np.empty(size)
-        self.r, self.theta, self.c = np.empty((3, (size + 1) // 2))
 
-    def uniforms(self, start: int, m: int, open_zero: bool = False) -> np.ndarray:
-        """``uniforms(seed, start, m, open_zero)``, in scratch."""
-        z = np.add(self.base[:m], np.uint64(start), out=self.z[:m])
-        return _unit(_mix(self.seed, z, self.t[:m]), self.u[:m], open_zero)
-
-    def gaussians(self, start: int, out: np.ndarray) -> None:
-        """Write ``gaussians(seed, start, out.size)`` into out."""
-        m = out.size
-        pairs, half = (m + 1) // 2, m // 2
-        u = self.uniforms(start, 2 * pairs, open_zero=True)
-        r = np.log(u[0::2], out=self.r[:pairs])
-        r *= -2.0
-        np.sqrt(r, out=r)
-        theta = np.multiply(u[1::2], 2.0 * math.pi, out=self.theta[:pairs])
-        np.multiply(r, np.cos(theta, out=self.c[:pairs]), out=out[0::2])
-        s = np.sin(theta, out=self.c[:pairs])
-        np.multiply(r[:half], s[:half], out=out[1::2])
+def _gaussians_into(seed: int, start: int, out: np.ndarray) -> None:
+    """Write ``gaussians(seed, start, out.size)`` into the float64 out."""
+    m = out.size
+    u = uniforms(seed, start, _gaussian_counters(m), open_zero=True)
+    r = np.log(u[0::2])
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = u[1::2] * (2.0 * math.pi)
+    np.multiply(r, np.cos(theta), out=out[0::2])
+    np.multiply(r[:m // 2], np.sin(theta)[:m // 2], out=out[1::2])
 
 
 def gaussians(seed: int, start: int, n: int) -> np.ndarray:
     """n standard normals via Box-Muller over counters
     [start, start + 2*ceil(n/2))."""
-    draws, out = _Draws(seed, min(n, BLOCK)), np.empty(n)
+    out = np.empty(n)
     for i in range(0, n, BLOCK):
-        draws.gaussians(start + i, out[i:i + BLOCK])
+        _gaussians_into(seed, start + i, out[i:i + BLOCK])
     return out
-
-
-def _gaussian_counters(n: int) -> int:
-    return 2 * ((n + 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -201,28 +180,25 @@ def generate(spec: DistSpec, dtype=np.float64) -> np.ndarray:
     """
     n, seed, kind = spec.n, spec.seed, spec.kind
     g_n = _gaussian_counters(n)
-    size = min(n, BLOCK)
-    draws, out = _Draws(seed, size), np.empty(n, dtype)
-    wide = None if out.dtype == np.float64 else np.empty(size)
+    out = np.empty(n, dtype)
+    # a float64 block is a slice of out; another dtype casts from one array
+    wide = None if out.dtype == np.float64 else np.empty(min(n, BLOCK))
     body = n if kind == "outlier_mixture" else 0
-    if kind == "student_t":
-        chi2, g = np.empty((2, size))
     for i in range(0, n, BLOCK):
-        z = out[i:i + BLOCK] if wide is None else wide[:min(BLOCK, n - i)]
-        m = z.size
+        m = min(BLOCK, n - i)
+        z = out[i:i + m] if wide is None else wide[:m]
         if kind == "outlier_mixture":
-            hits = np.flatnonzero(draws.uniforms(i, m) < spec.outlier_fraction)
-        draws.gaussians(body + i, z)
+            hits = np.flatnonzero(uniforms(seed, i, m) < spec.outlier_fraction)
+        _gaussians_into(seed, body + i, z)
         z *= spec.std
         if kind == "student_t":  # z / sqrt(chi2_k / k)
-            c, gm = chi2[:m], g[:m]
-            c.fill(0.0)
+            chi2, g = np.zeros(m), np.empty(m)
             for j in range(1, spec.degrees_of_freedom + 1):
-                draws.gaussians(j * g_n + i, gm)
-                gm *= gm
-                c += gm
-            c /= spec.degrees_of_freedom
-            z /= np.sqrt(c, out=c)
+                _gaussians_into(seed, j * g_n + i, g)
+                g *= g
+                chi2 += g
+            chi2 /= spec.degrees_of_freedom
+            z /= np.sqrt(chi2, out=chi2)
         z += spec.mean
         if kind == "lognormal":
             np.exp(z, out=z)

@@ -147,6 +147,40 @@ class TestDeriveConfig:
         with pytest.raises(InvalidConfig):
             derive_config(1.0, coarse_multiplier=0.0)
 
+    @pytest.mark.parametrize("kwargs", [{"fine_divisor": "4"},
+                                        {"coarse_multiplier": "4"}])
+    def test_str_divisor_rejected(self, kwargs):
+        with pytest.raises(InvalidConfig):
+            derive_config(1.0, **kwargs)
+
+
+# Under NEP 50 a binary32 scalar and a Python float combine in binary32, so
+# each is a Python float before calibration computes with it.
+_CALIB = [0.1, 0.3, 0.7]
+
+
+@pytest.mark.parametrize("call, v", [
+    (lambda v: [calibrate(_CALIB, v)], 37.5),
+    (lambda v: calibrate_grid(_CALIB, [v, 50.0]), 37.5),
+    (lambda v: [derive_config(v, 3.0)], 0.3),
+    (lambda v: [derive_config(1.0, v)], 3.3),
+], ids=["calibrate_p", "calibrate_grid_p", "derive_config_scale",
+        "derive_config_divisor"])
+def test_binary32_argument_is_its_python_float(call, v):
+    v = np.float32(v)
+    assert [c.to_json() for c in call(v)] == [
+        c.to_json() for c in call(float(v))]
+
+
+@pytest.mark.parametrize("p", [True, "50"], ids=["bool", "str"])
+@pytest.mark.parametrize("call", [
+    percentile_abs, calibrate_scale, calibrate,
+    lambda x, p: calibrate_grid(x, [50.0, p]),
+], ids=["percentile_abs", "calibrate_scale", "calibrate", "calibrate_grid"])
+def test_non_number_percentile_rejected(call, p):
+    with pytest.raises(PercentileOutOfRange):
+        call(_CALIB, p)
+
 
 class TestQuantConfig:
     def test_invariant_checks(self):

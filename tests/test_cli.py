@@ -189,6 +189,9 @@ _MALFORMED = {
     "sweep-degenerate_before_out_of_range":
         ("sweep --input {zeros} --percentiles 50,0 --out {out}", 2,
          "all-zero calibration data"),
+    "ssm-quantized_input_beyond_binary32":  # the stimulus itself is finite
+        ("ssm --seq-len 100 --seed 1 --config {bigscalecfg} --report {out}", 2,
+         "soft_edge"),
     "ssm-missing_config":
         ("ssm --seed 1 --config {missing} --report {out}", 1),
     "ssm-zero_seq_len":
@@ -248,6 +251,7 @@ class TestMalformedInput:
                  "zeros": tmp_path / "zeros.qsef",
                  "corrupt": tmp_path / "corrupt.qse", "huge": tmp_path / "huge.qse",
                  "tinycfg": tmp_path / "tiny.json", "hugecfg": tmp_path / "hc.json",
+                 "bigscalecfg": tmp_path / "bigscale.json",
                  "tinyqse": tmp_path / "tiny.qse", "binarycfg": tmp_path / "bin.json",
                  "hugecount": tmp_path / "huge.qsef",
                  "trailing": tmp_path / "trailing.qsef",
@@ -260,6 +264,7 @@ class TestMalformedInput:
         paths["tinyqse"].write_bytes(se.tensor_io.HEADER.pack(b"QSE1", 1, 0)
                                      + se.tensor_io.CONFIG_FIELDS.pack(*_TINY_STEP))
         paths["binarycfg"].write_bytes(b"\xff{}")
+        paths["bigscalecfg"].write_text(se.derive_config(1e36).to_json())
         se.write_tensor(paths["empty"], [])
         se.write_tensor(paths["zeros"], np.zeros(8))
         paths["hugecount"].write_bytes(se.tensor_io.HEADER.pack(b"QSEF", 1, 2**60))

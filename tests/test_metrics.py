@@ -46,6 +46,11 @@ class TestMse:
         with pytest.raises(LengthMismatch):
             mse([1, 2], [1])
 
+    @pytest.mark.parametrize("stat", [mse, sqnr_db])
+    def test_shape_mismatch_of_equal_size_names_both_shapes(self, stat):
+        with pytest.raises(LengthMismatch, match=r"\(3,\) vs \(1, 3\)"):
+            stat(np.ones(3), np.ones((1, 3)))
+
     def test_empty(self):
         with pytest.raises(EmptyTensor):
             mse([], [])

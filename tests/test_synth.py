@@ -107,11 +107,11 @@ class TestBlocks:
         assert got.tobytes() == want[idx].tobytes()
 
     @pytest.mark.parametrize("kind, bound", [
-        ("outlier_mixture", 17), ("gaussian", 17), ("lognormal", 17),
-        ("student_t", 24),
+        ("outlier_mixture", 10.0), ("gaussian", 10.0), ("lognormal", 10.0),
+        ("student_t", 11.0),
     ])
     def test_peak_memory_per_element(self, kind, bound):
-        # the output is 8 B/elem; the rest is per-block scratch and the
+        # the output is 8 B/elem; the rest is per-block temporaries and the
         # outlier indices, not n-element temporaries
         n = 1 << 20
         spec = DistSpec(kind=kind, n=n, seed=0)
