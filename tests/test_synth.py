@@ -107,8 +107,8 @@ class TestBlocks:
         assert got.tobytes() == want[idx].tobytes()
 
     @pytest.mark.parametrize("kind, bound", [
-        ("outlier_mixture", 10.0), ("gaussian", 10.0), ("lognormal", 10.0),
-        ("student_t", 11.0),
+        ("outlier_mixture", 17), ("gaussian", 17), ("lognormal", 17),
+        ("student_t", 24),
     ])
     def test_peak_memory_per_element(self, kind, bound):
         # the output is 8 B/elem; the rest is per-block temporaries and the
@@ -118,6 +118,26 @@ class TestBlocks:
         tracemalloc.start()
         try:
             generate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= bound
+
+    @pytest.mark.parametrize("dtype, kind, bound", [
+        (np.float64, "outlier_mixture", 10.0), (np.float64, "gaussian", 10.0),
+        (np.float64, "lognormal", 10.0), (np.float64, "student_t", 11.0),
+        (np.float32, "outlier_mixture", 6.5), (np.float32, "gaussian", 6.5),
+        (np.float32, "lognormal", 6.5), (np.float32, "student_t", 7.5),
+    ])
+    def test_peak_memory_per_element_by_dtype(self, dtype, kind, bound):
+        # the output is 8 or 4 B/elem, plus about 1.25 B/elem of per-block
+        # temporaries (2.25 for student_t) and, for binary32, one float64
+        # block; at 2^20 this reads 9.25 (10.25) and 5.75 (6.75)
+        n = 1 << 20
+        spec = DistSpec(kind=kind, n=n, seed=0)
+        tracemalloc.start()
+        try:
+            generate(spec, dtype=dtype)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
