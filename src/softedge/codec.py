@@ -237,20 +237,6 @@ def _int8_round(x: np.ndarray, cfg: QuantConfig) -> np.ndarray:
     return np.copysign(_round(np.abs(x), cfg.scale, MAX_STANDARD_CODE), x)
 
 
-def _decode_arrays(flags: np.ndarray, codes: np.ndarray, table: np.ndarray,
-                   strict: bool = True, start: int = 0) -> np.ndarray:
-    """Vectorized decoder core: the float64 ``table`` entry of each element;
-    a strict one rejects the negative-zero code at ``start`` + its index."""
-    key = np.left_shift(flags, 8, dtype=np.uint16)
-    key |= codes
-    if strict:
-        neg_zero = key == NEGATIVE_ZERO
-        if np.any(neg_zero):
-            idx = start + int(np.argmax(neg_zero))
-            raise NonCanonicalCode(f"negative-zero small code at index {idx}")
-    return table[key]
-
-
 def _one(x: float) -> np.ndarray:
     """The scalar x as a checked one-element float64 array."""
     return check_finite([x]).astype(np.float64, copy=False)
@@ -268,9 +254,8 @@ def se_encode(x: float, cfg: QuantConfig) -> SoftEdgeCode:
 
 
 def se_decode(c: SoftEdgeCode, cfg: QuantConfig, strict: bool = True) -> float:
-    flags = np.asarray([bool(c.se_flag)])
-    codes = np.asarray([c.byte], dtype=np.uint8)
-    return float(_decode_arrays(flags, codes, _decode_table(cfg), strict)[0])
+    q = QuantizedTensor(cfg, [c.se_flag], [c.byte])
+    return float(decode_tensor(q, strict)[0])
 
 
 def int8_encode(x: float, cfg: QuantConfig) -> int:
@@ -312,16 +297,21 @@ def encode_tensor(values, cfg: QuantConfig) -> QuantizedTensor:
 
 def decode_tensor(q: QuantizedTensor, strict: bool = True,
                   dtype=np.float64) -> np.ndarray:
-    """Reconstruct values from an encoded tensor, BLOCK elements at a time:
-    as float64, or each decoded value cast to ``dtype`` (decode-then-cast;
-    a value beyond it casts to +/-inf, quietly)."""
+    """Reconstruct values from an encoded tensor, BLOCK elements at a time,
+    the one decoder: the float64 decode-table entry of each flag<<8 | byte,
+    or that value cast to ``dtype`` (decode-then-cast; a value beyond it
+    casts to +/-inf, quietly). A strict one rejects the negative-zero code."""
     table = _decode_table(q.config)
     flags, codes = q.flags.reshape(-1), q.codes.reshape(-1)
     out = np.empty(codes.size, dtype)
     with np.errstate(over="ignore"):  # the binary32 rule
         for i in range(0, out.size, BLOCK):
-            out[i:i + BLOCK] = _decode_arrays(
-                flags[i:i + BLOCK], codes[i:i + BLOCK], table, strict, i)
+            key = np.left_shift(flags[i:i + BLOCK], 8, dtype=np.uint16)
+            key |= codes[i:i + BLOCK]
+            if strict and (key == NEGATIVE_ZERO).any():
+                idx = i + int(np.argmax(key == NEGATIVE_ZERO))
+                raise NonCanonicalCode(f"negative-zero small code at index {idx}")
+            out[i:i + BLOCK] = table[key]
     return out.reshape(q.codes.shape)
 
 

@@ -11,14 +11,15 @@ is in cache: it widens x, forms |x - a| for each approximation a (the
 leaf's ``fake_quant``, or a given array's leaf, widened) and takes the
 leaf's partial sums and max. The partials are added up the same tree. A
 region row sums its region's compacted errors, whose tree splits on the
-region's count: the counts are taken first, and each region's errors are
-staged in a leaf-sized buffer that is summed whenever a leaf of its tree
-fills. A sum that overflows binary64 reruns the pass on values scaled by
-2**-k. The pass builds no n-element float temporary; the finiteness checks'
-masks (1 B/elem) and the sweep's sort are a report's only input-sized
-allocations, but for one rare path: a pair whose difference overflows
-binary64 (opposite signs near +-1e308) retakes the pass on whole-array
-halves of both operands.
+region's count: the counts are taken first, each element's region read from
+the codec's ``_region_index`` (this module compares no thresholds), and
+each region's errors are staged in a leaf-sized buffer that is summed
+whenever a leaf of its tree fills. A sum that overflows binary64 reruns the
+pass on values scaled by 2**-k. The pass builds no n-element float
+temporary; the finiteness checks' masks (1 B/elem) and the sweep's sort are
+a report's only input-sized allocations, but for one rare path: a pair
+whose difference overflows binary64 (opposite signs near +-1e308) retakes
+the pass on whole-array halves of both operands.
 
 A lossless tensor has infinite SQNR; the JSON serialization spells that as
 the string "inf".
@@ -249,15 +250,13 @@ def _stats(errors: _Column, power=None, e: int = 0) -> dict:
 
 
 def _pair_stats(ref, approx):
-    """(power, stats) of a checked, non-empty ref and an approx of its shape:
+    """(power, stats) of a checked ref and an approx of its shape:
     the (s, e) pair of the reference's power and ``_stats`` of |ref - approx|.
 
     One leaf pass, unless a difference overflowed binary64; the errors are
     then retaken from whole-array halves of both operands, and scaled back.
     """
     r, a = (np.asarray(v).reshape(-1) for v in (ref, approx))
-    if r.size == 0:
-        raise EmptyTensor("metrics need at least one element")
     power, err = _report(r, [a])
     power, e = power.sums[0], int(err.top == math.inf)
     if e:
@@ -287,13 +286,14 @@ def sqnr_db(ref, approx) -> float:
 
 
 def _region_counts(flat: np.ndarray, cfg: QuantConfig) -> tuple:
-    """Elements of the flat input in each region, small, medium and large
-    (L < H, so |x| > H implies |x| >= L)."""
+    """Elements of the flat input in each region, small, medium and large,
+    by the codec's ``_region_index``: nonzero past small, 2 when large."""
     mid = big = 0
     for lo, hi in _leaves(flat.size):
         ax = np.abs(flat[lo:hi].astype(np.float64, copy=False))
-        mid += int(np.count_nonzero(ax >= cfg.low_threshold))
-        big += int(np.count_nonzero(ax > cfg.high_threshold))
+        index = _region_index(ax, cfg)
+        mid += int(np.count_nonzero(index))
+        big += int(np.count_nonzero(index == 2))
     return flat.size - mid, mid - big, big
 
 
@@ -306,15 +306,17 @@ def _abs_error(b: np.ndarray, approx, lo: int, hi: int) -> np.ndarray:
 
 
 def _report(x: np.ndarray, approximations, regions=None) -> list:
-    """The columns of one pass over the leaves of the checked, non-empty x:
-    |x| (the input's power), then |x - a| of each approximation a, a
-    (cfg, which) pair for fake_quant(x, cfg, which) or a checked array
-    shaped like the flattened x, then, given a config as ``regions``, the
-    first one's errors in each of its regions, small, medium, large.
+    """The columns of one pass over the leaves of the checked x, the one
+    place an empty input raises: |x| (the input's power), then |x - a| of
+    each approximation a, a (cfg, which) pair for fake_quant(x, cfg, which)
+    or a checked array shaped like the flattened x, then, given a config as
+    ``regions``, the first one's errors in each region, small, medium, large.
 
     Each leaf is widened once and stays in cache while every approximation
     of it is formed or sliced, and its errors summed, compacted and staged."""
     flat = x.reshape(-1)
+    if flat.size == 0:
+        raise EmptyTensor("metrics need at least one element")
     counts = _region_counts(flat, regions) if regions else ()
 
     def run(scales):
@@ -350,8 +352,6 @@ def region_breakdown(values, cfg: QuantConfig):
     Returns (small, medium, large) RegionStats; counts sum to n.
     """
     x = check_finite(values)
-    if x.size == 0:
-        raise EmptyTensor("region breakdown needs at least one element")
     return _region_rows(_report(x, [(cfg, "soft_edge")], cfg)[2:], x.size)
 
 
@@ -365,8 +365,6 @@ def _delta(a: float, b: float) -> float:
 def compare_quantizers(values, cfg: QuantConfig) -> ComparisonReport:
     """Side-by-side soft-edge vs baseline INT8 report on one tensor."""
     x = check_finite(values)
-    if x.size == 0:
-        raise EmptyTensor("metrics need at least one element")
     power, se, base, *regions = _report(
         x, [(cfg, "soft_edge"), (cfg, "int8")], cfg)
     power = power.sums[0]
