@@ -96,17 +96,37 @@ class SoftEdgeCode:
         return self.byte - 256 if self.byte >= 128 else self.byte
 
 
+def _canonical(values, dtype, top: int, what: str) -> np.ndarray:
+    """``values`` as a contiguous ``dtype`` array; NonCanonicalCode at the
+    first that is not an integer in [0, top]. An array of ``dtype`` (bool
+    flags, uint8 codes, as the encoder and reader build) is not scanned."""
+    v = np.asarray(values)
+    if v.dtype != dtype:
+        ok = np.zeros(v.shape, bool)  # text, complex, objects: never a code
+        if v.dtype.kind in "biuf":
+            ok = (v >= 0) & (v <= top)
+        if v.dtype.kind == "f":
+            ok &= v == np.floor(v)
+        if not ok.all():
+            idx = int(np.argmax(~ok.reshape(-1)))
+            raise NonCanonicalCode(
+                f"{what} at index {idx} is not an integer in [0, {top}]")
+    return np.ascontiguousarray(v, dtype=dtype)
+
+
 @dataclass
 class QuantizedTensor:
-    """Encoded tensor: per-element SE flags and code bytes plus the config."""
+    """Encoded tensor: per-element SE flags and code bytes plus the config.
+    A flag is a bool, 0 or 1, a code an integer in 0..255; any other (2, -1,
+    5.7, 300) raises NonCanonicalCode with its index instead of a cast."""
 
     config: QuantConfig
     flags: np.ndarray  # bool, shape (n,)
     codes: np.ndarray  # uint8, shape (n,)
 
     def __post_init__(self):
-        self.flags = np.ascontiguousarray(self.flags, dtype=bool)
-        self.codes = np.ascontiguousarray(self.codes, dtype=np.uint8)
+        self.flags = _canonical(self.flags, bool, 1, "SE flag")
+        self.codes = _canonical(self.codes, np.uint8, 0xFF, "code byte")
         if self.flags.shape != self.codes.shape:
             raise LengthMismatch(
                 f"flags ({self.flags.shape}) and codes ({self.codes.shape}) differ"
@@ -272,8 +292,7 @@ def _blocked(values, dtype, kernel):
     shaped like them. Every kernel step is elementwise, so the bits are those
     of one pass. A widened block with a NaN/inf sends the whole input to
     ``check_finite``, which raises with the index; an input that is not
-    bool, integer or real float (its cast could drop a NaN or parse text)
-    goes there first."""
+    bool, integer or real float goes there first, which rejects it."""
     x = np.asarray(values)
     if x.dtype.kind not in "biuf":
         check_finite(x)

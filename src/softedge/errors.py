@@ -8,7 +8,9 @@ from :class:`ValidationError`; genuine I/O failures wrap the OS error in
 check: it returns the array it checked, in the caller's own dtype, or raises
 the caller's error class with ``index`` set to the first bad value. A value
 is bad if it is NaN, infinite, or does not fit the binary64 every caller
-widens to.
+widens to. Any other dtype than bool, integer or real float then raises
+TypeError: a cast to float would drop an imaginary part, count days or
+parse text.
 """
 
 import numbers
@@ -108,10 +110,13 @@ def check_number(v, error, name: str) -> float:
 
 def check_finite(values, error=NonFiniteInput, where: str = "") -> np.ndarray:
     """``values`` as an array; ``error``, with ``index``, at its first NaN/inf
-    or, in a dtype wider than binary64, its first value beyond binary64."""
+    or, in a dtype wider than binary64, its first value beyond binary64;
+    then TypeError if its dtype is not bool, integer or real float."""
     x = np.asarray(values)
-    bad = ~np.isfinite(x)
-    wide = x.dtype.kind == "f" and np.finfo(x.dtype).max > _BINARY64_MAX
+    kind = x.dtype.kind
+    # text and objects hold nothing np.isfinite can test: only the TypeError
+    bad = ~np.isfinite(x) if kind in "biufcmM" else np.zeros(0, bool)
+    wide = kind == "f" and np.finfo(x.dtype).max > _BINARY64_MAX
     if wide:
         bad |= np.abs(x) > _BINARY64_MAX
     if bad.any():
@@ -121,4 +126,7 @@ def check_finite(values, error=NonFiniteInput, where: str = "") -> np.ndarray:
         e = error(f"{where}{what} at index {idx}")
         e.index = idx
         raise e
+    if kind not in "biuf":
+        raise TypeError(f"{where}a tensor must hold bool, integer or real "
+                        f"float values, not dtype {x.dtype}")
     return x

@@ -84,9 +84,30 @@ def _unit(z: np.ndarray, open_zero: bool = False) -> np.ndarray:
     return bits * _INV_2_53
 
 
+def _integer(v, name: str) -> int:
+    """``v`` as an int; InvalidSpec unless it is an integer, not a bool."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise InvalidSpec(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
+def _draw_args(seed, start, n, pairs: bool = False) -> tuple:
+    """(seed, start, n) as ints; InvalidSpec unless each is an integer,
+    start and n are >= 0, and the draw's counters, n of them or 2*ceil(n/2)
+    for Box-Muller ``pairs``, stay below 2**64."""
+    seed, start, n = (_integer(v, name) for v, name in
+                      ((seed, "seed"), (start, "start"), (n, "n")))
+    if start < 0 or n < 0 or (
+            start + (_gaussian_counters(n) if pairs else n) > 1 << 64):
+        raise InvalidSpec(f"start and n must be >= 0 and the last counter "
+                          f"below 2**64, got start={start}, n={n}")
+    return seed, start, n
+
+
 def uniforms(seed: int, start: int, n: int, open_zero: bool = False) -> np.ndarray:
     """n uniform doubles from counters [start, start+n); [0,1) by default,
     (0,1] with open_zero (safe under log)."""
+    seed, start, n = _draw_args(seed, start, n)
     z = np.arange(start, start + n, dtype=np.uint64)
     return _unit(_mix(seed, z), open_zero)
 
@@ -110,6 +131,7 @@ def _gaussians_into(seed: int, start: int, out: np.ndarray) -> None:
 def gaussians(seed: int, start: int, n: int) -> np.ndarray:
     """n standard normals via Box-Muller over counters
     [start, start + 2*ceil(n/2))."""
+    seed, start, n = _draw_args(seed, start, n, pairs=True)
     out = np.empty(n)
     for i in range(0, n, BLOCK):
         _gaussians_into(seed, start + i, out[i:i + BLOCK])
@@ -134,9 +156,7 @@ class DistSpec:
         if self.kind not in KINDS:
             raise InvalidSpec(f"unknown distribution kind {self.kind!r}")
         for f in ("n", "seed", "degrees_of_freedom"):
-            v = getattr(self, f)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise InvalidSpec(f"{f} must be an integer, got {v!r}")
+            _integer(getattr(self, f), f)
         for f in ("mean", "std", "outlier_fraction", "outlier_low", "outlier_high"):
             object.__setattr__(self, f, check_number(getattr(self, f), InvalidSpec, f))
         if not 0 <= self.n <= SIZE_MAX:

@@ -127,6 +127,15 @@ class TestSeDecode:
     def test_minus_128_accepted_defensively(self, unit_cfg):
         assert se_decode(SoftEdgeCode(0, 0x80), unit_cfg) == -128.0
 
+    @pytest.mark.parametrize("code", [SoftEdgeCode(2, 5), SoftEdgeCode(1, 5.7),
+                                      SoftEdgeCode(-1, 3), SoftEdgeCode(1, 256)],
+                             ids=["flag_2", "fractional_byte", "flag_minus_1",
+                                  "byte_256"])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_non_code_rejected(self, code, strict, unit_cfg):
+        with pytest.raises(NonCanonicalCode, match="index 0"):
+            se_decode(code, unit_cfg, strict)
+
 
 class TestInt8Baseline:
     def test_clips_outlier(self, unit_cfg):
@@ -281,6 +290,33 @@ class TestTensorCodec:
         q = encode_tensor([], unit_cfg)
         assert len(q) == 0
         assert decode_tensor(q).size == 0
+
+    @pytest.mark.parametrize("flags, codes, what, index", [
+        ([0, 2], [5, 6], "SE flag", 1),
+        ([0.5, 1], [5, 6], "SE flag", 0),
+        ([0, 1, -1], [5, 6, 7], "SE flag", 2),
+        ([0, 1], [5.7, 6.2], "code byte", 0),
+        ([0, 1], np.array([300.0, 6.0]), "code byte", 0),
+        ([0, 1], [300, 6], "code byte", 0),
+        ([0, 1], [6, -1], "code byte", 1),
+        ([0, 1], [6, np.nan], "code byte", 1),
+        ([True, False], ["5", "6"], "code byte", 0),
+    ])
+    def test_quantized_tensor_holds_only_codes(self, flags, codes, what, index,
+                                               unit_cfg):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonCanonicalCode, match=f"{what} at index {index}"):
+                QuantizedTensor(unit_cfg, flags, codes)
+
+    def test_quantized_tensor_takes_integer_codes(self, unit_cfg):
+        want = QuantizedTensor(unit_cfg, np.array([False, True]),
+                               np.array([5, 255], np.uint8))
+        for flags, codes in (([0, 1], [5, 255]), ([0.0, 1.0], [5.0, 255.0]),
+                             (np.array([0, 1], np.uint64), np.array([5, 255]))):
+            q = QuantizedTensor(unit_cfg, flags, codes)
+            assert q == want
+            assert (q.flags.dtype, q.codes.dtype) == (bool, np.uint8)
 
 
 def _one_pass(x, cfg):

@@ -32,6 +32,18 @@ from softedge.errors import (
 )
 
 
+@pytest.mark.parametrize("stat", [
+    mse, sqnr_db,
+    lambda x, _: compare_quantizers(x, derive_config(1.0)),
+    lambda x, _: region_breakdown(x, derive_config(1.0)),
+    lambda x, _: run_report(make_params(3, 1), x, derive_config(1.0)),
+], ids=["mse", "sqnr_db", "compare_quantizers", "region_breakdown",
+        "run_report"])
+def test_every_statistic_needs_an_element(stat):
+    with pytest.raises(EmptyTensor, match="^metrics need at least one element$"):
+        stat(np.zeros(0), np.zeros(0))
+
+
 class TestMse:
     def test_identical_is_zero(self):
         assert mse([1, 2], [1, 2]) == 0.0

@@ -82,6 +82,32 @@ class TestPrng:
         b = gaussians(3, 0, 8)
         np.testing.assert_array_equal(a, b[:7])
 
+    @pytest.mark.parametrize("draw", [uniforms, gaussians])
+    @pytest.mark.parametrize("args, match", [
+        ((1.5, 0, 2), "seed must be an integer"),
+        ((True, 0, 2), "seed must be an integer"),
+        ((0, 0.0, 2), "start must be an integer"),
+        ((0, np.bool_(True), 2), "start must be an integer"),
+        ((0, 0, 1.5), "n must be an integer"),
+        ((0, 0, "2"), "n must be an integer"),
+        ((0, -1, 3), "start and n must be >= 0"),
+        ((0, 0, -3), "start and n must be >= 0"),
+        ((0, 2**64 - 1, 2), r"last counter below 2\*\*64"),
+        ((0, 2**64, 1), r"last counter below 2\*\*64"),
+    ])
+    def test_draw_arguments_follow_the_integer_rule(self, draw, args, match):
+        with pytest.raises(InvalidSpec, match=match):
+            draw(*args)
+
+    def test_draws_reach_the_last_counter(self):
+        last = [2**64 - 2, 2**64 - 1]
+        got = uniforms(5, np.uint64(last[0]), np.int32(2), open_zero=True)
+        want = _unit(_splitmix64_at(5, np.array(last, np.uint64)), True)
+        assert got.tobytes() == want.tobytes()
+        assert gaussians(5, last[0], 2).size == 2
+        with pytest.raises(InvalidSpec):
+            gaussians(5, last[1], 1)  # a Box-Muller pair takes two counters
+
 
 class TestBlocks:
     @settings(max_examples=40, deadline=None)

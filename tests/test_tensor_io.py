@@ -1,9 +1,11 @@
 import hashlib
 import math
 import os
+import re
 import struct
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -519,6 +521,29 @@ def test_beyond_binary64_raises_documented_error(entry):
     with pytest.raises(error, match="beyond binary64 at index 1") as ei:
         call(v)
     assert ei.value.index == 1
+
+
+# Finite values whose cast to float would drop a part or count days.
+_NOT_REAL = {
+    "complex128": np.array([1 + 2j, 0.5, 3.0]),
+    "datetime64": np.array(["2020-01-01", "2020-01-02", "2020-01-03"],
+                           dtype="datetime64[D]"),
+    "timedelta64": np.array([1, 2, 3], dtype="timedelta64[s]"),
+}
+
+
+@pytest.mark.parametrize("values", _NOT_REAL.values(), ids=_NOT_REAL)
+@pytest.mark.parametrize("entry", [*_ENTRY_POINTS, "write_tensor"])
+def test_entry_points_reject_tensors_that_are_not_real(entry, values,
+                                                       tmp_path):
+    call = (_ENTRY_POINTS[entry][0] if entry in _ENTRY_POINTS
+            else lambda v: write_tensor(tmp_path / "t.qsef", v))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TypeError, match=re.escape(str(values.dtype))):
+            call(values)
+    assert caught == []
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("scalar", [classify, se_encode, int8_encode,
