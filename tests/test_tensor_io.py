@@ -523,12 +523,14 @@ def test_beyond_binary64_raises_documented_error(entry):
     assert ei.value.index == 1
 
 
-# Finite values whose cast to float would drop a part or count days.
+# Finite values whose cast to float would drop a part, count days or parse
+# text.
 _NOT_REAL = {
     "complex128": np.array([1 + 2j, 0.5, 3.0]),
     "datetime64": np.array(["2020-01-01", "2020-01-02", "2020-01-03"],
                            dtype="datetime64[D]"),
     "timedelta64": np.array([1, 2, 3], dtype="timedelta64[s]"),
+    "str": np.array(["1.5", "2", "3"]),
 }
 
 
