@@ -14,14 +14,14 @@ Zero always encodes as flag 1, byte 0x00; the negative-zero pattern
 (sign=1, region=0, m=0) is never emitted and rejected on strict decode.
 
 Rows are read from the config where used; no per-config state is kept. One
-magnitude kernel serves encode and fake-quant: m = min(floor(a / step +
-0.5), top), half away from zero, then the value offset + m * step. Most
-values are small, so every a = |x| takes the small row; only those at |x|
->= L are redone with the medium row, and those above H, as a = |x| - H,
-with the large row. The 512-entry decode table, indexed by flag<<8 | byte,
-is built from the same value expression wherever it is read, so fake-quant
-is decode-then-cast. The INT8 baseline (hard clip at +/-127*scale) rounds
-with the medium row. The binary32 rule, in ``fake_quant`` and a binary32
+magnitude kernel serves encode and fake-quant: m = min(floor(a / step + 0.5),
+top), half away from zero, then the value offset + m * step. Most values are
+small, so every a = |x| takes the small row; ``_regions`` picks those at |x|
+>= L to redo with the medium row, and those above H, as a = |x| - H, with the
+large row. The 512-entry decode table, indexed by flag<<8 | byte, is built
+from the same value expression wherever it is read, so fake-quant is
+decode-then-cast. The INT8 baseline (hard clip at +/-127*scale) rounds with
+the medium row. The binary32 rule, in ``fake_quant`` and a binary32
 ``decode_tensor``: a value beyond binary32 casts to +/-inf, quietly.
 """
 
@@ -161,11 +161,12 @@ class TraceRecord:
     abs_error: float
 
 
-def _region_index(ax, cfg: QuantConfig):
-    """Region of each magnitude |x|: 0 small (< L), 1 medium, 2 large (> H).
-    The boundaries |x| = L and |x| = H are medium."""
-    return np.add(ax >= cfg.low_threshold, ax > cfg.high_threshold,
-                  dtype=np.uint8)
+def _regions(ax: np.ndarray, cfg: QuantConfig):
+    """The indices of |x| >= L in the 1-d ax = |x|, their magnitudes, and the
+    positions among them of |x| > H, in input order; |x| = L, H are medium."""
+    mid = np.flatnonzero(ax >= cfg.low_threshold)
+    medium = ax.take(mid)
+    return mid, medium, np.flatnonzero(medium > cfg.high_threshold)
 
 
 # The key layout, written once: region index, sign bit and magnitude (the
@@ -228,12 +229,10 @@ def _round(a: np.ndarray, step, top) -> np.ndarray:
 def _kernel(x: np.ndarray, cfg: QuantConfig, offset, step) -> np.ndarray:
     """The one magnitude kernel: offset[r] + m * step[r] of each element of
     the 1-d float64 x, m and r being its rounded magnitude and region. Every
-    |x| is rounded with the small row; only those at |x| >= L are redone with
-    the medium row, and those above H, as |x| - H, with the large row."""
+    |x| is rounded with the small row; the ``_regions`` sets at |x| >= L are
+    redone with the medium row, those above H, as |x| - H, with the large."""
     ax = np.abs(x)
-    mid = np.flatnonzero(ax >= cfg.low_threshold)
-    medium = ax.take(mid)
-    big = np.flatnonzero(medium > cfg.high_threshold)
+    mid, medium, big = _regions(ax, cfg)
     rows = zip((ax, medium, medium.take(big) - cfg.high_threshold),
                _rows(cfg)[1], _TOP)
     out, medium, large = (_value(_round(*row), offset[r], step[r])
@@ -265,7 +264,8 @@ def _one(x: float) -> np.ndarray:
 def classify(x: float, cfg: QuantConfig) -> RegionClass:
     """Three-way region classification; boundaries |x| = L and |x| = H are
     Medium."""
-    return _REGIONS[_region_index(np.abs(_one(x)), cfg)[0]]
+    mid, _, big = _regions(np.abs(_one(x)), cfg)
+    return _REGIONS[mid.size + big.size]
 
 
 def se_encode(x: float, cfg: QuantConfig) -> SoftEdgeCode:

@@ -11,15 +11,16 @@ is in cache: it widens x, forms |x - a| for each approximation a (the
 leaf's ``fake_quant``, or a given array's leaf, widened) and takes the
 leaf's partial sums and max. The partials are added up the same tree. A
 region row sums its region's compacted errors, whose tree splits on the
-region's count: the counts are taken first, each element's region read from
-the codec's ``_region_index`` (this module compares no thresholds), and
-each region's errors are staged in a leaf-sized buffer that is summed
-whenever a leaf of its tree fills. A sum that overflows binary64 reruns the
-pass on values scaled by 2**-k. The pass builds no n-element float
-temporary; the finiteness checks' masks (1 B/elem) and the sweep's sort are
-a report's only input-sized allocations, but for one rare path: a pair
-whose difference overflows binary64 (opposite signs near +-1e308) retakes
-the pass on whole-array halves of both operands.
+region's count: the counts are taken first, as the sizes of the index sets
+of the codec's ``_regions`` (this module compares no thresholds), which
+split each leaf's errors in input order; each region's are staged in a
+leaf-sized buffer that is summed whenever a leaf of its tree fills. A sum
+that overflows binary64 reruns the pass on values scaled by 2**-k. The
+pass builds no n-element float temporary; the finiteness checks' masks
+(1 B/elem) and the sweep's sort are a report's only input-sized
+allocations, but for one rare path: a pair whose difference overflows
+binary64 (opposite signs near +-1e308) retakes the pass on whole-array
+halves of both operands.
 
 A lossless tensor has infinite SQNR; the JSON serialization spells that as
 the string "inf".
@@ -42,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .calibration import QuantConfig, calibrate_grid
-from .codec import BLOCK as LEAF, RegionClass, _region_index, fake_quant
+from .codec import BLOCK as LEAF, RegionClass, _regions, fake_quant
 from .errors import EmptyTensor, LengthMismatch, ZeroSignal, check_finite
 
 __all__ = [
@@ -286,14 +287,13 @@ def sqnr_db(ref, approx) -> float:
 
 
 def _region_counts(flat: np.ndarray, cfg: QuantConfig) -> tuple:
-    """Elements of the flat input in each region, small, medium and large,
-    by the codec's ``_region_index``: nonzero past small, 2 when large."""
+    """Elements of the flat input in each region, small, medium and large:
+    the sizes of the codec's ``_regions`` index sets, leaf by leaf."""
     mid = big = 0
     for lo, hi in _leaves(flat.size):
         ax = np.abs(flat[lo:hi].astype(np.float64, copy=False))
-        index = _region_index(ax, cfg)
-        mid += int(np.count_nonzero(index))
-        big += int(np.count_nonzero(index == 2))
+        m, _, b = _regions(ax, cfg)
+        mid, big = mid + m.size, big + b.size
     return flat.size - mid, mid - big, big
 
 
@@ -332,10 +332,12 @@ def _report(x: np.ndarray, approximations, regions=None) -> list:
             rows[0].push(first)
             for row, a in zip(rows[1:], approximations[1:]):
                 row.push(_abs_error(b, a, lo, hi))
-            if regions:
-                index = _region_index(ax, regions)
-                for i, column in enumerate(by_region):
-                    column.push(first[index == i])
+            if regions:  # split by the codec's index sets, in input order
+                mid, _, big = _regions(ax, regions)
+                e = first.take(mid)
+                for column, v in zip(by_region, (np.delete(first, mid),
+                                                 np.delete(e, big), e.take(big))):
+                    column.push(v)
         return [power, *rows, *by_region]
     return _rerun(run)
 

@@ -21,7 +21,6 @@ from softedge import (
     sweep,
 )
 from softedge import calibration, codec, errors, metrics, ssm
-from softedge.codec import _region_index
 from softedge.ssm import SsmParams, make_params, run_report
 from softedge.synth import DistSpec, generate
 from softedge.errors import (
@@ -30,6 +29,13 @@ from softedge.errors import (
     NonFiniteInput,
     ZeroSignal,
 )
+
+
+def _region_index(ax, cfg):
+    """The region oracle, written out: 0 small (< L), 1 medium, 2 large (> H)
+    of each magnitude; without the dtype, np.add of two bools is an or."""
+    return np.add(ax >= cfg.low_threshold, ax > cfg.high_threshold,
+                  dtype=np.uint8)
 
 
 @pytest.mark.parametrize("stat", [
