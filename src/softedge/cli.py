@@ -23,13 +23,17 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _fmt(v) -> str:
-    """Compact numeric formatting: integral floats lose the trailing .0."""
-    if isinstance(v, float):
-        if math.isfinite(v) and v == int(v) and abs(v) < 1e15:
-            return str(int(v))
-        return repr(v)
-    return str(v)
+def _fmt(v: float) -> str:
+    """Compact float formatting: integral values lose the trailing .0."""
+    if math.isfinite(v) and v == int(v) and abs(v) < 1e15:
+        return str(int(v))
+    return repr(v)
+
+
+def _given(args, *names) -> dict:
+    """The options among ``names`` that the command line set; its parser
+    suppresses the rest, so the library applies its own defaults."""
+    return {k: v for k, v in vars(args).items() if k in names}
 
 
 def _load_config(path) -> calibration.QuantConfig:
@@ -48,9 +52,8 @@ def cmd_calibrate(args) -> int:
     values = tensor_io.read_tensor(args.input)
     if values.size == 0:
         raise EmptyTensor("empty calibration tensor")
-    cfg = calibration.calibrate(
-        values, args.percentile, args.fine_divisor, args.coarse_multiplier
-    )
+    cfg = calibration.calibrate(values, args.percentile, **_given(
+        args, "fine_divisor", "coarse_multiplier"))
     _write_text(args.out, cfg.to_json() + "\n")
     print(f"scale={_fmt(cfg.scale)} L={_fmt(cfg.low_threshold)} "
           f"H={_fmt(cfg.high_threshold)}")
@@ -89,17 +92,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = synth.DistSpec(
-        kind=args.dist,
-        n=args.n,
-        seed=args.seed,
-        mean=args.mean,
-        std=args.std,
-        outlier_fraction=args.outlier_fraction,
-        outlier_low=args.outlier_low,
-        outlier_high=args.outlier_high,
-        degrees_of_freedom=args.df,
-    )
+    spec = synth.DistSpec(kind=args.dist, n=args.n, seed=args.seed, **_given(
+        args, "mean", "std", "outlier_fraction", "outlier_low", "outlier_high",
+        "degrees_of_freedom"))
     values = synth.generate(spec, dtype="<f4")
     nbytes = tensor_io.write_tensor(args.out, values)
     print(f"n={spec.n} bytes={nbytes}")
@@ -133,8 +128,8 @@ def cmd_sweep(args) -> int:
     values = tensor_io.read_tensor(args.input)
     if values.size == 0:
         raise EmptyTensor("empty input tensor")
-    rows = metrics.sweep(values, args.percentiles, args.fine_divisors,
-                         args.coarse_multipliers)
+    rows = metrics.sweep(values, args.percentiles, **_given(
+        args, "fine_divisors", "coarse_multipliers"))
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(SWEEP_COLUMNS)
@@ -172,11 +167,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("calibrate", help="percentile-calibrate a scale")
+    p = sub.add_parser("calibrate", help="percentile-calibrate a scale",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--input", required=True, help="QSEF calibration tensor")
     p.add_argument("--percentile", type=float, required=True)
-    p.add_argument("--fine-divisor", type=float, default=4.0)
-    p.add_argument("--coarse-multiplier", type=float, default=4.0)
+    p.add_argument("--fine-divisor", type=float)
+    p.add_argument("--coarse-multiplier", type=float)
     p.add_argument("--out", required=True, help="output config JSON")
     p.set_defaults(func=cmd_calibrate)
 
@@ -200,16 +196,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="default: stdout")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("synth", help="generate a synthetic QSEF tensor")
+    p = sub.add_parser("synth", help="generate a synthetic QSEF tensor",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--dist", required=True, choices=synth.KINDS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--mean", type=float, default=0.0)
-    p.add_argument("--std", type=float, default=1.0)
-    p.add_argument("--outlier-fraction", type=float, default=0.001)
-    p.add_argument("--outlier-low", type=float, default=10.0)
-    p.add_argument("--outlier-high", type=float, default=30.0)
-    p.add_argument("--df", type=int, default=4)
+    p.add_argument("--mean", type=float)
+    p.add_argument("--std", type=float)
+    p.add_argument("--outlier-fraction", type=float)
+    p.add_argument("--outlier-low", type=float)
+    p.add_argument("--outlier-high", type=float)
+    p.add_argument("--df", type=int, dest="degrees_of_freedom", metavar="DF")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -223,13 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True, help="output report JSON")
     p.set_defaults(func=cmd_ssm)
 
-    p = sub.add_parser("sweep", help="grid sweep over calibration settings")
+    p = sub.add_parser("sweep", help="grid sweep over calibration settings",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--input", required=True)
     p.add_argument("--percentiles", type=_float_list, required=True,
                    help="comma-separated")
-    p.add_argument("--fine-divisors", type=_float_list, default=[4.0],
-                   help="comma-separated")
-    p.add_argument("--coarse-multipliers", type=_float_list, default=[4.0],
+    p.add_argument("--fine-divisors", type=_float_list, help="comma-separated")
+    p.add_argument("--coarse-multipliers", type=_float_list,
                    help="comma-separated")
     p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(func=cmd_sweep)
