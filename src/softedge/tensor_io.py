@@ -115,15 +115,15 @@ def _read_body(path, magic: bytes) -> tuple[int, np.ndarray]:
 
 def write_tensor(path, values) -> int:
     """Write a float tensor as QSEF; returns the byte count written."""
-    # check_finite rejects a dtype not bool, integer or float. The cast reads
-    # ``values`` itself: a list of large integers cast through int64 would
-    # round twice.
-    if np.asarray(values).dtype.kind not in "biuf":
-        check_finite(values, NonFiniteValue, f"{path}: ")
+    # One conversion, so a list of integers rounds once, as its int64 array
+    # does; check_finite rejects a dtype not bool, integer or float.
+    x = np.asarray(values)
+    if x.dtype.kind not in "biuf":
+        check_finite(x, NonFiniteValue, f"{path}: ")
     # Check the binary32 payload, as read_tensor does: a value beyond binary32
     # casts to +/-inf and is rejected like a NaN; a signalling NaN casts quiet.
     with np.errstate(over="ignore", invalid="ignore"):
-        v = np.ascontiguousarray(values, dtype="<f4")
+        v = np.ascontiguousarray(x, dtype="<f4")
     check_finite(v, NonFiniteValue, f"{path}: in binary32, ")
     return _write_bytes(path, HEADER.pack(FLOAT_MAGIC, VERSION, v.size), v)
 

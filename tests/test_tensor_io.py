@@ -220,6 +220,18 @@ class TestPackedFormat:
         with pytest.raises(InvalidConfig):
             read_packed(p)
 
+    @pytest.mark.parametrize("field", [3, 4],
+                             ids=["fine_divisor", "coarse_multiplier"])
+    def test_config_divisor_below_one_rejected(self, tmp_path, field):
+        p = tmp_path / "t.qse"
+        write_packed(p, self._tensor(3))
+        raw = bytearray(p.read_bytes())
+        struct.pack_into("<d", raw, 16 + 8 * field, 0.5)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(InvalidConfig, match=re.escape(
+                f"{p}: fine_divisor and coarse_multiplier must be >= 1")):
+            read_packed(p)
+
     def test_truncated(self, tmp_path):
         p = tmp_path / "t.qse"
         q = self._tensor(10)
@@ -406,6 +418,32 @@ def test_write_tensor_keeps_every_bit_or_writes_nothing(tmp_path_factory,
         write_tensor(p, np.array(values, dtype=np.float64))
         assert p.read_bytes()[16:] == b"".join(packed)
         assert read_tensor(p).tobytes() == b"".join(packed)
+
+
+def _nearest_binary32(v: int) -> int:
+    """The binary32 value nearest the integer v in [2**55, 2**63), ties to
+    even, in integer arithmetic."""
+    ulp = 1 << (v.bit_length() - 24)
+    q, r = divmod(v, ulp)
+    return (q + (2 * r > ulp or (2 * r == ulp and q % 2 == 1))) * ulp
+
+
+def test_integer_list_rounds_once(tmp_path):
+    """A list of integers near binary32 midpoints, where rounding through
+    binary64 first can go wrong, writes the bytes of its int64 array: the
+    nearest binary32 values. 2**60 + 2**36 + 1 went to 2**60 that way."""
+    rng = np.random.default_rng(5)
+    values = [2**60 + 2**36 + 1]
+    for e in rng.integers(55, 63, 200):
+        k = int(rng.integers(2**23, 2**24))
+        mid = (2 * k + 1) << (int(e) - 24)
+        values.append(mid + int(rng.integers(-2, 3)))
+    p = tmp_path / "ints.qsef"
+    write_tensor(p, values)
+    nearest = np.array([_nearest_binary32(v) for v in values], np.float64)
+    assert p.read_bytes()[16:] == nearest.astype("<f4").tobytes()
+    write_tensor(p, np.array(values, np.int64))
+    assert p.read_bytes()[16:] == nearest.astype("<f4").tobytes()
 
 
 @pytest.mark.parametrize("reader", [read_tensor, read_packed])
