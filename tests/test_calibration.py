@@ -203,6 +203,16 @@ class TestQuantConfig:
         with pytest.raises(InvalidConfig, match="steps"):
             QuantConfig.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("field", ["fine_divisor", "coarse_multiplier"])
+    def test_divisor_and_multiplier_below_one(self, field):
+        doc = {**dict(zip(CODEC_FIELDS, (1.0, 1.0, 127.0, 4.0, 4.0))),
+               field: 0.5}
+        message = "^fine_divisor and coarse_multiplier must be >= 1$"
+        with pytest.raises(InvalidConfig, match=message):
+            QuantConfig(**doc)
+        with pytest.raises(InvalidConfig, match=message):
+            QuantConfig.from_json(json.dumps(doc))
+
     def test_steps(self):
         cfg = derive_config(2.0)
         assert cfg.fine_step == 0.5

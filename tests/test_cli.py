@@ -228,6 +228,9 @@ _MALFORMED = {
         ("trace --value 2000 --config {hugecfg}", 2, "steps"),
     "trace-non_utf8_config":
         ("trace --value 1 --config {binarycfg}", 2, "UTF-8"),
+    "trace-fine_divisor_below_one":
+        ("trace --value 1 --config {lowdivcfg}", 2,
+         "fine_divisor and coarse_multiplier must be >= 1"),
 }
 
 # A fine step that underflows to 0 and a coarse step that overflows to inf.
@@ -253,13 +256,15 @@ class TestMalformedInput:
                  "tinycfg": tmp_path / "tiny.json", "hugecfg": tmp_path / "hc.json",
                  "bigscalecfg": tmp_path / "bigscale.json",
                  "tinyqse": tmp_path / "tiny.qse", "binarycfg": tmp_path / "bin.json",
+                 "lowdivcfg": tmp_path / "lowdiv.json",
                  "hugecount": tmp_path / "huge.qsef",
                  "trailing": tmp_path / "trailing.qsef",
                  "hugecountqse": tmp_path / "hugecount.qse",
                  "padbits": tmp_path / "padbits.qse",
                  "negzero": tmp_path / "negzero.qse"}
         paths["badcfg"].write_text('{"scale": 1.0}')
-        for key, fields in (("tinycfg", _TINY_STEP), ("hugecfg", _HUGE_STEP)):
+        for key, fields in (("tinycfg", _TINY_STEP), ("hugecfg", _HUGE_STEP),
+                            ("lowdivcfg", (1.0, 1.0, 127.0, 0.5, 4.0))):
             paths[key].write_text(json.dumps(dict(zip(CODEC_FIELDS, fields))))
         paths["tinyqse"].write_bytes(se.tensor_io.HEADER.pack(b"QSE1", 1, 0)
                                      + se.tensor_io.CONFIG_FIELDS.pack(*_TINY_STEP))

@@ -58,6 +58,10 @@ class TestForward:
                 ssm_forward(p, x)
             assert ei.value.index == index
 
+    def test_input_must_be_one_dimensional(self):
+        with pytest.raises(InvalidParams, match="^input must be 1-D$"):
+            ssm_forward(make_params(4, seed=1), np.zeros((2, 3)))
+
     def test_initial_state(self):
         p = SsmParams(a=[0.5], b=[0.0], c=[1.0], h0=[8.0])
         np.testing.assert_array_equal(ssm_forward(p, [0.0, 0.0]), [4.0, 2.0])

@@ -1,12 +1,18 @@
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import softedge
 from softedge.errors import InvalidSpec
 from softedge.synth import (
     BLOCK,
@@ -259,6 +265,65 @@ def test_multi_block_digest(kind, seed):
     v = generate(DistSpec(kind=kind, n=MULTI_BLOCK_N, seed=seed))
     digest = hashlib.sha256(v.tobytes()).hexdigest()
     assert digest == MULTI_BLOCK_SHA256[kind, seed]
+
+
+# The binary32 chain of every kind at n = 3 * BLOCK + 5, seed 9001: synth,
+# calibration, encode, binary32 decode and the report, hashed. No float64
+# synth output is hashed: its bits may change with numpy's SIMD dispatch.
+_BINARY32_CHAIN = """
+import hashlib
+from softedge import calibrate, compare_quantizers, decode_tensor, encode_tensor
+from softedge.synth import BLOCK, KINDS, DistSpec, generate
+
+def chain_digest():
+    h = hashlib.sha256()
+    for kind in KINDS:
+        x = generate(DistSpec(kind=kind, n=3 * BLOCK + 5, seed=9001), "<f4")
+        cfg = calibrate(x, 99.99)
+        q = encode_tensor(x, cfg)
+        for part in (x.tobytes(), cfg.to_json().encode(), q.flags.tobytes(),
+                     q.codes.tobytes(),
+                     decode_tensor(q, dtype="<f4").tobytes(),
+                     compare_quantizers(x, cfg).to_json().encode()):
+            h.update(part)
+    return h.hexdigest()
+"""
+
+_CPU_STATE = """
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as umath
+"""
+
+
+def test_binary32_chain_is_the_same_without_simd_dispatch():
+    """The chain run in a subprocess whose numpy has every dispatched SIMD
+    feature this CPU offers switched off (NPY_DISABLE_CPU_FEATURES, which
+    takes only dispatched names) hashes as it does here, with no warning."""
+    ns = {}
+    exec(_CPU_STATE + _BINARY32_CHAIN, ns)
+    umath = ns["umath"]
+    off = [f for f in getattr(umath, "__cpu_dispatch__", ())
+           if umath.__cpu_features__.get(f)]
+    if not off:
+        pytest.skip("numpy dispatches no SIMD feature on this CPU")
+    src = str(Path(softedge.__file__).parents[1])
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(off),
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = _CPU_STATE + _BINARY32_CHAIN + f"""
+import json
+print(json.dumps({{"on": [f for f in {off!r} if umath.__cpu_features__.get(f)],
+                  "digest": chain_digest()}}))
+"""
+    run = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    if out["on"]:
+        pytest.skip(f"numpy left {' '.join(out['on'])} on")
+    assert out["digest"] == ns["chain_digest"]()
 
 
 class TestSpecValidation:
