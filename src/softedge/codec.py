@@ -14,14 +14,18 @@ Zero always encodes as flag 1, byte 0x00; the negative-zero pattern
 (sign=1, region=0, m=0) is never emitted and rejected on strict decode.
 
 Rows are read from the config where used; no per-config state is kept. One
-magnitude kernel serves encode and fake-quant: m = min(floor(a / step + 0.5),
-top), half away from zero, then the value offset + m * step. Most values are
-small, so every a = |x| takes the small row; ``_regions`` picks those at |x|
->= L to redo with the medium row, and those above H, as a = |x| - H, with the
-large row. The 512-entry decode table, indexed by flag<<8 | byte, is built
-from the same value expression wherever it is read, so fake-quant is
-decode-then-cast. The INT8 baseline (hard clip at +/-127*scale) rounds with
-the medium row. The binary32 rule, in ``fake_quant`` and a binary32
+magnitude kernel, over a = |x|, serves encode, fake-quant and the reports:
+m = min(floor(a / step + 0.5), top), half away from zero, then the value
+offset + m * step. Most values are small, so every a takes the small row;
+``_regions`` picks those at |x| >= L to redo with the medium row, and those
+above H, as a = |x| - H, with the large row. The encoder reads region and m
+from it and takes the sign from x < 0. ``_magnitude`` is the one value of
+|x| for either quantizer: the kernel's value, or for the INT8 baseline (hard
+clip at +/-127*scale) the medium row's code times the scale. ``fake_quant``
+signs it like x; the metrics' reports subtract it from |x|. The 512-entry
+decode table, indexed by flag<<8 | byte, is built from the same value
+expression wherever it is read, so fake-quant is decode-then-cast. The
+binary32 rule, in ``_magnitude``, ``fake_quant`` and a binary32
 ``decode_tensor``: a value beyond binary32 casts to +/-inf, quietly.
 """
 
@@ -217,21 +221,21 @@ def _decode_table(cfg: QuantConfig) -> np.ndarray:
 # to the top code; that overflow is expected, not an error.
 @np.errstate(over="ignore")
 def _round(a: np.ndarray, step, top) -> np.ndarray:
-    """The one rounding rule, min(floor(a / step + 0.5), top), computed in
-    place over the float64 magnitudes ``a`` (>= 0, the large row's already
-    less H), so it rounds half away from zero."""
-    np.divide(a, step, out=a)
-    np.add(a, 0.5, out=a)
-    np.floor(a, out=a)
-    return np.minimum(a, top, out=a)
+    """The one rounding rule, min(floor(a / step + 0.5), top), of the float64
+    magnitudes ``a`` (>= 0, the large row's already less H), as a new array,
+    so it rounds half away from zero."""
+    m = np.divide(a, step)
+    np.add(m, 0.5, out=m)
+    np.floor(m, out=m)
+    return np.minimum(m, top, out=m)
 
 
-def _kernel(x: np.ndarray, cfg: QuantConfig, offset, step) -> np.ndarray:
+def _kernel(ax: np.ndarray, cfg: QuantConfig, offset, step) -> np.ndarray:
     """The one magnitude kernel: offset[r] + m * step[r] of each element of
-    the 1-d float64 x, m and r being its rounded magnitude and region. Every
-    |x| is rounded with the small row; the ``_regions`` sets at |x| >= L are
-    redone with the medium row, those above H, as |x| - H, with the large."""
-    ax = np.abs(x)
+    the 1-d float64 magnitudes ax = |x|, m and r being its rounded magnitude
+    and region. Every element is rounded with the small row; the ``_regions``
+    sets at |x| >= L are redone with the medium row, those above H, as
+    |x| - H, with the large."""
     mid, medium, big = _regions(ax, cfg)
     rows = zip((ax, medium, medium.take(big) - cfg.high_threshold),
                _rows(cfg)[1], _TOP)
@@ -242,11 +246,25 @@ def _kernel(x: np.ndarray, cfg: QuantConfig, offset, step) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore")  # the binary32 rule
+def _magnitude(ax: np.ndarray, cfg: QuantConfig, which: str,
+               dtype=np.float32) -> np.ndarray:
+    """|fake_quant| of the 1-d float64 magnitudes ax, as ``dtype``: the
+    kernel's value (soft_edge) or the INT8 code times the scale (int8), cast
+    once, so in binary32 a value beyond it is +inf. The one magnitude behind
+    ``fake_quant`` and the reports."""
+    if which == "soft_edge":
+        m = _kernel(ax, cfg, *_rows(cfg))
+    else:
+        m = _round(ax, cfg.scale, MAX_STANDARD_CODE) * cfg.scale
+    return m.astype(dtype, copy=False)
+
+
 def _encode_index(x: np.ndarray, cfg: QuantConfig) -> np.ndarray:
     """Encoder kernel: flag<<8 | byte (uint16) of each element of x, looked
     up at region << 8 | negative << 7 | m; the kernel with offset region << 8
     and step 1 gives region << 8 | m."""
-    key = _kernel(x, cfg, (0, 256, 512), (1, 1, 1)).astype(np.intp)
+    key = _kernel(np.abs(x), cfg, (0, 256, 512), (1, 1, 1)).astype(np.intp)
     key |= np.left_shift(x < 0, 7, dtype=np.intp)
     return _CODE_INDEX.take(key)
 
@@ -335,18 +353,23 @@ def decode_tensor(q: QuantizedTensor, strict: bool = True,
 
 
 def fake_quant(values, cfg: QuantConfig, which: str = "soft_edge") -> np.ndarray:
-    """Quantize-then-dequantize, cast through binary32.
+    """Quantize-then-dequantize, cast through binary32: the float64
+    ``_magnitude`` of |x| with x's sign, then cast. Soft-edge adds + 0.0
+    first, so an exact zero is +0 and a value that underflows binary32 keeps
+    x's sign; INT8 keeps -0.0 for a negative x that rounds to 0.
 
     ``which`` selects the soft-edge path or the plain INT8 baseline.
     Idempotent: fake_quant(fake_quant(t)) == fake_quant(t) bitwise.
     """
-    if which == "soft_edge":  # x's sign, and + 0.0 makes every zero +0
-        offset, step = _rows(cfg)
-        kernel = lambda b: np.copysign(_kernel(b, cfg, offset, step), b) + 0.0
-    elif which == "int8":
-        kernel = lambda b: _int8_round(b, cfg) * cfg.scale
-    else:
+    if which not in ("soft_edge", "int8"):
         raise ValueError(f"unknown quantizer {which!r}")
+
+    def kernel(b):
+        m = _magnitude(np.abs(b), cfg, which, np.float64)
+        np.copysign(m, b, out=m)
+        if which == "soft_edge":
+            m += 0.0
+        return m
     with np.errstate(over="ignore"):  # the binary32 rule
         return _blocked(values, np.float32, kernel)
 

@@ -7,11 +7,13 @@ of floating point summation", SIAM J. Sci. Comput. 1993): n splits at n/2,
 rounded down to a multiple of 8. Every statistic (``mse``, ``sqnr_db`` and
 ``ssm.run_report`` too) comes from a walk of that tree down to leaves of at
 most ``LEAF`` (2**15) elements that makes one pass over each leaf while it
-is in cache: it widens x, forms |x - a| for each approximation a (the
-leaf's ``fake_quant``, or a given array's leaf, widened) and takes the
-leaf's partial sums and max. The partials are added up the same tree. A
-region row sums its region's compacted errors, whose tree splits on the
-region's count: the counts are taken first, as the sizes of the index sets
+is in cache: it widens x, takes |x| once, forms each row's errors from
+magnitudes, ||x| - m| with m the codec's ``_magnitude``, or |x - a| of a
+given array's leaf (a sweep's coarse twins redo only elements above H),
+and takes the leaf's partial sums and max. No leaf is checked again. The
+partials are added up the same tree. A region row sums
+its region's compacted errors, whose tree splits on the region's count:
+the counts are taken first, as the sizes of the index sets
 of the codec's ``_regions`` (this module compares no thresholds), which
 split each leaf's errors in input order; each region's are staged in a
 leaf-sized buffer that is summed whenever a leaf of its tree fills. A sum
@@ -37,13 +39,13 @@ import functools
 import io
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .calibration import QuantConfig, calibrate_grid
-from .codec import BLOCK as LEAF, RegionClass, _regions, fake_quant
+from .codec import BLOCK as LEAF, RegionClass, _magnitude, _regions
 from .errors import EmptyTensor, LengthMismatch, ZeroSignal, check_finite
 
 __all__ = [
@@ -297,12 +299,25 @@ def _region_counts(flat: np.ndarray, cfg: QuantConfig) -> tuple:
     return flat.size - mid, mid - big, big
 
 
-def _abs_error(b: np.ndarray, approx, lo: int, hi: int) -> np.ndarray:
-    """|b - a| of the widened leaf b = x[lo:hi] and its approximation a."""
-    a = (fake_quant(b, *approx) if isinstance(approx, tuple)
-         else approx[lo:hi].astype(np.float64, copy=False))
-    err = b - a
+def _magnitude_error(ax: np.ndarray, cfg: QuantConfig, which: str):
+    """|ax - m| of the float64 magnitudes ax = |b| of a leaf b and their
+    binary32 m = ``_magnitude(ax, cfg, which)``: the bits of
+    |b - fake_quant(b, cfg, which)|. fake_quant(b) is s * m, s the sign of b
+    (but a zero's, which no absolute error shows), and round-to-nearest and
+    IEEE subtraction are symmetric in sign, so b - s * m = s * (ax - m)."""
+    err = ax - _magnitude(ax, cfg, which)
     return np.abs(err, out=err)
+
+
+def _twins(approximations) -> list:
+    """For each approximation, whether it is a coarse twin of the one before:
+    both (cfg, which) pairs that differ at most in coarse_multiplier, which
+    only the large region reads, so their errors differ only at |x| > H."""
+    def key(a):
+        return isinstance(a, tuple) and (
+            a[1], replace(a[0], coarse_multiplier=1.0).codec_fields)
+    keys = [key(a) for a in approximations]
+    return [bool(k) and k == prev for prev, k in zip([False] + keys, keys)]
 
 
 def _report(x: np.ndarray, approximations, regions=None) -> list:
@@ -312,12 +327,16 @@ def _report(x: np.ndarray, approximations, regions=None) -> list:
     or a checked array shaped like the flattened x, then, given a config as
     ``regions``, the first one's errors in each region, small, medium, large.
 
-    Each leaf is widened once and stays in cache while every approximation
-    of it is formed or sliced, and its errors summed, compacted and staged."""
+    Each leaf is widened and its |x| taken once, and it stays in cache while
+    every approximation of it is formed or sliced, and its errors summed,
+    compacted and staged. A coarse twin (``_twins``) takes the errors of the
+    row before and redoes them in place at the leaf's large set: a column
+    keeps no pushed array, so one leaf of errors is held at a time."""
     flat = x.reshape(-1)
     if flat.size == 0:
         raise EmptyTensor("metrics need at least one element")
     counts = _region_counts(flat, regions) if regions else ()
+    twins = _twins(approximations)
 
     def run(scales):
         scales = iter(scales or ())
@@ -328,16 +347,26 @@ def _report(x: np.ndarray, approximations, regions=None) -> list:
             b = flat[lo:hi].astype(np.float64, copy=False)
             ax = np.abs(b)
             power.push(ax)
-            first = _abs_error(b, approximations[0], lo, hi)
-            rows[0].push(first)
-            for row, a in zip(rows[1:], approximations[1:]):
-                row.push(_abs_error(b, a, lo, hi))
-            if regions:  # split by the codec's index sets, in input order
-                mid, _, big = _regions(ax, regions)
-                e = first.take(mid)
-                for column, v in zip(by_region, (np.delete(first, mid),
-                                                 np.delete(e, big), e.take(big))):
-                    column.push(v)
+            for row, a, twin in zip(rows, approximations, twins):
+                if twin:  # the errors of the row before, redone above H
+                    if large is None:
+                        mid, _, big = _regions(ax, a[0])
+                        large = mid.take(big)
+                    if large.size:
+                        err[large] = _magnitude_error(ax.take(large), *a)
+                elif isinstance(a, tuple):
+                    err, large = _magnitude_error(ax, *a), None
+                else:
+                    err = b - a[lo:hi].astype(np.float64, copy=False)
+                    np.abs(err, out=err)
+                row.push(err)
+                if regions and row is rows[0]:  # by the codec's index sets
+                    mid, _, big = _regions(ax, regions)
+                    e = err.take(mid)
+                    for column, v in zip(by_region, (np.delete(err, mid),
+                                                     np.delete(e, big),
+                                                     e.take(big))):
+                        column.push(v)
         return [power, *rows, *by_region]
     return _rerun(run)
 
@@ -404,7 +433,9 @@ def sweep(values, percentiles, fine_divisors=(4.0,),
     The rows share their work: one finiteness check and sort (in
     ``calibrate_grid``), then one leaf pass for the input power, every
     soft-edge row and one INT8 row per distinct scale (the INT8 row reads
-    only the scale). Region rows are not computed.
+    only the scale). The coarse multiplier runs innermost, so each row's
+    coarse twins follow it and redo only its elements above H. Region rows
+    are not computed.
     """
     configs = calibrate_grid(values, percentiles, fine_divisors,
                              coarse_multipliers)

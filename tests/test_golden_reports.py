@@ -1,4 +1,4 @@
-"""Frozen report bytes and the number of fake-quant passes per report.
+"""Frozen report bytes and the number of magnitude passes per report.
 
 The digests pin the eval JSON and CSV, a 2x2x2 sweep CSV and the SSM report
 JSON on a small seeded input, and the eval and sweep outputs at two
@@ -77,21 +77,35 @@ def fake_quant_calls(monkeypatch):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(metrics, "fake_quant", counting)
     monkeypatch.setattr(ssm, "fake_quant", counting)
     return calls
 
 
-def test_one_fake_quant_per_quantizer(fake_quant_calls, unit_cfg):
+@pytest.fixture
+def magnitude_calls(monkeypatch):
+    """(size, config, which) of each codec magnitude pass a report makes."""
+    calls = []
+    real = metrics._magnitude
+
+    def counting(ax, cfg, which, *args):
+        calls.append((ax.size, cfg, which))
+        return real(ax, cfg, which, *args)
+
+    monkeypatch.setattr(metrics, "_magnitude", counting)
+    return calls
+
+
+def test_one_fake_quant_per_quantizer(magnitude_calls, fake_quant_calls,
+                                      unit_cfg):
     x = se.generate(se.DistSpec(kind="outlier_mixture", n=2048, seed=1))
     se.compare_quantizers(x, unit_cfg)
-    assert len(fake_quant_calls) == 2
-    fake_quant_calls.clear()
+    assert magnitude_calls == [(2048, unit_cfg, "soft_edge"),
+                               (2048, unit_cfg, "int8")]
     se.run_report(se.make_params(4, 1), x, unit_cfg)
     assert len(fake_quant_calls) == 2
 
 
-def test_sweep_shares_its_work(fake_quant_calls, monkeypatch):
+def test_sweep_shares_its_work(magnitude_calls, monkeypatch):
     counts = {"sort": 0, "percentile_abs": 0}
 
     def counting(name, fn):
@@ -108,10 +122,17 @@ def test_sweep_shares_its_work(fake_quant_calls, monkeypatch):
     rows = se.sweep(x, [99.0, 99.9, 99.0, 100.0], [2.0, 4.0], [4.0, 8.0])
     assert len(rows) == 16
     assert counts == {"sort": 1, "percentile_abs": 0}
-    which = [args[2] for args in fake_quant_calls]
-    assert which.count("soft_edge") == 16
-    assert which.count("int8") == 3  # one per distinct percentile
-
+    full = [(cfg, which) for size, cfg, which in magnitude_calls
+            if size == x.size]
+    assert [which for _, which in full].count("soft_edge") == 8
+    assert [which for _, which in full].count("int8") == 3  # one per scale
+    # each coarse-multiplier-8 row is the twin of the row before it: it
+    # redoes only the elements above H, and makes no call when there are none
+    twins = [(size, cfg) for size, cfg, _ in magnitude_calls if size < x.size]
+    large = [(int((abs(x) > row.config.high_threshold).sum()), row.config)
+             for row in rows if row.config.coarse_multiplier == 8.0]
+    assert twins == [(size, cfg) for size, cfg in large if size]
+    assert {size for size, _ in large} == {21, 3, 0}
 
 
 # Multi-leaf reports: sizes that are not powers of two and span several

@@ -245,6 +245,48 @@ def test_a_report_checks_its_input_once(finite_checks, unit_cfg, report):
     assert sum(v is x for v in finite_checks) == 1
 
 
+def test_sweep_twins_match_per_row_reports():
+    """A sweep row that differs from the row before only in its coarse
+    multiplier reuses that row's errors and redoes each leaf's elements above
+    H. Across four leaves, only two of which hold elements above the p98
+    H, its rows must equal the per-row reports: at |x| = H and at the next
+    binary32 value above it, at +-0.0, and, on a second input, where the
+    large row overflows binary32 (x = +-4e38, coarse multiplier 1e39), whose
+    errors swamp every row's sums. The p90 rows come second, so their sets
+    above their lower H are not the p98 rows' sets."""
+    leaves = list(metrics._leaves(3 * metrics.LEAF + 5))
+    n = leaves[-1][1]
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal(n)
+    sign = lambda k: rng.choice([-1.0, 1.0], k)
+    h = 127 * 0.25  # 3% of |x| sit at h and 1% above: the p98 H is h exactly
+    x[rng.choice(n, 3 * n // 100, replace=False)] = h * sign(3 * n // 100)
+    big = np.concatenate([np.arange(*leaves[0]), np.arange(*leaves[2])])
+    big = rng.choice(big, n // 100, replace=False)
+    x[big] = rng.uniform(h, 4 * h, big.size) * sign(big.size)
+    x[big[:20]] = np.nextafter(np.float32(h), np.float32(np.inf)) * sign(20)
+    x[rng.choice(n, 40, replace=False)] = [0.0, -0.0] * 20
+    huge = x.copy()
+    huge[big[20:24]] = 4e38 * sign(4)
+    grid = ([98.0, 90.0], [1.0, 4.0], [4.0, 8.0, 1e39])
+    for t in (huge, x):
+        rows = sweep(t, *grid)
+        assert len(rows) == 12
+        cfg = rows[5].config
+        assert cfg.high_threshold == h and cfg.percentile == 98.0
+        for row in rows:
+            p, fd, cm = (getattr(row.config, f) for f in
+                         ("percentile", "fine_divisor", "coarse_multiplier"))
+            want = compare_quantizers(t, calibrate(t, p, fd, cm))
+            assert row == (want.config, want.soft_edge, want.int8)
+    large = [np.count_nonzero(abs(x[lo:hi]) > h) for lo, hi in leaves]
+    assert large[0] and large[2] and not large[1] and not large[3]
+    assert np.isinf(fake_quant(huge, cfg)).any()  # the large row overflows
+    for base, twin in zip(rows, rows[1:]):  # reusing the base would show
+        if twin.config.coarse_multiplier != 4.0:
+            assert twin.soft_edge != base.soft_edge
+
+
 HUGE = np.array([1e308, -1e308, 1.0])
 
 
@@ -424,19 +466,22 @@ def test_leaf_tree_is_numpy_sum(n, seed, df, cuts):
 @pytest.mark.parametrize("kind", ["student_t", "outlier_mixture", "gaussian"])
 @pytest.mark.parametrize("report, dtype, bound", [
     (lambda x, fq, cfg: compare_quantizers(x, cfg), np.float64, 10.0),
-    (lambda x, fq, cfg: sweep(x, [99.99]), np.float64, 12.5),
+    (lambda x, fq, cfg: sweep(x, [99.99]), np.float64, 9.0),
+    (lambda x, fq, cfg: sweep(x, [99.9, 99.99, 99.999, 100.0], [2.0, 4.0],
+                              [4.0, 8.0]), np.float64, 9.0),
     (lambda x, fq, cfg: mse(x, fq), np.float64, 2.0),
     (lambda x, fq, cfg: mse(x, fq), np.float32, 2.0),
     (lambda x, fq, cfg: sqnr_db(x, fq), np.float64, 2.0),
     (lambda x, fq, cfg: sqnr_db(x, fq), np.float32, 2.0),
     (lambda x, fq, cfg: run_report(_SSM_PARAMS, x, cfg), np.float32, 44.0),
-], ids=["compare_quantizers", "sweep", "mse", "mse_f32", "sqnr_db",
-        "sqnr_db_f32", "run_report_f32"])
+], ids=["compare_quantizers", "sweep", "sweep_grid", "mse", "mse_f32",
+        "sqnr_db", "sqnr_db_f32", "run_report_f32"])
 def test_peak_memory_per_element(kind, report, dtype, bound):
     # a report keeps leaf-sized scratch, not n-element temporaries; the
     # finiteness checks' masks (1 B/elem) and the sweep's sorted |x|
-    # (8 B/elem) are the only input-sized allocations of the metrics. The
-    # SSM report adds its runs' float64 inputs and outputs.
+    # (8 B/elem) are the only input-sized allocations of the metrics; a
+    # sweep's coarse twins hold one leaf of errors, not a row. The SSM report
+    # adds its runs' float64 inputs and outputs.
     n = 1 << 20
     x = generate(DistSpec(kind=kind, n=n, seed=0)).astype(dtype)
     cfg = calibrate(x, 99.99)
