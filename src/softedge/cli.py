@@ -126,8 +126,6 @@ def cmd_ssm(args) -> int:
 
 def cmd_sweep(args) -> int:
     values = tensor_io.read_tensor(args.input)
-    if values.size == 0:
-        raise EmptyTensor("empty input tensor")
     rows = metrics.sweep(values, args.percentiles, **_given(
         args, "fine_divisors", "coarse_multipliers"))
     buf = io.StringIO()
@@ -157,7 +155,10 @@ def cmd_trace(args) -> int:
 
 
 def _float_list(text: str):
-    return [float(v) for v in text.split(",") if v.strip()]
+    values = [float(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"no number in {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -108,6 +108,13 @@ def check_number(v, error, name: str) -> float:
         raise error(f"{name} out of range: {e}") from e
 
 
+def check_integer(v, error, name: str) -> int:
+    """``v`` as an int; ``error`` unless it is an integer, not a bool."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise error(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
 def check_finite(values, error=NonFiniteInput, where: str = "") -> np.ndarray:
     """``values`` as an array; ``error``, with ``index``, at its first NaN/inf
     or, in a dtype wider than binary64, its first value beyond binary64;

@@ -16,13 +16,12 @@ its region's compacted errors, whose tree splits on the region's count:
 the counts are taken first, as the sizes of the index sets
 of the codec's ``_regions`` (this module compares no thresholds), which
 split each leaf's errors in input order; each region's are staged in a
-leaf-sized buffer that is summed whenever a leaf of its tree fills. A sum
-that overflows binary64 reruns the pass on values scaled by 2**-k. The
-pass builds no n-element float temporary; the finiteness checks' masks
-(1 B/elem) and the sweep's sort are a report's only input-sized
-allocations, but for one rare path: a pair whose difference overflows
-binary64 (opposite signs near +-1e308) retakes the pass on whole-array
-halves of both operands.
+leaf-sized buffer that is summed whenever a leaf of its tree fills. A pair
+whose difference overflows binary64 (opposite signs near +-1e308) reruns
+the pass with its operands halved leaf by leaf, and a sum that overflows
+reruns it on values scaled by 2**-k. The pass builds no n-element float
+temporary; the finiteness checks' masks (1 B/elem) and the sweep's sort
+are a report's only input-sized allocations.
 
 A lossless tensor has infinite SQNR; the JSON serialization spells that as
 the string "inf".
@@ -153,10 +152,12 @@ class _Column:
     and, if ``linear``, of v, each with the bits of np.sum over all the
     values. A leaf of the count's tree that arrives whole is summed where it
     lies; one that arrives in pieces is staged in a leaf-sized buffer. Each
-    sum is taken of v * 2**-k, its k in ``scale`` (0 but in a rerun)."""
+    sum is taken of v * 2**-k, its k in ``scale`` (0 but in a rerun). The
+    values are errors * 2**-half: ``half`` is 1 for a halved pair."""
 
-    def __init__(self, count: int, linear: bool = False, scale=None):
-        self.count, self.top, self.fill = count, 0.0, 0
+    def __init__(self, count: int, linear: bool = False, scale=None,
+                 half: int = 0):
+        self.count, self.top, self.fill, self.half = count, 0.0, 0, half
         self.scale = scale or (0,) * (1 + linear)
         self.sizes = _tree(count, lambda m: [m])
         self.parts, self.buf = [], None
@@ -188,14 +189,14 @@ class _Column:
 
     @functools.cached_property
     def sums(self) -> list:
-        """(s, e) of the sum of v*v, then (if linear) of v, once every value
-        is pushed: each sum is s * 2**e. A sum over an infinite value is +inf
-        as it stands."""
+        """(s, e) of the sum of the errors' squares, then (if linear) of the
+        errors, once every value is pushed: each sum is s * 2**e. A sum over
+        an infinite value is +inf as it stands."""
         out = []
         for i, k in enumerate(self.scale):
             parts = iter([p[i] for p in self.parts] or [0.0])  # 0 if empty
             out.append((_tree(self.count, lambda m: next(parts)),
-                        k if i else 2 * k))
+                        (k + self.half) * (1 if i else 2)))
         return out
 
     def rescaled(self):
@@ -209,13 +210,18 @@ class _Column:
         return scale if any(scale) else None
 
 
-@np.errstate(over="ignore")  # a sum may overflow; the rerun retakes it
-def _rerun(run) -> list:
-    """The columns of ``run(scales)``: run once unscaled and, if a sum
+@np.errstate(over="ignore")  # a rerun retakes what overflowed
+def _rerun(run, pairs) -> list:
+    """The columns of ``run(halves, scales)``, the one place a pass is rerun:
+    run once; if the max of a pair's column (its index in ``pairs``) is +inf,
+    again with the indices of those columns as ``halves``; then, if a sum
     overflowed, again with each column's ``rescaled()`` scale."""
-    columns = run(None)
+    columns = run((), None)
+    halves = [i for i in pairs if columns[i].top == math.inf]
+    if halves:
+        columns = run(halves, None)
     scales = [c.rescaled() for c in columns]
-    return run(scales) if any(scales) else columns
+    return run(halves, scales) if any(scales) else columns
 
 
 def _sqnr(power, noise) -> float:
@@ -231,9 +237,9 @@ def _sqnr(power, noise) -> float:
     return 10.0 * (math.log10(p) - math.log10(q) + (pe - qe) * math.log10(2))
 
 
-def _stats(errors: _Column, power=None, e: int = 0) -> dict:
-    """Statistics of the absolute errors err * 2**e that ``errors`` holds,
-    the one place reports get them.
+def _stats(errors: _Column, power=None) -> dict:
+    """Statistics of the absolute errors that ``errors`` holds, scaled back
+    by its ``half``, the one place reports get them.
 
     Always "mse" and "max_abs_err". Given the reference's ``power`` (an
     (s, e) pair), also "sqnr_db" (a quantizer row); without, "mean_abs_err"
@@ -241,31 +247,21 @@ def _stats(errors: _Column, power=None, e: int = 0) -> dict:
     when it exceeds binary64.
     """
     (s, se), *linear = errors.sums
-    noise = (s, se + 2 * e)
     with np.errstate(over="ignore"):
-        stats = {"mse": float(np.ldexp(s / errors.count, noise[1])),
-                 "max_abs_err": float(np.ldexp(errors.top, e))}
+        stats = {"mse": float(np.ldexp(s / errors.count, se)),
+                 "max_abs_err": float(np.ldexp(errors.top, errors.half))}
         if power is not None:
-            return {**stats, "sqnr_db": _sqnr(power, noise)}
+            return {**stats, "sqnr_db": _sqnr(power, (s, se))}
         ((s, se),) = linear
-        return {**stats,
-                "mean_abs_err": float(np.ldexp(s / errors.count, se + e))}
+        return {**stats, "mean_abs_err": float(np.ldexp(s / errors.count, se))}
 
 
 def _pair_stats(ref, approx):
-    """(power, stats) of a checked ref and an approx of its shape:
-    the (s, e) pair of the reference's power and ``_stats`` of |ref - approx|.
-
-    One leaf pass, unless a difference overflowed binary64; the errors are
-    then retaken from whole-array halves of both operands, and scaled back.
-    """
-    r, a = (np.asarray(v).reshape(-1) for v in (ref, approx))
-    power, err = _report(r, [a])
-    power, e = power.sums[0], int(err.top == math.inf)
-    if e:
-        r, a = (np.multiply(v, 0.5, dtype=np.float64) for v in (r, a))
-        err = _report(r, [a])[1]
-    return power, _stats(err, power, e)
+    """(power, stats) of a checked ref and an approx of its shape, from one
+    ``_report``: the (s, e) pair of the reference's power and ``_stats`` of
+    |ref - approx|."""
+    power, err = _report(np.asarray(ref), [np.asarray(approx).reshape(-1)])
+    return power.sums[0], _stats(err, power.sums[0])
 
 
 def _checked_pair(ref, approx):
@@ -338,10 +334,11 @@ def _report(x: np.ndarray, approximations, regions=None) -> list:
     counts = _region_counts(flat, regions) if regions else ()
     twins = _twins(approximations)
 
-    def run(scales):
+    def run(halves, scales):
         scales = iter(scales or ())
-        power, *rows = (_Column(flat.size, scale=next(scales, None))
-                        for _ in range(1 + len(approximations)))
+        power, *rows = (_Column(flat.size, scale=next(scales, None),
+                                half=int(i in halves))
+                        for i in range(1 + len(approximations)))
         by_region = [_Column(c, True, next(scales, None)) for c in counts]
         for lo, hi in _leaves(flat.size):
             b = flat[lo:hi].astype(np.float64, copy=False)
@@ -356,8 +353,9 @@ def _report(x: np.ndarray, approximations, regions=None) -> list:
                         err[large] = _magnitude_error(ax.take(large), *a)
                 elif isinstance(a, tuple):
                     err, large = _magnitude_error(ax, *a), None
-                else:
-                    err = b - a[lo:hi].astype(np.float64, copy=False)
+                else:  # a pair, halved if its difference overflowed
+                    d = a[lo:hi].astype(np.float64, copy=False)
+                    err = b * 0.5 - d * 0.5 if row.half else b - d
                     np.abs(err, out=err)
                 row.push(err)
                 if regions and row is rows[0]:  # by the codec's index sets
@@ -368,7 +366,8 @@ def _report(x: np.ndarray, approximations, regions=None) -> list:
                                                      e.take(big))):
                         column.push(v)
         return [power, *rows, *by_region]
-    return _rerun(run)
+    return _rerun(run, [i for i, a in enumerate(approximations, 1)
+                        if not isinstance(a, tuple)])
 
 
 def _region_rows(columns, n: int) -> tuple:

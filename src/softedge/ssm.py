@@ -19,14 +19,13 @@ test oracle (``tests/conftest.py``, fixture ``ssm_loop``), and
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .calibration import QuantConfig
 from .codec import fake_quant
-from .errors import SIZE_MAX, InvalidParams, check_finite
+from .errors import SIZE_MAX, InvalidParams, check_finite, check_integer
 from . import metrics
 from .synth import _gaussian_counters, gaussians, uniforms
 
@@ -96,10 +95,8 @@ def make_params(state_dim: int, seed: int) -> SsmParams:
     """Seeded parameters: a_i uniform in [0.5, 0.99], b_i and c_i standard
     normal. Counter layout: a from [0, N), b and c from the next gaussian
     blocks."""
-    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral)
-           for v in (state_dim, seed)):
-        raise InvalidParams(f"state_dim and seed must be integers, got "
-                            f"{state_dim!r} and {seed!r}")
+    state_dim, seed = (check_integer(v, InvalidParams, name) for v, name in
+                       ((state_dim, "state_dim"), (seed, "seed")))
     if not 1 <= state_dim <= MAX_STATE_DIM:
         raise InvalidParams(f"state_dim must be in [1, {MAX_STATE_DIM}], "
                             f"got {state_dim}")

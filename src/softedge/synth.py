@@ -32,12 +32,11 @@ magnitude and sign counters at the outlier elements alone.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SIZE_MAX, InvalidSpec, check_number
+from .errors import SIZE_MAX, InvalidSpec, check_integer, check_number
 
 __all__ = ["DistSpec", "generate", "uniforms", "gaussians"]
 
@@ -84,18 +83,11 @@ def _unit(z: np.ndarray, open_zero: bool = False) -> np.ndarray:
     return bits * _INV_2_53
 
 
-def _integer(v, name: str) -> int:
-    """``v`` as an int; InvalidSpec unless it is an integer, not a bool."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-        raise InvalidSpec(f"{name} must be an integer, got {v!r}")
-    return int(v)
-
-
 def _draw_args(seed, start, n, pairs: bool = False) -> tuple:
     """(seed, start, n) as ints; InvalidSpec unless each is an integer,
     start and n are >= 0, and the draw's counters, n of them or 2*ceil(n/2)
     for Box-Muller ``pairs``, stay below 2**64."""
-    seed, start, n = (_integer(v, name) for v, name in
+    seed, start, n = (check_integer(v, InvalidSpec, name) for v, name in
                       ((seed, "seed"), (start, "start"), (n, "n")))
     if start < 0 or n < 0 or (
             start + (_gaussian_counters(n) if pairs else n) > 1 << 64):
@@ -156,7 +148,7 @@ class DistSpec:
         if self.kind not in KINDS:
             raise InvalidSpec(f"unknown distribution kind {self.kind!r}")
         for f in ("n", "seed", "degrees_of_freedom"):
-            _integer(getattr(self, f), f)
+            check_integer(getattr(self, f), InvalidSpec, f)
         for f in ("mean", "std", "outlier_fraction", "outlier_low", "outlier_high"):
             object.__setattr__(self, f, check_number(getattr(self, f), InvalidSpec, f))
         if not 0 <= self.n <= SIZE_MAX:

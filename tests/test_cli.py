@@ -427,6 +427,21 @@ class TestSweep:
         assert float(row[6]) == r.soft_edge.mse
         assert float(row[10]) == r.delta_sqnr_db
 
+    @pytest.mark.parametrize("flag", ["--percentiles", "--fine-divisors",
+                                      "--coarse-multipliers"])
+    @pytest.mark.parametrize("text", [",", " , ", ""])
+    def test_empty_list_exit_2(self, tmp_path, mixture_file, flag, text,
+                               capsys):
+        # an empty grid would write a CSV of the header alone
+        out = tmp_path / "sweep.csv"
+        argv = {"--percentiles": "99", "--out": out, flag: text}
+        with pytest.raises(SystemExit) as exc:
+            run("sweep", "--input", mixture_file,
+                *[a for kv in argv.items() for a in kv])
+        assert exc.value.code == 2
+        assert f"argument {flag}: no number in" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _sweep_by_rows(values, percentiles, fine_divisors, coarse_multipliers):
     """The sweep CSV built row by row from calibrate and compare_quantizers."""

@@ -428,6 +428,24 @@ def test_pair_overflow_in_a_later_leaf():
     assert db == pytest.approx(-6.0206, abs=1e-4)  # 1e616 against 4e616
 
 
+@pytest.mark.parametrize("report", [mse, sqnr_db], ids=["mse", "sqnr_db"])
+def test_pair_overflow_peak_memory(report):
+    # an overflowed pair is halved leaf by leaf, not as whole arrays
+    n = 1 << 20
+    ref = np.random.default_rng(6).normal(0.0, 1.0, n)
+    approx = ref + 0.01
+    ref[n // 3], approx[n // 3] = 1e308, -1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tracemalloc.start()
+        try:
+            report(ref, approx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak / n <= 2.0
+
+
 # Sizes around numpy's 8-wide unrolled loop, its 128-element blocks, one and
 # two leaves, and odd sizes up to about four leaves.
 _TREE_SIZES = (st.integers(1, 9) | st.integers(127, 129)

@@ -145,7 +145,7 @@ class TestParamsValidation:
         (4, False), (4, "7"),
     ])
     def test_make_params_non_integer(self, state_dim, seed):
-        with pytest.raises(InvalidParams, match="must be integers"):
+        with pytest.raises(InvalidParams, match="must be an integer, got "):
             make_params(state_dim, seed)
 
     @pytest.mark.parametrize("state_dim", [0, MAX_STATE_DIM + 1, 2**62, 2**63,
