@@ -50,8 +50,6 @@ def _write_text(path, text: str):
 
 def cmd_calibrate(args) -> int:
     values = tensor_io.read_tensor(args.input)
-    if values.size == 0:
-        raise EmptyTensor("empty calibration tensor")
     cfg = calibration.calibrate(values, args.percentile, **_given(
         args, "fine_divisor", "coarse_multiplier"))
     _write_text(args.out, cfg.to_json() + "\n")

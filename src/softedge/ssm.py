@@ -7,10 +7,10 @@ channel. Everything runs in float64.
 
 ``ssm_forward`` evaluates the recurrence as a chunked scan, the blocked form
 of the parallel scan in Mamba (Gu & Dao, arXiv 2312.00752; Blelloch 1990): a
-closed form inside each block of BLOCK steps, with the state carried from
-block to block. It re-associates the per-step sums, so it is not bit for bit
+closed form inside each block of BLOCK steps, with block-start states from a
+doubling scan (Hillis & Steele 1986). Re-associated, it is not bit for bit
 the step-by-step loop; it stays within k*eps*B/(1 - max|a_i|) of it, with
-k = BLOCK + 2N + 16, eps = 2**-52 and
+k = BLOCK + 2N + 16 + 2*ceil(log2(T/BLOCK)), eps = 2**-52 and
 B = max|x| * sum|c_i b_i| / (1 - max|a_i|) + sum|c_i h0_i|. The loop is the
 test oracle (``tests/conftest.py``, fixture ``ssm_loop``), and
 ``tests/test_ssm.py::test_scan_matches_loop`` derives and checks the bound.
@@ -29,23 +29,17 @@ from .errors import SIZE_MAX, InvalidParams, check_finite, check_integer
 from . import metrics
 from .synth import _gaussian_counters, gaussians, uniforms
 
-# Steps per block of the chunked scan. The Toeplitz product costs BLOCK
-# multiply-adds per step, the carry loop one Python iteration per BLOCK
-# steps. At T = 65,536 and N = 16, blocks of 128 and 256 are equally fast
-# (about 3 ms a pass on a 2-vCPU VM); 64 and 512 are slower.
-BLOCK = 256
+# Steps per block of the chunked scan. At T = 65,536 and N = 16 a pass took
+# 1.4 ms at 64 steps, 1.7 ms at 32, 1.9 ms at 128 and 3.5 ms at 256 (medians
+# of 5 x 50 passes; 2-vCPU Xeon VM, numpy 2.4.6, OpenBLAS 0.3.31).
+BLOCK = 64
+_MACS = 2 ** 17  # per product slice; OpenBLAS may thread a gemm from 2**18
 # The largest N whose (BLOCK + 1) x N power table, the largest array
 # ssm_forward builds from N alone, numpy can describe.
 MAX_STATE_DIM = SIZE_MAX // (BLOCK + 1)
 
-__all__ = [
-    "SsmParams",
-    "SsmRunReport",
-    "make_params",
-    "ssm_forward",
-    "ssm_forward_quantized",
-    "run_report",
-]
+__all__ = ["SsmParams", "SsmRunReport", "make_params", "ssm_forward",
+           "ssm_forward_quantized", "run_report"]
 
 
 @dataclass(frozen=True)
@@ -117,28 +111,36 @@ def ssm_forward(params: SsmParams, x) -> np.ndarray:
     With kernel[d] = sum_i c_i b_i a_i^d and s_m the state entering block m,
         y[m, k] = sum_(j<=k) X[m, j] kernel[k-j] + sum_i c_i a_i^(k+1) s_m,i,
         s_0 = h0,  s_(m+1) = a^BLOCK s_m + b sum_j a^(BLOCK-1-j) X[m, j].
-    Each sum over j or i is one matrix product for all blocks; only the
-    state carry loops, once per block.
+    Each sum over j or i is one product for all blocks; a doubling scan
+    over the ceil(T/BLOCK) input blocks carries the states.
     """
     xs = check_finite(x, InvalidParams, "input: ").astype(np.float64, copy=False)
     if xs.ndim != 1:
         raise InvalidParams("input must be 1-D")
     a, b, c = params.a, params.b, params.c
-    blocks = np.zeros(-(-xs.size // BLOCK) * BLOCK)
-    blocks[:xs.size] = xs
-    blocks = blocks.reshape(-1, BLOCK)
-    power = a ** np.arange(BLOCK + 1.0)[:, None]  # power[j, i] = a_i**j
-    kernel = power[:BLOCK] @ (c * b)
+    count, group = -(-xs.size // BLOCK), _MACS // BLOCK ** 2
+    blocks = np.zeros((-(-count // group) * group, BLOCK))  # whole Toeplitz slices
+    blocks.ravel()[:xs.size] = xs
+    power = a ** np.arange(BLOCK, -1, -1.0)[:, None]  # power[j, i] = a_i**(BLOCK-j)
+    kernel = _product(power[:0:-1], (c * b)[:, None])[:, 0]
     lag = np.arange(BLOCK) - np.arange(BLOCK)[:, None]  # lag[j, k] = k - j
     toeplitz = np.where(lag >= 0, kernel[lag], 0.0)
-    inputs = (blocks @ power[BLOCK - 1::-1]) * b  # zero-state end of each block
-    states = np.empty_like(inputs)
-    h = params.h0
-    for m, u in enumerate(inputs):
-        states[m] = h
-        h = power[BLOCK] * h + u
-    y = blocks @ toeplitz + states @ (c * power[1:]).T
+    # h0, then each block's zero-state end; scanned, carry[m] = s_m
+    carry = np.vstack([params.h0, _product(blocks, power[1:]) * b])
+    for span in 2 ** np.arange(max(count - 1, 0).bit_length()):  # doubling
+        carry[span:count] += a ** (BLOCK * span) * carry[:count - span]
+    y = _product(blocks, toeplitz)
+    y += _product(carry[:-1], (c * power[BLOCK - 1::-1]).T, out=blocks)
     return check_finite(y.ravel()[:xs.size], InvalidParams, "output: ")
+
+
+def _product(x: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
+    """x @ w (into out if given) as one np.matmul over row slices of at most
+    _MACS multiply-adds: a power of two dividing len(x), or one row."""
+    (m, k), p = x.shape, w.shape[1]
+    rows = np.gcd(m, 1 << max((_MACS // (k * p)).bit_length() - 1, 0))
+    out = out if out is None else out.reshape(-1, rows, p)
+    return np.matmul(x.reshape(-1, rows, k), w, out=out).reshape(m, p)
 
 
 def ssm_forward_quantized(params: SsmParams, x, cfg: QuantConfig,

@@ -13,7 +13,7 @@ from softedge import (
     ssm_forward_quantized,
 )
 from softedge.errors import InvalidParams
-from softedge.ssm import BLOCK, MAX_STATE_DIM
+from softedge.ssm import _MACS, BLOCK, MAX_STATE_DIM
 from softedge.synth import DistSpec, generate
 
 
@@ -71,6 +71,9 @@ class TestForward:
 # underflow threshold, so the bound below needs no absolute term.
 _COEF = st.integers(-2 ** 20, 2 ** 20).map(lambda k: k / 2 ** 16)
 _DECAY = st.sampled_from([0.0, -0.5, 0.999, -0.999]) | st.floats(-0.999, 0.999)
+# Blocks per Toeplitz product slice: lengths past it span several slices
+# and more doubling steps of the carry.
+_GROUP = _MACS // BLOCK ** 2
 
 
 @st.composite
@@ -80,33 +83,15 @@ def _systems(draw):
     params = SsmParams(a=draw(st.lists(_DECAY, min_size=n, max_size=n)),
                        b=draw(vec), c=draw(vec), h0=draw(st.none() | vec))
     t = draw(st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK,
-                              4 * BLOCK + 5]))
+                              4 * BLOCK + 5, _GROUP * BLOCK,
+                              _GROUP * BLOCK + 1, (2 * _GROUP + 1) * BLOCK + 3]))
     scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
     x = scale * np.random.default_rng(draw(st.integers(0, 2 ** 32))).normal(size=t)
     return params, x
 
 
-@settings(deadline=None)
-@given(system=_systems())
-def test_scan_matches_loop(system, ssm_loop):
-    """ssm_forward agrees with the step-by-step loop within k*eps*B/(1 - A):
-    k = BLOCK + 2N + 16, eps = 2**-52, A = max|a_i|,
-    B = max|x| * sum|c_i b_i| / (1 - A) + sum|c_i h0_i|, a bound on |y|.
-
-    First-order derivation, unit roundoff u = eps/2. With
-    m_i = |b_i| max|x| / (1 - |a_i|) + |h0_i| >= |h_t,i|, sum_i |c_i| m_i <= B.
-    Loop: one step errs by <= 2u*m_i in channel i, decaying by |a_i| a step,
-    and the N-term c @ h adds N*u*B: (N + 2)*u*B/(1 - A) in all.
-    Scan: the zero-state part (powers by pow, c*b, the N-term kernel and the
-    <= BLOCK-term Toeplitz product) errs by (BLOCK + N + 3)*u*B; each block
-    carry errs by (BLOCK + 11)*u*m_i (BLOCK-term end sum with its powers,
-    a^BLOCK, a multiply and an add), decaying by |a_i|^BLOCK a block, so
-    (BLOCK + 11)*u*B/(1 - A); the carried-in product adds (N + 3)*u*B and
-    the final sum 2u*B. The difference is at most
-    (2*BLOCK + 3N + 21)*u*B/(1 - A) < k*eps*B/(1 - A); the margin in k
-    covers second-order terms.
-    """
-    params, x = system
+def _assert_within_loop_bound(params, x, ssm_loop):
+    """The bound of ``test_scan_matches_loop``, checked on one system."""
     y = ssm_forward(params, x)
     want = ssm_loop(params, x)
     assert y.shape == want.shape == x.shape
@@ -115,8 +100,76 @@ def test_scan_matches_loop(system, ssm_loop):
     a = float(np.max(np.abs(params.a)))
     bound = (float(np.max(np.abs(x))) * float(np.sum(np.abs(params.c * params.b)))
              / (1 - a) + float(np.sum(np.abs(params.c * params.h0))))
-    k = BLOCK + 2 * params.state_dim + 16
+    levels = (-(-x.size // BLOCK) - 1).bit_length()  # ceil(log2(blocks))
+    k = BLOCK + 2 * params.state_dim + 16 + 2 * levels
     assert np.max(np.abs(y - want)) <= k * 2.0 ** -52 * bound / (1 - a)
+
+
+@settings(deadline=None)
+@given(system=_systems())
+def test_scan_matches_loop(system, ssm_loop):
+    """ssm_forward agrees with the step-by-step loop within k*eps*B/(1 - A):
+    k = BLOCK + 2N + 16 + 2L, eps = 2**-52, A = max|a_i|,
+    B = max|x| * sum|c_i b_i| / (1 - A) + sum|c_i h0_i|, a bound on |y|, and
+    L = ceil(log2(ceil(T/BLOCK))) steps of the doubling carry.
+
+    First-order derivation, unit roundoff u = eps/2. With
+    m_i = |b_i| max|x| / (1 - |a_i|) + |h0_i| >= |h_t,i|, sum_i |c_i| m_i <= B.
+    Loop: one step errs by <= 2u*m_i in channel i, decaying by |a_i| a step,
+    and the N-term c @ h adds N*u*B: (N + 2)*u*B/(1 - A) in all.
+    Scan: the zero-state part (powers by pow, c*b, the N-term kernel and the
+    <= BLOCK-term Toeplitz product) errs by (BLOCK + N + 3)*u*B. A block's
+    end sum (BLOCK terms with their powers, times b) errs by BLOCK + 2 units
+    of u relative to the sum of its terms' magnitudes; carried with exact
+    powers, those sums and h0 add up to at most m_i in channel i, so
+    (BLOCK + 2)*u*m_i. Each doubling step rounds a power, a multiply and an
+    add, 3u relative to every term of a state, whose magnitudes also add up
+    to at most m_i: 3L*u*m_i. Through c_i a_i^(k+1), the state error adds
+    (BLOCK + 2 + 3L)*u*B, the carried-in product's own rounding (N + 2)*u*B
+    and the final sum 2u*B. The difference is at most
+    (2*BLOCK + 3N + 12 + 3L)*u*B/(1 - A) < k*eps*B/(1 - A); the margin in k
+    covers second-order terms. At every T drawn here, and at the bench's
+    T = 65,536 (L = 10), k stays below the 256 + 2N + 16 of a 256-step
+    scan with a per-block carry loop.
+    """
+    _assert_within_loop_bound(*system, ssm_loop)
+
+
+def test_scan_matches_loop_at_bench_length(ssm_loop):
+    # T = 65,536 takes 1,024 blocks and 10 doubling steps; channels at
+    # |a_i| = 0.999 carry h0 and the input across hundreds of blocks
+    p = make_params(16, seed=11)
+    a = p.a.copy()
+    a[:2] = 0.999, -0.999
+    params = SsmParams(a=a, b=p.b, c=p.c, h0=4.0 * p.c)
+    x = np.random.default_rng(12).normal(size=65536)
+    _assert_within_loop_bound(params, x, ssm_loop)
+
+
+@pytest.mark.parametrize("state_dim, seq_len", [(16, 65536), (3000, 4096)])
+def test_products_stay_under_blas_threading_cutoff(monkeypatch, state_dim,
+                                                   seq_len):
+    """Every 2-D slice of every product ssm_forward makes has at most
+    2**17 multiply-adds, half of OpenBLAS's single-thread gemm limit, unless
+    one row alone is more: at N = 3,000 one block's row of the block-end or
+    carried-in product is 64 x 3,000 multiply-adds, so it is its own slice."""
+    products = []
+    real = np.matmul
+
+    def recording(x, w, *args, **kwargs):
+        products.append((x.shape, w.shape))
+        return real(x, w, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    params = make_params(state_dim, seed=13)
+    ssm_forward(params, np.random.default_rng(14).normal(size=seq_len))
+    # the kernel, the block-end sums, the Toeplitz and the carried-in products
+    assert len(products) == 4
+    assert any(w == (BLOCK, BLOCK) for _, w in products)
+    for x, w in products:
+        rows, k = x[-2:]
+        row_macs = k * w[-1]
+        assert rows * row_macs <= max(2 ** 17, row_macs), (x, w)
 
 
 class TestParamsValidation:
