@@ -130,7 +130,7 @@ def ssm_forward(params: SsmParams, x) -> np.ndarray:
     for span in 2 ** np.arange(max(count - 1, 0).bit_length()):  # doubling
         carry[span:count] += a ** (BLOCK * span) * carry[:count - span]
     y = _product(blocks, toeplitz)
-    y += _product(carry[:-1], (c * power[BLOCK - 1::-1]).T, out=blocks)
+    y += _product(carry[:-1], (c * power[BLOCK - 1::-1]).T, out=blocks)  # X is spent
     return check_finite(y.ravel()[:xs.size], InvalidParams, "output: ")
 
 
