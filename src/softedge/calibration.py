@@ -8,6 +8,9 @@ region thresholds default to fixed multiples of the scale:
   point of the 6-bit fine codebook, so the fine region has no dead zone.
 * ``high_threshold = 127 * scale`` -- the standard INT8 clip point, so the
   coarse region starts exactly where a plain INT8 quantizer would clip.
+
+A percentile reads two adjacent order statistics of |x|, so |x| is not
+sorted whole: ``_sorted_abs`` selects them, with a full sort's bits.
 """
 
 from __future__ import annotations
@@ -137,30 +140,53 @@ def _check_percentile(p) -> float:
     return p
 
 
-def _sorted_abs(values) -> np.ndarray:
+def _rank(p: float, n: int):
+    """(lo, frac): the p-th percentile of n order statistics interpolates
+    the lo-th (from 0) and the next by frac, r = (p/100)*(n-1) = lo + frac."""
+    r = (p / 100.0) * (n - 1)
+    lo = int(math.floor(r))
+    return lo, r - lo
+
+
+def _sorted_abs(values, p: float = 0.0) -> np.ndarray:
     """The checked |values|, binary32 if given binary32 (exact) else float64,
-    flattened and sorted ascending: the one sort that calibration reads."""
+    flattened, with its order statistics from the lowest rank the p-th
+    percentile reads (``_rank``) up in their sorted places: the one
+    selection that calibration reads. It partitions at that rank and sorts
+    only the elements above it; p = 0 sorts them all."""
     v = check_finite(values)
     if v.size == 0:
         raise EmptyTensor("cannot take a percentile of an empty tensor")
     if v.dtype != np.float32:
         v = v.astype(np.float64, copy=False)
     w = np.abs(v).reshape(-1)
-    w.sort()
+    lo = _rank(p, w.size)[0]
+    w.partition(lo)
+    w[lo:].sort()
     return w
 
 
 def _interpolate(w: np.ndarray, p: float) -> float:
-    """p-th percentile of the ascending magnitudes w, by the rule that
-    ``percentile_abs`` documents, in float64: under NEP 50 a binary32 w[i]
-    and a Python float combine in binary32, so w[i] is widened first."""
-    r = (p / 100.0) * (w.size - 1)
-    lo = int(math.floor(r))
-    frac = r - lo
+    """p-th percentile of the magnitudes w, sorted from its rank up, by the
+    rule that ``percentile_abs`` documents, in float64: under NEP 50 a
+    binary32 w[i] and a Python float combine in binary32, so w[i] is
+    widened first."""
+    lo, frac = _rank(p, w.size)
     if lo >= w.size - 1:
         return float(w[-1])
     a, b = float(w[lo]), float(w[lo + 1])
     return a + frac * (b - a)
+
+
+def _leading(percentiles) -> list:
+    """The checked percentiles before the first out of range."""
+    checked = []
+    for p in percentiles:
+        try:
+            checked.append(_check_percentile(p))
+        except PercentileOutOfRange:
+            break
+    return checked
 
 
 def _clip_scale(clip: float) -> float:
@@ -175,7 +201,7 @@ def percentile_abs(values, p: float) -> float:
     next order statistic by frac(r).
     """
     p = _check_percentile(p)
-    return _interpolate(_sorted_abs(values), p)
+    return _interpolate(_sorted_abs(values, p), p)
 
 
 def calibrate_scale(values, p: float) -> float:
@@ -215,17 +241,18 @@ def calibrate(values, p: float, fine_divisor: float = 4.0,
 def calibrate_grid(values, percentiles, fine_divisors=(4.0,),
                    coarse_multipliers=(4.0,)) -> list:
     """``calibrate(values, p, fd, cm)`` of every grid row, p outermost, from
-    one sort of |values|.
+    one selection of |values|, at the lowest percentile before the first
+    out of range: every row that a failing row does not stop reads it.
 
     The first row that fails, in grid order, raises what its ``calibrate``
     would; an empty grid checks nothing.
     """
-    configs, w = [], None
+    percentiles, configs, w = list(percentiles), [], None
     for p, fd, cm in itertools.product(percentiles, fine_divisors,
                                        coarse_multipliers):
         p = _check_percentile(p)
         if w is None:
-            w = _sorted_abs(values)
+            w = _sorted_abs(values, min(_leading(percentiles)))
         configs.append(derive_config(_clip_scale(_interpolate(w, p)), fd, cm,
                                      percentile=p, calib_count=w.size))
     return configs

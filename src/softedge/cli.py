@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import sys
@@ -17,6 +18,7 @@ import traceback
 from . import calibration, codec, metrics, ssm, synth, tensor_io
 from .errors import EmptyTensor, InvalidConfig, InvalidParams, IoFailure, ValidationError
 
+SEQ_LEN = 4096  # the ssm stimulus length when --seq-len is not given
 SWEEP_COLUMNS = [
     "percentile", "fine_divisor", "coarse_multiplier", "scale", "L", "H",
     "se_mse", "se_sqnr_db", "int8_mse", "int8_sqnr_db", "delta_sqnr_db",
@@ -100,7 +102,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ssm(args) -> int:
-    if args.seq_len < 1:
+    if args.seq_len is not None and args.seq_len < 1:
         raise InvalidParams(f"--seq-len must be >= 1, got {args.seq_len}")
     cfg = _load_config(args.config)
     params = ssm.make_params(args.state_dim, args.seed)
@@ -108,13 +110,14 @@ def cmd_ssm(args) -> int:
         x = tensor_io.read_tensor(args.input)
         if x.size == 0:
             raise EmptyTensor(f"--input {args.input} holds no values")
+        if args.seq_len not in (None, x.size):
+            raise InvalidParams(f"--seq-len {args.seq_len} differs from the "
+                                f"{x.size} values of --input {args.input}")
     else:
         # default stimulus: the outlier mixture, scaled into config units
-        spec = synth.DistSpec(
-            kind="outlier_mixture", n=args.seq_len, seed=args.seed,
-            std=cfg.scale * 32.0,
-        )
-        x = synth.generate(spec)
+        n = SEQ_LEN if args.seq_len is None else args.seq_len
+        x = synth.generate(synth.DistSpec(
+            kind="outlier_mixture", n=n, seed=args.seed, std=cfg.scale * 32.0))
     report = ssm.run_report(params, x, cfg)
     _write_text(args.report, report.to_json() + "\n")
     print(f"se_mse={report.output_mse_soft_edge!r} "
@@ -210,7 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("ssm", help="end-to-end SSM error propagation run")
-    p.add_argument("--seq-len", type=int, default=4096)
+    p.add_argument("--seq-len", type=int, default=None,
+                   help=f"stimulus length (default {SEQ_LEN}); with --input, "
+                        "if given, it must equal the tensor's length")
     p.add_argument("--state-dim", type=int, default=16)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--config", required=True)
@@ -238,8 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Built once per process: each add_argument builds a HelpFormatter, and
+# parsing leaves the parser as it was.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except IoFailure as e:

@@ -230,13 +230,14 @@ def _round(a: np.ndarray, step, top) -> np.ndarray:
     return np.minimum(m, top, out=m)
 
 
-def _kernel(ax: np.ndarray, cfg: QuantConfig, offset, step) -> np.ndarray:
+def _kernel(ax: np.ndarray, cfg: QuantConfig, offset, step,
+            sets=None) -> np.ndarray:
     """The one magnitude kernel: offset[r] + m * step[r] of each element of
     the 1-d float64 magnitudes ax = |x|, m and r being its rounded magnitude
     and region. Every element is rounded with the small row; the ``_regions``
-    sets at |x| >= L are redone with the medium row, those above H, as
-    |x| - H, with the large."""
-    mid, medium, big = _regions(ax, cfg)
+    sets at |x| >= L (``sets``, if the caller has them) are redone with the
+    medium row, those above H, as |x| - H, with the large."""
+    mid, medium, big = _regions(ax, cfg) if sets is None else sets
     rows = zip((ax, medium, medium.take(big) - cfg.high_threshold),
                _rows(cfg)[1], _TOP)
     out, medium, large = (_value(_round(*row), offset[r], step[r])
@@ -248,13 +249,14 @@ def _kernel(ax: np.ndarray, cfg: QuantConfig, offset, step) -> np.ndarray:
 
 @np.errstate(over="ignore")  # the binary32 rule
 def _magnitude(ax: np.ndarray, cfg: QuantConfig, which: str,
-               dtype=np.float32) -> np.ndarray:
+               dtype=np.float32, sets=None) -> np.ndarray:
     """|fake_quant| of the 1-d float64 magnitudes ax, as ``dtype``: the
-    kernel's value (soft_edge) or the INT8 code times the scale (int8), cast
-    once, so in binary32 a value beyond it is +inf. The one magnitude behind
+    kernel's value (soft_edge; ``sets`` are ax's ``_regions``, if the caller
+    has them) or the INT8 code times the scale (int8), cast once, so in
+    binary32 a value beyond it is +inf. The one magnitude behind
     ``fake_quant`` and the reports."""
     if which == "soft_edge":
-        m = _kernel(ax, cfg, *_rows(cfg))
+        m = _kernel(ax, cfg, *_rows(cfg), sets)
     else:
         m = _round(ax, cfg.scale, MAX_STANDARD_CODE) * cfg.scale
     return m.astype(dtype, copy=False)
@@ -337,18 +339,22 @@ def decode_tensor(q: QuantizedTensor, strict: bool = True,
     """Reconstruct values from an encoded tensor, BLOCK elements at a time,
     the one decoder: the float64 decode-table entry of each flag<<8 | byte,
     or that value cast to ``dtype`` (decode-then-cast; a value beyond it
-    casts to +/-inf, quietly). A strict one rejects the negative-zero code."""
-    table = _decode_table(q.config)
-    flags, codes = q.flags.reshape(-1), q.codes.reshape(-1)
-    out = np.empty(codes.size, dtype)
+    casts to +/-inf, quietly). The cast is elementwise, so the table is cast
+    once and each block gathered from it into the output. A strict one
+    rejects the negative-zero code."""
+    out = np.empty(q.codes.size, dtype)
     with np.errstate(over="ignore"):  # the binary32 rule
-        for i in range(0, out.size, BLOCK):
-            key = np.left_shift(flags[i:i + BLOCK], 8, dtype=np.uint16)
-            key |= codes[i:i + BLOCK]
-            if strict and (key == NEGATIVE_ZERO).any():
-                idx = i + int(np.argmax(key == NEGATIVE_ZERO))
-                raise NonCanonicalCode(f"negative-zero small code at index {idx}")
-            out[i:i + BLOCK] = table[key]
+        table = _decode_table(q.config).astype(out.dtype)
+    flags, codes = q.flags.reshape(-1), q.codes.reshape(-1)
+    for i in range(0, out.size, BLOCK):
+        key = np.left_shift(flags[i:i + BLOCK], 8, dtype=np.uint16)
+        key |= codes[i:i + BLOCK]
+        if strict and (key == NEGATIVE_ZERO).any():
+            idx = i + int(np.argmax(key == NEGATIVE_ZERO))
+            raise NonCanonicalCode(f"negative-zero small code at index {idx}")
+        # every key is below 512, so "clip" never moves one; unlike the
+        # default "raise", it writes into out without a buffer
+        table.take(key, out=out[i:i + BLOCK], mode="clip")
     return out.reshape(q.codes.shape)
 
 

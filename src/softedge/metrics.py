@@ -15,13 +15,14 @@ partials are added up the same tree. A region row sums
 its region's compacted errors, whose tree splits on the region's count:
 the counts are taken first, as the sizes of the index sets
 of the codec's ``_regions`` (this module compares no thresholds), which
-split each leaf's errors in input order; each region's are staged in a
+split each leaf's errors in input order; the soft-edge kernel of the leaf
+reads the same sets, taken once. Each region's errors are staged in a
 leaf-sized buffer that is summed whenever a leaf of its tree fills. A pair
 whose difference overflows binary64 (opposite signs near +-1e308) reruns
 the pass with its operands halved leaf by leaf, and a sum that overflows
 reruns it on values scaled by 2**-k. The pass builds no n-element float
-temporary; the finiteness checks' masks (1 B/elem) and the sweep's sort
-are a report's only input-sized allocations.
+temporary; the finiteness checks' masks (1 B/elem) and the sweep's |x|
+selection are a report's only input-sized allocations.
 
 A lossless tensor has infinite SQNR; the JSON serialization spells that as
 the string "inf".
@@ -295,13 +296,15 @@ def _region_counts(flat: np.ndarray, cfg: QuantConfig) -> tuple:
     return flat.size - mid, mid - big, big
 
 
-def _magnitude_error(ax: np.ndarray, cfg: QuantConfig, which: str):
+def _magnitude_error(ax: np.ndarray, cfg: QuantConfig, which: str,
+                     sets=None):
     """|ax - m| of the float64 magnitudes ax = |b| of a leaf b and their
-    binary32 m = ``_magnitude(ax, cfg, which)``: the bits of
+    binary32 m = ``_magnitude(ax, cfg, which)`` (given ax's ``_regions``
+    ``sets``, the soft-edge kernel takes them): the bits of
     |b - fake_quant(b, cfg, which)|. fake_quant(b) is s * m, s the sign of b
     (but a zero's, which no absolute error shows), and round-to-nearest and
     IEEE subtraction are symmetric in sign, so b - s * m = s * (ax - m)."""
-    err = ax - _magnitude(ax, cfg, which)
+    err = ax - _magnitude(ax, cfg, which, np.float32, sets)
     return np.abs(err, out=err)
 
 
@@ -316,22 +319,25 @@ def _twins(approximations) -> list:
     return [bool(k) and k == prev for prev, k in zip([False] + keys, keys)]
 
 
-def _report(x: np.ndarray, approximations, regions=None) -> list:
+def _report(x: np.ndarray, approximations, regions: bool = False) -> list:
     """The columns of one pass over the leaves of the checked x, the one
     place an empty input raises: |x| (the input's power), then |x - a| of
     each approximation a, a (cfg, which) pair for fake_quant(x, cfg, which)
-    or a checked array shaped like the flattened x, then, given a config as
-    ``regions``, the first one's errors in each region, small, medium, large.
+    or a checked array shaped like the flattened x, then, given
+    ``regions``, the errors of the first, a (cfg, "soft_edge") pair, in
+    each of its regions, small, medium, large.
 
     Each leaf is widened and its |x| taken once, and it stays in cache while
     every approximation of it is formed or sliced, and its errors summed,
-    compacted and staged. A coarse twin (``_twins``) takes the errors of the
-    row before and redoes them in place at the leaf's large set: a column
-    keeps no pushed array, so one leaf of errors is held at a time."""
+    compacted and staged. A soft-edge row takes the leaf's ``_regions`` sets
+    once, for its kernel, the region split and its coarse twins
+    (``_twins``), which take the errors of the row before and redo them in
+    place at the leaf's large set: a column keeps no pushed array, so one
+    leaf of errors is held at a time."""
     flat = x.reshape(-1)
     if flat.size == 0:
         raise EmptyTensor("metrics need at least one element")
-    counts = _region_counts(flat, regions) if regions else ()
+    counts = _region_counts(flat, approximations[0][0]) if regions else ()
     twins = _twins(approximations)
 
     def run(halves, scales):
@@ -347,19 +353,20 @@ def _report(x: np.ndarray, approximations, regions=None) -> list:
             for row, a, twin in zip(rows, approximations, twins):
                 if twin:  # the errors of the row before, redone above H
                     if large is None:
-                        mid, _, big = _regions(ax, a[0])
+                        mid, _, big = sets or _regions(ax, a[0])
                         large = mid.take(big)
                     if large.size:
                         err[large] = _magnitude_error(ax.take(large), *a)
                 elif isinstance(a, tuple):
-                    err, large = _magnitude_error(ax, *a), None
+                    sets = _regions(ax, a[0]) if a[1] == "soft_edge" else None
+                    err, large = _magnitude_error(ax, *a, sets), None
                 else:  # a pair, halved if its difference overflowed
                     d = a[lo:hi].astype(np.float64, copy=False)
                     err = b * 0.5 - d * 0.5 if row.half else b - d
                     np.abs(err, out=err)
                 row.push(err)
                 if regions and row is rows[0]:  # by the codec's index sets
-                    mid, _, big = _regions(ax, regions)
+                    mid, _, big = sets
                     e = err.take(mid)
                     for column, v in zip(by_region, (np.delete(err, mid),
                                                      np.delete(e, big),
@@ -382,7 +389,7 @@ def region_breakdown(values, cfg: QuantConfig):
     Returns (small, medium, large) RegionStats; counts sum to n.
     """
     x = check_finite(values)
-    return _region_rows(_report(x, [(cfg, "soft_edge")], cfg)[2:], x.size)
+    return _region_rows(_report(x, [(cfg, "soft_edge")], True)[2:], x.size)
 
 
 def _delta(a: float, b: float) -> float:
@@ -396,7 +403,7 @@ def compare_quantizers(values, cfg: QuantConfig) -> ComparisonReport:
     """Side-by-side soft-edge vs baseline INT8 report on one tensor."""
     x = check_finite(values)
     power, se, base, *regions = _report(
-        x, [(cfg, "soft_edge"), (cfg, "int8")], cfg)
+        x, [(cfg, "soft_edge"), (cfg, "int8")], True)
     power = power.sums[0]
     se, base = (QuantizerStats(**_stats(c, power)) for c in (se, base))
     return ComparisonReport(
@@ -429,7 +436,7 @@ def sweep(values, percentiles, fine_divisors=(4.0,),
     """A ``SweepRow`` per ``calibrate_grid`` row, in its order, equal to
     ``compare_quantizers(values, calibrate(values, p, fd, cm))``.
 
-    The rows share their work: one finiteness check and sort (in
+    The rows share their work: one finiteness check and selection (in
     ``calibrate_grid``), then one leaf pass for the input power, every
     soft-edge row and one INT8 row per distinct scale (the INT8 row reads
     only the scale). The coarse multiplier runs innermost, so each row's

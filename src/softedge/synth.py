@@ -104,6 +104,14 @@ def uniforms(seed: int, start: int, n: int, open_zero: bool = False) -> np.ndarr
     return _unit(_mix(seed, z), open_zero)
 
 
+def _below(seed: int, start: int, n: int, f: float) -> np.ndarray:
+    """The i in [0, n) whose uniform at counter start + i is below f, in
+    [0, 1), tested on the raw outputs z in integers: u = (z >> 11) * 2^-53,
+    and z >> 11 is an integer, so u < f exactly when z < ceil(f*2^53)*2^11."""
+    z = _mix(seed, np.arange(start, start + n, dtype=np.uint64))
+    return np.flatnonzero(z < np.uint64(math.ceil(f * (1 << 53)) << 11))
+
+
 def _gaussian_counters(n: int) -> int:
     return 2 * ((n + 1) // 2)
 
@@ -183,8 +191,9 @@ def generate(spec: DistSpec, dtype=np.float64) -> np.ndarray:
     outlier_mixture counter layout (n elements): decisions [0, n), body
     gaussians [n, n + 2*ceil(n/2)), outlier magnitudes and signs in the next
     two blocks of n. An element is an outlier when its decision uniform is
-    below outlier_fraction; its magnitude is uniform in
-    [outlier_low, outlier_high] of std units with a random sign.
+    below outlier_fraction (tested in integers, ``_below``); its magnitude
+    is uniform in [outlier_low, outlier_high] of std units with a random
+    sign.
 
     The values are computed in float64 BLOCK elements at a time, with
     mean + std * z applied in place (the same rounding); a block's outliers
@@ -200,7 +209,7 @@ def generate(spec: DistSpec, dtype=np.float64) -> np.ndarray:
         m = min(BLOCK, n - i)
         z = out[i:i + m] if wide is None else wide[:m]
         if kind == "outlier_mixture":
-            hits = np.flatnonzero(uniforms(seed, i, m) < spec.outlier_fraction)
+            hits = _below(seed, i, m, spec.outlier_fraction)
         _gaussians_into(seed, body + i, z)
         z *= spec.std
         if kind == "student_t":  # z / sqrt(chi2_k / k)

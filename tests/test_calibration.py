@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from softedge import (
+    DistSpec,
     QuantConfig,
     calibrate,
     calibrate_grid,
     calibrate_scale,
     derive_config,
+    generate,
     percentile_abs,
 )
 from softedge import calibration
@@ -330,3 +333,88 @@ def test_binary32_calibration_is_the_widened_calibration(values, p):
     grid = ([p, 100.0, 50.0], [1.0, 4.0], [4.0])
     assert _outcome(lambda: calibrate_grid(x32, *grid)) == _outcome(
         lambda: calibrate_grid(x64, *grid))
+
+
+_select = calibration._sorted_abs
+
+
+def _full_sort(values, p=0.0):
+    """The np.sort oracle of ``_sorted_abs``: its checks and dtype rule, then
+    every order statistic of |values| in its place."""
+    return np.sort(_select(values, 100.0))
+
+
+def _calibrations(x, p) -> list:
+    """What calibration gives for x at p: ``percentile_abs`` (as hex, so
+    every bit counts), ``calibrate``, and ``calibrate_grid`` with p lowest,
+    highest and before an out-of-range percentile; or each one's error."""
+    def one(call):
+        try:
+            return call()
+        except SoftEdgeError as e:
+            return type(e), str(e)
+    return [one(lambda: percentile_abs(x, p).hex()),
+            _outcome(lambda: [calibrate(x, p)]),
+            _outcome(lambda: calibrate_grid(x, [100.0, p, 50.0], [1.0, 4.0])),
+            _outcome(lambda: calibrate_grid(x, [p, 100.0], [4.0], [4.0, 8.0])),
+            _outcome(lambda: calibrate_grid(x, [p, 25.0, 150.0]))]
+
+
+@given(values=st.lists(_BINARY32, min_size=1, max_size=24),
+       p=st.floats(0, 100, exclude_min=True) | st.sampled_from([50.0, 100.0]),
+       dtype=st.sampled_from([np.float32, np.float64]))
+@example(values=[3.5], p=37.5, dtype=np.float32)  # n = 1
+@example(values=[-2.0, 1.0], p=50.0, dtype=np.float64)  # n = 2
+@example(values=[-2.0, 1.0], p=100.0, dtype=np.float32)
+@example(values=[2.0, -2.0, 2.0, 1.0, 2.0], p=50.0, dtype=np.float32)  # ties
+@example(values=[-0.0, 0.0, -0.0, 1.0], p=60.0, dtype=np.float64)  # +-0
+@example(values=[_F32_TINY, -_F32_SUBNORMAL_MAX, 0.0, -_F32_TINY], p=70.0,
+         dtype=np.float32)  # subnormals
+@example(values=[_F32_MAX, -_F32_MAX, 1.0, -_F32_TINY, 0.0], p=80.0,
+         dtype=np.float64)  # binary32 extremes; rank 3 = n - 2
+@example(values=[1.0, 5.0, 2.0, 4.0, 3.0], p=99.99, dtype=np.float32)  # n - 2
+@example(values=[1.0, 5.0, 2.0, 4.0, 3.0], p=100.0, dtype=np.float64)
+def test_selection_equals_the_sort(values, p, dtype):
+    # the selection sorts only from the rank a percentile reads up; every
+    # percentile, config and grid must be the full sort's, bit for bit
+    x = np.array(values, dtype)
+    assert percentile_abs(x, p) == percentile_oracle(x.tolist(), p)
+    got = _calibrations(x, p)
+    with mock.patch.object(calibration, "_sorted_abs", _full_sort):
+        assert got == _calibrations(x, p)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1000, 3 * 2**10 + 7])
+def test_selection_equals_the_sort_at_scale(n, dtype):
+    # numpy partitions up to about a hundred elements by sorting them all,
+    # so only a longer array shows a selection that reads below its rank;
+    # the rounded copy is mostly ties
+    x = generate(DistSpec(kind="student_t", n=n, seed=n, degrees_of_freedom=3))
+    for v in (x.astype(dtype), (np.round(x * 4) / 4).astype(dtype)):
+        for p in (1.0, 50.0, 99.0, 99.99, 100.0):
+            got = _calibrations(v, p)
+            with mock.patch.object(calibration, "_sorted_abs", _full_sort):
+                assert got == _calibrations(v, p)
+
+
+@pytest.mark.parametrize("values, grid, error", [
+    # an out-of-range percentile after valid ones: the valid rows are
+    # selected for and the bad one raises in its place
+    ([1.0, -3.0, 2.0], ([99.0, 50.0, 0.0], [4.0], [4.0]), PercentileOutOfRange),
+    ([1.0, -3.0, 2.0], ([50.0, 99.0, 150.0], [4.0], [4.0]),
+     PercentileOutOfRange),
+    # a low percentile that reads zero raises before a later bad one
+    ([0.0, 0.0, 0.0, 0.0, 1.0], ([99.0, 10.0, 0.0], [4.0], [4.0]),
+     DegenerateRange),
+    ([0.0, -0.0], ([50.0, 0.0], [4.0], [4.0]), DegenerateRange),
+    # an invalid fine divisor in the first row raises before anything else
+    ([1.0, -3.0, 2.0], ([99.0, 0.0], [0.5], [4.0]), InvalidConfig),
+])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_grid_errors_are_the_sorts(values, grid, error, dtype):
+    x = np.array(values, dtype)
+    got = _outcome(lambda: calibrate_grid(x, *grid))
+    assert got[0] is error
+    with mock.patch.object(calibration, "_sorted_abs", _full_sort):
+        assert got == _outcome(lambda: calibrate_grid(x, *grid))

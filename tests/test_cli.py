@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -14,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import softedge as se
+from softedge import cli
 from softedge.calibration import CODEC_FIELDS
 from softedge.cli import SWEEP_COLUMNS, main
 from softedge.errors import ValidationError
@@ -200,6 +203,9 @@ _MALFORMED = {
     "ssm-empty_input":
         ("ssm --seed 1 --config {cfg} --input {empty} --report {out}", 2,
          "--input"),
+    "ssm-seq_len_differs_from_input":  # {mix} holds 20,000 values
+        ("ssm --seq-len 5 --seed 1 --config {cfg} --input {mix} --report {out}",
+         2, "--seq-len 5 differs from the 20000 values"),
     "ssm-zero_state_dim":
         ("ssm --state-dim 0 --seed 1 --config {cfg} --report {out}", 2),
     "ssm-seq_len_beyond_intp":
@@ -400,6 +406,15 @@ class TestSsm:
                    "--report", rep) == 0
         assert json.loads(rep.read_text())["seq_len"] == 20_000
 
+    def test_input_with_its_own_seq_len(self, tmp_path, mixture_file,
+                                        unit_cfg_file):
+        reps = [tmp_path / "given.json", tmp_path / "left_out.json"]
+        for rep, seq_len in zip(reps, (["--seq-len", "20000"], [])):
+            assert run("ssm", *seq_len, "--state-dim", "4", "--seed", "3",
+                       "--config", unit_cfg_file, "--input", mixture_file,
+                       "--report", rep) == 0
+        assert reps[0].read_bytes() == reps[1].read_bytes()
+
 
 class TestSweep:
     def test_row_count_and_schema(self, tmp_path, mixture_file):
@@ -558,3 +573,52 @@ class TestTrace:
         t = se.hardware_trace(-0.3, se.derive_config(1.0))
         assert f"byte=0x{t.byte:02X}" in out
         assert f"region={t.region.value}" in out
+
+
+# Runs in which an option is set and then left out, with an argparse error
+# (exit 2 through SystemExit) after each: one process parses every run with
+# the one parser, and must write what a fresh process writes for each.
+_PARSER_RUNS = [
+    "synth --dist gaussian --n 1000 --seed 3 --std 2 --out {dir}/a.qsef",
+    "synth --dist nope --n 1000 --seed 3 --out {dir}/x.qsef",
+    "synth --dist gaussian --n 1000 --seed 3 --out {dir}/b.qsef",
+    "calibrate --input {dir}/a.qsef --percentile 99 --fine-divisor 2 "
+    "--out {dir}/c.json",
+    "calibrate --input {dir}/a.qsef --percentile many --out {dir}/x.json",
+    "calibrate --input {dir}/a.qsef --percentile 99 --out {dir}/d.json",
+]
+
+
+def test_one_parser_writes_what_fresh_processes_write(tmp_path, capsys):
+    one, fresh = tmp_path / "one", tmp_path / "fresh"
+    one.mkdir()
+    fresh.mkdir()
+    cli._parser.cache_clear()
+    codes = []
+    for argv in _PARSER_RUNS:
+        try:
+            codes.append(run(*argv.format(dir=one).split()))
+        except SystemExit as e:
+            codes.append(e.code)
+    assert cli._parser.cache_info().misses == 1
+    stdout = capsys.readouterr().out
+    src = str(Path(se.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fresh_codes, fresh_stdout = [], ""
+    for argv in _PARSER_RUNS:
+        done = subprocess.run(
+            [sys.executable, "-m", "softedge.cli",
+             *argv.format(dir=fresh).split()],
+            env=env, capture_output=True, text=True, timeout=120)
+        fresh_codes.append(done.returncode)
+        fresh_stdout += done.stdout
+    assert codes == fresh_codes == [0, 2, 0, 0, 2, 0]
+    assert stdout == fresh_stdout
+    names = sorted(p.name for p in one.iterdir())
+    assert names == sorted(p.name for p in fresh.iterdir()) == [
+        "a.qsef", "b.qsef", "c.json", "d.json"]
+    for name in names:
+        assert (one / name).read_bytes() == (fresh / name).read_bytes(), name
+    assert (one / "a.qsef").read_bytes() != (one / "b.qsef").read_bytes()
+    assert (one / "c.json").read_bytes() != (one / "d.json").read_bytes()

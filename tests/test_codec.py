@@ -434,6 +434,37 @@ def test_decode_table_digest(name):
         assert np.abs(decode).max() > np.finfo(np.float32).max
 
 
+# Every key, the negative-zero key (384) included, over two blocks and a
+# part, so each block is cast from the one binary32 table.
+_KEY_FLAGS, _KEY_CODES = np.divmod(np.tile(np.arange(512), 2 * _B // 512 + 3),
+                                   256)
+
+
+@pytest.mark.parametrize("cfg", [*_THRESHOLD_CFGS, derive_config(2e36)])
+def test_binary32_decode_is_decode_then_cast(cfg):
+    q = QuantizedTensor(cfg, _KEY_FLAGS, _KEY_CODES)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # past binary32 is +-inf, quietly
+        got = decode_tensor(q, strict=False, dtype="<f4")
+    with np.errstate(over="ignore"):
+        want = decode_tensor(q, strict=False).astype("<f4")
+    assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+    negative_zero = got[codec.NEGATIVE_ZERO]
+    assert negative_zero == 0 and np.signbit(negative_zero)
+    if cfg.scale == 2e36:
+        assert np.isposinf(got).any() and np.isneginf(got).any()
+    # strict: the same error in either dtype, and without the key the same
+    # bits
+    for dtype in (np.float64, "<f4"):
+        with pytest.raises(NonCanonicalCode, match="at index 384$"):
+            decode_tensor(q, dtype=dtype)
+    keep = (_KEY_FLAGS << 8 | _KEY_CODES) != codec.NEGATIVE_ZERO
+    q = QuantizedTensor(cfg, _KEY_FLAGS[keep], _KEY_CODES[keep])
+    with np.errstate(over="ignore"):
+        want = decode_tensor(q).astype("<f4")
+    assert decode_tensor(q, dtype="<f4").tobytes() == want.tobytes()
+
+
 _KERNEL_ENTRIES = {
     "fake_quant": fake_quant,
     "fake_quant_int8": lambda v, cfg: fake_quant(v, cfg, "int8"),

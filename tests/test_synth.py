@@ -18,6 +18,7 @@ from softedge.synth import (
     BLOCK,
     MAX_DF,
     DistSpec,
+    _below,
     _splitmix64_at,
     _unit,
     gaussians,
@@ -137,6 +138,39 @@ class TestBlocks:
                        dtype=np.int64)
         got = _unit(_splitmix64_at(seed, idx + start), open_zero=open_zero)
         assert got.tobytes() == want[idx].tobytes()
+
+    # 0, the smallest subnormal, the default, a half and the largest
+    # fraction below 1, whose threshold is 2**64 - 2**11
+    @pytest.mark.parametrize("f", [0.0, 5e-324, 0.001, 0.5, 1 - 2**-53])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=seeds, start=starts, n=st.integers(1, 4096))
+    def test_integer_decisions_at_fixed_fractions(self, f, seed, start, n):
+        want = np.flatnonzero(uniforms(seed, start, n) < f)
+        assert np.array_equal(_below(seed, start, n, f), want)
+
+    @settings(deadline=None)
+    @given(seed=seeds, start=starts, n=st.integers(1, 4096), data=st.data())
+    def test_integer_decisions_match_uniforms(self, seed, start, n, data):
+        # a random f, or a drawn uniform itself or one ulp either side of
+        # it, so that some u equals f or lies next to it
+        u = uniforms(seed, start, n)
+        k = data.draw(st.integers(0, n - 1), label="k")
+        f = data.draw(st.floats(0, 1, exclude_max=True) | st.sampled_from(
+            [u[k], np.nextafter(u[k], 0.0), np.nextafter(u[k], 1.0)])
+            .filter(lambda f: f < 1.0), label="f")
+        assert np.array_equal(_below(seed, start, n, float(f)),
+                              np.flatnonzero(u < f))
+
+    def test_integer_decision_at_a_uniform_itself(self):
+        # a raw output that is a multiple of 2**11 is its uniform times 2**64
+        # exactly, so f = u sits on the threshold: u < f must not pick it
+        seed, n = 5, 1 << 16
+        u = uniforms(seed, 0, n)
+        on = np.flatnonzero(_splitmix64_at(seed, np.arange(n)) % 2**11 == 0)
+        assert on.size > 10
+        for f in u[on]:
+            assert np.array_equal(_below(seed, 0, n, float(f)),
+                                  np.flatnonzero(u < f))
 
     @pytest.mark.parametrize("kind, bound", [
         ("outlier_mixture", 17), ("gaussian", 17), ("lognormal", 17),
