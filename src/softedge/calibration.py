@@ -22,14 +22,9 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    DegenerateRange,
-    EmptyTensor,
-    InvalidConfig,
-    PercentileOutOfRange,
-    check_finite,
-    check_number,
-)
+from .errors import (DegenerateRange, EmptyTensor, InvalidConfig,
+                     PercentileOutOfRange, check_finite, check_number,
+                     check_real)
 
 MAX_STANDARD_CODE = 127
 # The fields the codec reads, in the order QSE1 stores them.
@@ -153,16 +148,18 @@ def _sorted_abs(values, p: float = 0.0) -> np.ndarray:
     flattened, with its order statistics from the lowest rank the p-th
     percentile reads (``_rank``) up in their sorted places: the one
     selection that calibration reads. It partitions at that rank and sorts
-    only the elements above it; p = 0 sorts them all."""
-    v = check_finite(values)
-    if v.size == 0:
+    only the elements above it; p = 0 sorts them all. NaN and inf sort
+    last, so a non-finite top sends the values to ``check_finite``."""
+    x = check_real(values)
+    if x.size == 0:
         raise EmptyTensor("cannot take a percentile of an empty tensor")
-    if v.dtype != np.float32:
-        v = v.astype(np.float64, copy=False)
+    v = x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
     w = np.abs(v).reshape(-1)
     lo = _rank(p, w.size)[0]
     w.partition(lo)
     w[lo:].sort()
+    if not np.isfinite(w[-1]):
+        check_finite(x)
     return w
 
 

@@ -37,7 +37,8 @@ from enum import Enum
 import numpy as np
 
 from .calibration import MAX_STANDARD_CODE, QuantConfig
-from .errors import LengthMismatch, NonCanonicalCode, check_finite
+from .errors import (LengthMismatch, NonCanonicalCode, check_finite,
+                     check_real)
 
 __all__ = [
     "RegionClass",
@@ -306,24 +307,27 @@ def int8_decode(b: int, cfg: QuantConfig) -> float:
     return float(b) * cfg.scale
 
 
-def _blocked(values, dtype, kernel):
-    """``kernel`` over BLOCK-element slices of the flattened values, each
-    widened to float64, written into one preallocated array of ``dtype``
-    shaped like them. Every kernel step is elementwise, so the bits are those
-    of one pass. A widened block with a NaN/inf sends the whole input to
-    ``check_finite``, which raises with the index; an input that is not
-    bool, integer or real float goes there first, which rejects it."""
-    x = np.asarray(values)
-    if x.dtype.kind not in "biuf":
-        check_finite(x)
-    flat = x.reshape(-1)
-    out = np.empty(flat.size, dtype)
-    for i in range(0, flat.size, BLOCK):
-        with np.errstate(over="ignore", invalid="ignore"):
-            b = flat[i:i + BLOCK].astype(np.float64, copy=False)
+def _walk(x: np.ndarray, bounds):
+    """(lo, hi, b) of each [lo, hi) in ``bounds``, b the float64 widening of
+    the flattened x[lo:hi], gated by ``check_real``: the one loop that reads
+    input blocks. A block with a NaN/inf sends x to ``check_finite``."""
+    flat = check_real(x).reshape(-1)
+    for lo, hi in bounds:
+        with np.errstate(invalid="ignore"):  # a signalling NaN, found next
+            b = flat[lo:hi].astype(np.float64, copy=False)
         if not np.isfinite(b).all():
             check_finite(x)
-        out[i:i + BLOCK] = kernel(b)
+        yield lo, hi, b
+
+
+def _blocked(values, dtype, kernel):
+    """``kernel`` over the ``_walk`` of BLOCK-element slices of the values,
+    into one ``dtype`` array shaped like them: elementwise, one pass's bits."""
+    x = np.asarray(values)
+    out = np.empty(x.size, dtype)
+    bounds = ((i, i + BLOCK) for i in range(0, x.size, BLOCK))
+    for lo, hi, b in _walk(x, bounds):
+        out[lo:hi] = kernel(b)
     # [()] gives a 0-d input a scalar, as indexing it whole would
     return out.reshape(x.shape)[()]
 

@@ -4,13 +4,14 @@ Validation errors (bad inputs, malformed files, broken invariants) derive
 from :class:`ValidationError`; genuine I/O failures wrap the OS error in
 :class:`IoFailure`. The CLI maps these onto exit codes 2 and 1.
 
-:func:`check_finite` is the package's one entry for tensors and one NaN/inf
-check: it returns the array it checked, in the caller's own dtype, or raises
-the caller's error class with ``index`` set to the first bad value. A value
-is bad if it is NaN, infinite, or does not fit the binary64 every caller
-widens to. Any other dtype than bool, integer or real float then raises
-TypeError: a cast to float would drop an imaginary part, count days or
-parse text.
+:func:`check_finite` is the package's one NaN/inf rule: it returns the array
+it checked, in the caller's own dtype, or raises the caller's error class
+with ``index`` set to the first bad value. A value is bad if it is NaN,
+infinite, or does not fit the binary64 every caller widens to. Any other
+dtype than bool, integer or real float then raises TypeError: a cast to
+float would drop an imaginary part, count days or parse text. A pass over
+float64 blocks tests each as it reads it, past the gate :func:`check_real`,
+and calls check_finite only to name the first bad index.
 """
 
 import numbers
@@ -136,4 +137,14 @@ def check_finite(values, error=NonFiniteInput, where: str = "") -> np.ndarray:
     if kind not in "biuf":
         raise TypeError(f"{where}a tensor must hold bool, integer or real "
                         f"float values, not dtype {x.dtype}")
+    return x
+
+
+def check_real(values) -> np.ndarray:
+    """``values`` as an array whose float64 blocks a pass checks as it reads
+    them: a dtype not bool, integer or real float up to binary64 is checked
+    whole, which raises but for an extended float, then widened."""
+    x = np.asarray(values)
+    if x.dtype.kind not in "biuf" or x.dtype.itemsize > 8:
+        x = check_finite(x).astype(np.float64)
     return x

@@ -7,22 +7,21 @@ of floating point summation", SIAM J. Sci. Comput. 1993): n splits at n/2,
 rounded down to a multiple of 8. Every statistic (``mse``, ``sqnr_db`` and
 ``ssm.run_report`` too) comes from a walk of that tree down to leaves of at
 most ``LEAF`` (2**15) elements that makes one pass over each leaf while it
-is in cache: it widens x, takes |x| once, forms each row's errors from
-magnitudes, ||x| - m| with m the codec's ``_magnitude``, or |x - a| of a
-given array's leaf (a sweep's coarse twins redo only elements above H),
-and takes the leaf's partial sums and max. No leaf is checked again. The
-partials are added up the same tree. A region row sums
+is in cache: it widens and checks x in the codec's ``_walk``, takes |x|
+once, forms each row's errors from magnitudes, ||x| - m| with m the
+codec's ``_magnitude``, or |x - a| of a given array's leaf (a sweep's
+coarse twins redo only elements above H), and takes the leaf's partial
+sums and max. The partials are added up the same tree. A region row sums
 its region's compacted errors, whose tree splits on the region's count:
-the counts are taken first, as the sizes of the index sets
-of the codec's ``_regions`` (this module compares no thresholds), which
-split each leaf's errors in input order; the soft-edge kernel of the leaf
-reads the same sets, taken once. Each region's errors are staged in a
-leaf-sized buffer that is summed whenever a leaf of its tree fills. A pair
-whose difference overflows binary64 (opposite signs near +-1e308) reruns
-the pass with its operands halved leaf by leaf, and a sum that overflows
-reruns it on values scaled by 2**-k. The pass builds no n-element float
-temporary; the finiteness checks' masks (1 B/elem) and the sweep's |x|
-selection are a report's only input-sized allocations.
+the counts are taken first, in a walk of their own, as the sizes of the
+index sets of the codec's ``_regions`` (this module compares no
+thresholds), which split each leaf's errors in input order; the soft-edge
+kernel of the leaf reads the same sets, taken once. Each region's errors
+are staged in a leaf-sized buffer that is summed whenever a leaf of its
+tree fills. A pair whose difference overflows binary64 (opposite signs
+near +-1e308) reruns the pass with its operands halved leaf by leaf, and a
+sum that overflows reruns it on values scaled by 2**-k. No pass builds an
+n-element float temporary.
 
 A lossless tensor has infinite SQNR; the JSON serialization spells that as
 the string "inf".
@@ -45,8 +44,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .calibration import QuantConfig, calibrate_grid
-from .codec import BLOCK as LEAF, RegionClass, _magnitude, _regions
-from .errors import EmptyTensor, LengthMismatch, ZeroSignal, check_finite
+from .codec import BLOCK as LEAF, RegionClass, _magnitude, _regions, _walk
+from .errors import (EmptyTensor, LengthMismatch, ZeroSignal, check_finite,
+                     check_real)
 
 __all__ = [
     "RegionStats",
@@ -261,7 +261,7 @@ def _pair_stats(ref, approx):
     """(power, stats) of a checked ref and an approx of its shape, from one
     ``_report``: the (s, e) pair of the reference's power and ``_stats`` of
     |ref - approx|."""
-    power, err = _report(np.asarray(ref), [np.asarray(approx).reshape(-1)])
+    power, err = _report(ref, [np.asarray(approx).reshape(-1)])
     return power.sums[0], _stats(err, power.sums[0])
 
 
@@ -289,10 +289,9 @@ def _region_counts(flat: np.ndarray, cfg: QuantConfig) -> tuple:
     """Elements of the flat input in each region, small, medium and large:
     the sizes of the codec's ``_regions`` index sets, leaf by leaf."""
     mid = big = 0
-    for lo, hi in _leaves(flat.size):
-        ax = np.abs(flat[lo:hi].astype(np.float64, copy=False))
-        m, _, b = _regions(ax, cfg)
-        mid, big = mid + m.size, big + b.size
+    for _, _, b in _walk(flat, _leaves(flat.size)):
+        m, _, g = _regions(np.abs(b), cfg)
+        mid, big = mid + m.size, big + g.size
     return flat.size - mid, mid - big, big
 
 
@@ -319,22 +318,22 @@ def _twins(approximations) -> list:
     return [bool(k) and k == prev for prev, k in zip([False] + keys, keys)]
 
 
-def _report(x: np.ndarray, approximations, regions: bool = False) -> list:
-    """The columns of one pass over the leaves of the checked x, the one
-    place an empty input raises: |x| (the input's power), then |x - a| of
-    each approximation a, a (cfg, which) pair for fake_quant(x, cfg, which)
-    or a checked array shaped like the flattened x, then, given
+def _report(x, approximations, regions: bool = False) -> list:
+    """The columns of one pass over the leaves of x, the one place an empty
+    input raises (after the dtype gate): |x| (the input's power), then
+    |x - a| of each approximation a, a (cfg, which) pair for fake_quant(x,
+    cfg, which) or a checked array shaped like the flattened x, then, given
     ``regions``, the errors of the first, a (cfg, "soft_edge") pair, in
     each of its regions, small, medium, large.
 
-    Each leaf is widened and its |x| taken once, and it stays in cache while
-    every approximation of it is formed or sliced, and its errors summed,
-    compacted and staged. A soft-edge row takes the leaf's ``_regions`` sets
-    once, for its kernel, the region split and its coarse twins
-    (``_twins``), which take the errors of the row before and redo them in
-    place at the leaf's large set: a column keeps no pushed array, so one
-    leaf of errors is held at a time."""
-    flat = x.reshape(-1)
+    Each leaf is read through ``_walk``, which widens and checks it, and its
+    |x| taken once; it stays in cache while every approximation of it is formed
+    or sliced, and its errors summed, compacted and staged. A soft-edge row
+    takes the leaf's ``_regions`` sets once, for its kernel, the region split
+    and its coarse twins (``_twins``), which take the errors of the row before
+    and redo them in place at the leaf's large set: a column keeps no pushed
+    array, so one leaf of errors is held at a time."""
+    flat = check_real(x).reshape(-1)  # a non-real x raises, even if empty
     if flat.size == 0:
         raise EmptyTensor("metrics need at least one element")
     counts = _region_counts(flat, approximations[0][0]) if regions else ()
@@ -346,8 +345,7 @@ def _report(x: np.ndarray, approximations, regions: bool = False) -> list:
                                 half=int(i in halves))
                         for i in range(1 + len(approximations)))
         by_region = [_Column(c, True, next(scales, None)) for c in counts]
-        for lo, hi in _leaves(flat.size):
-            b = flat[lo:hi].astype(np.float64, copy=False)
+        for lo, hi, b in _walk(flat, _leaves(flat.size)):
             ax = np.abs(b)
             power.push(ax)
             for row, a, twin in zip(rows, approximations, twins):
@@ -388,8 +386,8 @@ def region_breakdown(values, cfg: QuantConfig):
 
     Returns (small, medium, large) RegionStats; counts sum to n.
     """
-    x = check_finite(values)
-    return _region_rows(_report(x, [(cfg, "soft_edge")], True)[2:], x.size)
+    power, _, *regions = _report(values, [(cfg, "soft_edge")], True)
+    return _region_rows(regions, power.count)
 
 
 def _delta(a: float, b: float) -> float:
@@ -401,17 +399,15 @@ def _delta(a: float, b: float) -> float:
 
 def compare_quantizers(values, cfg: QuantConfig) -> ComparisonReport:
     """Side-by-side soft-edge vs baseline INT8 report on one tensor."""
-    x = check_finite(values)
     power, se, base, *regions = _report(
-        x, [(cfg, "soft_edge"), (cfg, "int8")], True)
-    power = power.sums[0]
-    se, base = (QuantizerStats(**_stats(c, power)) for c in (se, base))
+        values, [(cfg, "soft_edge"), (cfg, "int8")], True)
+    se, base = (QuantizerStats(**_stats(c, power.sums[0])) for c in (se, base))
     return ComparisonReport(
         config=cfg,
-        n=int(x.size),
+        n=power.count,
         soft_edge=se,
         int8=base,
-        regions=_region_rows(regions, x.size),
+        regions=_region_rows(regions, power.count),
         delta_mse=_delta(se.mse, base.mse),
         delta_sqnr_db=_delta(se.sqnr_db, base.sqnr_db),
         delta_max_abs_err=_delta(se.max_abs_err, base.max_abs_err),
@@ -436,20 +432,18 @@ def sweep(values, percentiles, fine_divisors=(4.0,),
     """A ``SweepRow`` per ``calibrate_grid`` row, in its order, equal to
     ``compare_quantizers(values, calibrate(values, p, fd, cm))``.
 
-    The rows share their work: one finiteness check and selection (in
-    ``calibrate_grid``), then one leaf pass for the input power, every
-    soft-edge row and one INT8 row per distinct scale (the INT8 row reads
-    only the scale). The coarse multiplier runs innermost, so each row's
-    coarse twins follow it and redo only its elements above H. Region rows
-    are not computed.
+    The rows share their work: one selection (in ``calibrate_grid``), then
+    one leaf pass for the input power, every soft-edge row and one INT8 row
+    per distinct scale (the INT8 row reads only the scale). The coarse
+    multiplier runs innermost, so each row's coarse twins follow it and redo
+    only its elements above H. Region rows are not computed.
     """
     configs = calibrate_grid(values, percentiles, fine_divisors,
                              coarse_multipliers)
     if not configs:
         return []
     int8 = {cfg.scale: cfg for cfg in configs}  # one per distinct scale
-    power, *rows = _report(np.asarray(values),  # checked by the grid
-                           [(cfg, "soft_edge") for cfg in configs]
+    power, *rows = _report(values, [(cfg, "soft_edge") for cfg in configs]
                            + [(cfg, "int8") for cfg in int8.values()])
     power = power.sums[0]
     rows = [QuantizerStats(**_stats(c, power)) for c in rows]

@@ -39,7 +39,7 @@ _MACS = 2 ** 17  # per product slice; OpenBLAS may thread a gemm from 2**18
 MAX_STATE_DIM = SIZE_MAX // (BLOCK + 1)
 
 __all__ = ["SsmParams", "SsmRunReport", "make_params", "ssm_forward",
-           "ssm_forward_quantized", "run_report"]
+           "run_report"]
 
 
 @dataclass(frozen=True)
@@ -141,12 +141,6 @@ def _product(x: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
     rows = np.gcd(m, 1 << max((_MACS // (k * p)).bit_length() - 1, 0))
     out = out if out is None else out.reshape(-1, rows, p)
     return np.matmul(x.reshape(-1, rows, k), w, out=out).reshape(m, p)
-
-
-def ssm_forward_quantized(params: SsmParams, x, cfg: QuantConfig,
-                          which: str = "soft_edge") -> np.ndarray:
-    """Same recurrence with the input fake-quantized at the SSM entry point."""
-    return ssm_forward(params, fake_quant(x, cfg, which))
 
 
 def run_report(params: SsmParams, x, cfg: QuantConfig) -> SsmRunReport:

@@ -17,6 +17,7 @@ from softedge import (
     TraceRecord,
     calibrate,
     classify,
+    compare_quantizers,
     decode_tensor,
     derive_config,
     encode_tensor,
@@ -28,6 +29,7 @@ from softedge import (
     region_breakdown,
     se_decode,
     se_encode,
+    sweep,
 )
 from softedge import codec
 from softedge.calibration import CODEC_FIELDS
@@ -469,28 +471,39 @@ _KERNEL_ENTRIES = {
     "fake_quant": fake_quant,
     "fake_quant_int8": lambda v, cfg: fake_quant(v, cfg, "int8"),
     "encode_tensor": encode_tensor,
+    # multi-leaf reports, and the selection's top
+    "compare_quantizers": compare_quantizers,
+    "region_breakdown": region_breakdown,
+    "sweep": lambda v, cfg: sweep(v, [99, 100]),
+    "calibrate": lambda v, cfg: calibrate(v, 99),
 }
 _WIDE = np.finfo(np.longdouble).max > np.finfo(np.float64).max
 
 
 def _with_bad(kind, positions, n=2 * _B + 3):
     """n ones of the kind's dtype, with its bad value at ``positions``."""
-    dtype = {"snan32": np.float32, "beyond_binary64": np.longdouble}
+    dtype = {"snan32": np.float32, "beyond_binary64": np.longdouble,
+             "rounds_to_binary64_max": np.longdouble}
     v = np.ones(n, dtype.get(kind, np.float64))
     for i in positions:
         if kind == "snan32":  # set by bits: a float32 store could quiet it
             v.view(np.uint32)[i] = 0x7F800001
         else:
             v[i] = {"nan": np.nan, "inf": -np.inf,
-                    "beyond_binary64": np.longdouble("1e400")}[kind]
+                    "beyond_binary64": np.longdouble("1e400"),
+                    # finite when widened: only a whole check sees it
+                    "rounds_to_binary64_max": np.nextafter(
+                        np.longdouble(np.finfo(np.float64).max),
+                        np.longdouble(np.inf))}[kind]
     return v
 
 
 @pytest.mark.parametrize("entry", _KERNEL_ENTRIES)
 @pytest.mark.parametrize("kind", [
     "nan", "inf", "snan32",
-    pytest.param("beyond_binary64", marks=pytest.mark.skipif(
-        not _WIDE, reason="longdouble is binary64 on this platform")),
+    *(pytest.param(kind, marks=pytest.mark.skipif(
+        not _WIDE, reason="longdouble is binary64 on this platform"))
+      for kind in ("beyond_binary64", "rounds_to_binary64_max")),
 ])
 @pytest.mark.parametrize("pos", [0, _B - 1, _B, 2 * _B + 2])
 def test_blocked_kernels_report_the_global_index(entry, kind, pos, unit_cfg):

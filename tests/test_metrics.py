@@ -221,28 +221,33 @@ def test_fake_quant_error_drives_report(unit_cfg):
 @pytest.fixture
 def finite_checks(monkeypatch):
     """Every value that a layer passes to ``check_finite``, in call order."""
-    seen = []
+    seen, check_finite = [], errors.check_finite
 
     def counting(values, *args, **kwargs):
         seen.append(values)
-        return errors.check_finite(values, *args, **kwargs)
+        return check_finite(values, *args, **kwargs)
 
-    for layer in (calibration, codec, metrics, ssm):
+    for layer in (calibration, codec, errors, metrics, ssm):
         monkeypatch.setattr(layer, "check_finite", counting)
     return seen
 
 
-@pytest.mark.parametrize("report", [
-    compare_quantizers,
-    region_breakdown,
-    lambda x, cfg: sweep(x, [99.0, 100.0], [2.0, 4.0]),
-    lambda x, cfg: run_report(make_params(4, 1), x, cfg),
-], ids=["compare_quantizers", "region_breakdown", "sweep", "run_report"])
-def test_a_report_checks_its_input_once(finite_checks, unit_cfg, report):
-    # every pass of a report reads the float64 input it was given
+@pytest.mark.parametrize("report, whole", [
+    (compare_quantizers, 0),
+    (region_breakdown, 0),
+    (lambda x, cfg: sweep(x, [99.0, 100.0], [2.0, 4.0]), 0),
+    (lambda x, cfg: calibrate(x, 99.0), 0),
+    (lambda x, cfg: run_report(make_params(4, 1), x, cfg), 1),
+], ids=["compare_quantizers", "region_breakdown", "sweep", "calibrate",
+        "run_report"])
+def test_a_report_checks_its_input_once(finite_checks, unit_cfg, report,
+                                        whole):
+    # every pass checks the float64 blocks it reads as it reads them, so no
+    # report or calibration checks its input whole; run_report's one check
+    # is ssm_forward's, which raises InvalidParams
     x = generate(DistSpec(kind="outlier_mixture", n=4096, seed=1))
     report(x, unit_cfg)
-    assert sum(v is x for v in finite_checks) == 1
+    assert sum(v is x for v in finite_checks) == whole
 
 
 def test_sweep_twins_match_per_row_reports():
@@ -495,11 +500,12 @@ def test_leaf_tree_is_numpy_sum(n, seed, df, cuts):
 ], ids=["compare_quantizers", "sweep", "sweep_grid", "mse", "mse_f32",
         "sqnr_db", "sqnr_db_f32", "run_report_f32"])
 def test_peak_memory_per_element(kind, report, dtype, bound):
-    # a report keeps leaf-sized scratch, not n-element temporaries; the
-    # finiteness checks' masks (1 B/elem) and the sweep's sorted |x|
-    # (8 B/elem) are the only input-sized allocations of the metrics; a
-    # sweep's coarse twins hold one leaf of errors, not a row. The SSM report
-    # adds its runs' float64 inputs and outputs.
+    # a report keeps leaf-sized scratch, not n-element temporaries, and
+    # checks each leaf as it reads it; the sweep's sorted |x| (8 B/elem) and
+    # the 1 B/elem masks of mse's and sqnr_db's whole checks are the only
+    # input-sized allocations of the metrics; a sweep's coarse twins hold one
+    # leaf of errors, not a row. The SSM report adds its runs' float64 inputs
+    # and outputs.
     n = 1 << 20
     x = generate(DistSpec(kind=kind, n=n, seed=0)).astype(dtype)
     cfg = calibrate(x, 99.99)

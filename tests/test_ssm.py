@@ -7,10 +7,10 @@ from softedge import (
     SsmParams,
     calibrate,
     derive_config,
+    fake_quant,
     make_params,
     run_report,
     ssm_forward,
-    ssm_forward_quantized,
 )
 from softedge.errors import InvalidParams
 from softedge.ssm import _MACS, BLOCK, MAX_STATE_DIM
@@ -219,18 +219,18 @@ class TestQuantizedRuns:
         rng = np.random.default_rng(6)
         x = rng.uniform(16, 127, 512) * rng.choice([-1, 1], 512)
         p = make_params(8, seed=8)
-        y_se = ssm_forward_quantized(p, x, unit_cfg, "soft_edge")
-        y_i8 = ssm_forward_quantized(p, x, unit_cfg, "int8")
+        y_se = ssm_forward(p, fake_quant(x, unit_cfg, "soft_edge"))
+        y_i8 = ssm_forward(p, fake_quant(x, unit_cfg, "int8"))
         np.testing.assert_array_equal(y_se, y_i8)
 
     def test_single_outlier_sample(self):
         cfg = derive_config(1.0)
         p = SsmParams(a=[0.0], b=[1.0], c=[1.0])
         np.testing.assert_array_equal(
-            ssm_forward_quantized(p, [200.0], cfg, "soft_edge"), [199.0]
+            ssm_forward(p, fake_quant([200.0], cfg, "soft_edge")), [199.0]
         )
         np.testing.assert_array_equal(
-            ssm_forward_quantized(p, [200.0], cfg, "int8"), [127.0]
+            ssm_forward(p, fake_quant([200.0], cfg, "int8")), [127.0]
         )
 
     def test_mixture_soft_edge_wins_end_to_end(self):
@@ -246,7 +246,7 @@ class TestQuantizedRuns:
         amax = float(np.max(np.abs(p.a)))
         k = float(np.sum(np.abs(p.c * p.b))) / (1 - amax)
         y_ref = ssm_forward(p, x)
-        y_se = ssm_forward_quantized(p, x, unit_cfg, "soft_edge")
+        y_se = ssm_forward(p, fake_quant(x, unit_cfg, "soft_edge"))
         assert np.max(np.abs(y_ref - y_se)) <= k * rep.input_max_abs_err_soft_edge + 1e-9
 
 

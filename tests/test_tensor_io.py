@@ -31,7 +31,6 @@ from softedge import (
     run_report,
     se_encode,
     ssm_forward,
-    ssm_forward_quantized,
     sweep,
     read_packed,
     read_tensor,
@@ -501,8 +500,6 @@ _ENTRY_POINTS = {
     "SsmParams": (lambda v: SsmParams(a=np.full(v.shape, 0.5), b=v,
                                       c=np.ones(v.shape)), InvalidParams),
     "ssm_forward": (lambda v: ssm_forward(_PARAMS, v), InvalidParams),
-    "ssm_forward_quantized": (lambda v: ssm_forward_quantized(_PARAMS, v, _CFG),
-                              NonFiniteInput),
     "run_report": (lambda v: run_report(_PARAMS, v, _CFG), InvalidParams),
     "calibrate_grid": (lambda v: calibrate_grid(v, [99, 100]), NonFiniteInput),
     "sweep": (lambda v: sweep(v, [99, 100]), NonFiniteInput),
@@ -569,6 +566,9 @@ _NOT_REAL = {
                            dtype="datetime64[D]"),
     "timedelta64": np.array([1, 2, 3], dtype="timedelta64[s]"),
     "str": np.array(["1.5", "2", "3"]),
+    # empty: the dtype is rejected before the empty check
+    "empty_str": np.array([], dtype=str),
+    "empty_complex128": np.array([], dtype=np.complex128),
 }
 
 
