@@ -7,10 +7,10 @@ of floating point summation", SIAM J. Sci. Comput. 1993): n splits at n/2,
 rounded down to a multiple of 8. Every statistic (``mse``, ``sqnr_db`` and
 ``ssm.run_report`` too) comes from a walk of that tree down to leaves of at
 most ``LEAF`` (2**15) elements that makes one pass over each leaf while it
-is in cache: it widens and checks x in the codec's ``_walk``, takes |x|
-once, forms each row's errors from magnitudes, ||x| - m| with m the
-codec's ``_magnitude``, or |x - a| of a given array's leaf (a sweep's
-coarse twins redo only elements above H), and takes the leaf's partial
+is in cache: it widens and checks the leaf of x, and of a given array a,
+in ``codec._walk``, takes |x| once, forms each row's errors from
+magnitudes, ||x| - m| with m the codec's ``_magnitude``, or |x - a| (a
+sweep's coarse twins redo only elements above H), and takes the partial
 sums and max. The partials are added up the same tree. A region row sums
 its region's compacted errors, whose tree splits on the region's count:
 the counts are taken first, in a walk of their own, as the sizes of the
@@ -45,8 +45,8 @@ import numpy as np
 
 from .calibration import QuantConfig, calibrate_grid
 from .codec import BLOCK as LEAF, RegionClass, _magnitude, _regions, _walk
-from .errors import (EmptyTensor, LengthMismatch, ZeroSignal, check_finite,
-                     check_real)
+from .errors import (EmptyTensor, LengthMismatch, NonFiniteInput, ZeroSignal,
+                     check_finite, check_real)
 
 __all__ = [
     "RegionStats",
@@ -257,20 +257,23 @@ def _stats(errors: _Column, power=None) -> dict:
         return {**stats, "mean_abs_err": float(np.ldexp(s / errors.count, se))}
 
 
-def _pair_stats(ref, approx):
-    """(power, stats) of a checked ref and an approx of its shape, from one
-    ``_report``: the (s, e) pair of the reference's power and ``_stats`` of
-    |ref - approx|."""
-    power, err = _report(ref, [np.asarray(approx).reshape(-1)])
-    return power.sums[0], _stats(err, power.sums[0])
-
-
 def _checked_pair(ref, approx):
-    r = check_finite(ref, where="ref: ")
-    a = check_finite(approx, where="approx: ")
+    """(power, stats) of one ``_report`` of ref and approx, checked leaf by
+    leaf: ref's power as an (s, e) pair, and ``_stats`` of |ref - approx|.
+    Whole checks, which name the bad operand, run for two shapes, a failed
+    leaf or a dtype that ``check_real`` widens, which is then widened."""
+    r, a = np.asarray(ref), np.asarray(approx)
+    try:
+        if r.shape == a.shape and all(v.dtype.kind in "biuf"
+                                      and v.itemsize <= 8 for v in (r, a)):
+            power, err = _report(r, [a.reshape(-1)])
+            return power.sums[0], _stats(err, power.sums[0])
+    except NonFiniteInput:
+        pass  # the named checks raise it
+    r, a = check_finite(r, where="ref: "), check_finite(a, where="approx: ")
     if r.shape != a.shape:
         raise LengthMismatch(f"shape mismatch: {r.shape} vs {a.shape}")
-    return _pair_stats(r, a)
+    return _checked_pair(r.astype(np.float64), a.astype(np.float64))
 
 
 def mse(ref, approx) -> float:
@@ -322,17 +325,17 @@ def _report(x, approximations, regions: bool = False) -> list:
     """The columns of one pass over the leaves of x, the one place an empty
     input raises (after the dtype gate): |x| (the input's power), then
     |x - a| of each approximation a, a (cfg, which) pair for fake_quant(x,
-    cfg, which) or a checked array shaped like the flattened x, then, given
+    cfg, which) or an array shaped like the flattened x, then, given
     ``regions``, the errors of the first, a (cfg, "soft_edge") pair, in
     each of its regions, small, medium, large.
 
-    Each leaf is read through ``_walk``, which widens and checks it, and its
-    |x| taken once; it stays in cache while every approximation of it is formed
-    or sliced, and its errors summed, compacted and staged. A soft-edge row
-    takes the leaf's ``_regions`` sets once, for its kernel, the region split
-    and its coarse twins (``_twins``), which take the errors of the row before
-    and redo them in place at the leaf's large set: a column keeps no pushed
-    array, so one leaf of errors is held at a time."""
+    Each leaf of x, and of an array a, is read through ``_walk``, which widens
+    and checks it, and |x| taken once; it stays in cache while every
+    approximation of it is formed or read, and its errors summed, compacted and
+    staged. A soft-edge row takes the leaf's ``_regions`` sets once, for its
+    kernel, the region split and its coarse twins (``_twins``), which take the
+    errors of the row before and redo them in place at the leaf's large set: a
+    column keeps no pushed array, so one leaf of errors is held at a time."""
     flat = check_real(x).reshape(-1)  # a non-real x raises, even if empty
     if flat.size == 0:
         raise EmptyTensor("metrics need at least one element")
@@ -345,10 +348,12 @@ def _report(x, approximations, regions: bool = False) -> list:
                                 half=int(i in halves))
                         for i in range(1 + len(approximations)))
         by_region = [_Column(c, True, next(scales, None)) for c in counts]
-        for lo, hi, b in _walk(flat, _leaves(flat.size)):
+        sources = [a if isinstance(a, tuple) else _walk(a, _leaves(flat.size))
+                   for a in approximations]
+        for _, _, b in _walk(flat, _leaves(flat.size)):
             ax = np.abs(b)
             power.push(ax)
-            for row, a, twin in zip(rows, approximations, twins):
+            for row, a, twin in zip(rows, sources, twins):
                 if twin:  # the errors of the row before, redone above H
                     if large is None:
                         mid, _, big = sets or _regions(ax, a[0])
@@ -358,8 +363,8 @@ def _report(x, approximations, regions: bool = False) -> list:
                 elif isinstance(a, tuple):
                     sets = _regions(ax, a[0]) if a[1] == "soft_edge" else None
                     err, large = _magnitude_error(ax, *a, sets), None
-                else:  # a pair, halved if its difference overflowed
-                    d = a[lo:hi].astype(np.float64, copy=False)
+                else:  # a pair's leaf, halved if its difference overflowed
+                    d = next(a)[2]
                     err = b * 0.5 - d * 0.5 if row.half else b - d
                     np.abs(err, out=err)
                 row.push(err)

@@ -147,19 +147,19 @@ def run_report(params: SsmParams, x, cfg: QuantConfig) -> SsmRunReport:
     """Full-precision vs soft-edge vs INT8 runs, aggregated into one report.
 
     Each input is fake-quantized once, to float64; the same array drives its
-    SSM run and its input rows. ``metrics._pair_stats`` takes each pair's
-    rows, input and output, in one leaf pass with no n-element error array.
-    The full-precision run is the one check of x; a quantized input is
-    checked as it leaves fake_quant, whose binary32 cast can overflow to
-    infinity, so the error names its quantizer.
+    SSM run and its input rows. ``metrics._checked_pair``, mse's path, takes
+    each pair's rows, input and output, in one leaf pass with no n-element
+    error array. The full-precision run is the one check of x; a quantized
+    input is checked as it leaves fake_quant, whose binary32 cast can
+    overflow to infinity, so the error names its quantizer.
     """
     y_ref = ssm_forward(params, x)
     fields = {}
     for which in ("soft_edge", "int8"):
         xq = check_finite(fake_quant(x, cfg, which), InvalidParams,
                           f"{which}-quantized input: ").astype(np.float64)
-        _, out = metrics._pair_stats(y_ref, ssm_forward(params, xq))
-        _, inp = metrics._pair_stats(x, xq)
+        _, out = metrics._checked_pair(y_ref, ssm_forward(params, xq))
+        _, inp = metrics._checked_pair(x, xq)
         fields.update({
             f"output_mse_{which}": out["mse"],
             f"output_sqnr_db_{which}": out["sqnr_db"],

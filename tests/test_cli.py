@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -622,3 +623,85 @@ def test_one_parser_writes_what_fresh_processes_write(tmp_path, capsys):
         assert (one / name).read_bytes() == (fresh / name).read_bytes(), name
     assert (one / "a.qsef").read_bytes() != (one / "b.qsef").read_bytes()
     assert (one / "c.json").read_bytes() != (one / "d.json").read_bytes()
+
+
+# Every subcommand form that reads a QSEF tensor ({t}), a QSE1 tensor ({q})
+# or a config ({c}), with the inputs it reads.
+_FUZZ_FORMS = {
+    "calibrate": ("calibrate --input {t} --percentile 99 --out {out}", "t"),
+    "quantize": ("quantize --input {t} --config {c} --out {out}", "tc"),
+    "dequantize": ("dequantize --input {q} --out {out}", "q"),
+    "dequantize_config": ("dequantize --input {q} --config {c} --out {out}",
+                          "qc"),
+    "eval_json": ("eval --input {t} --config {c} --out {out}", "tc"),
+    "eval_csv": ("eval --input {t} --config {c} --format csv --out {out}",
+                 "tc"),
+    "sweep": ("sweep --input {t} --percentiles 90,100 --out {out}", "t"),
+    "ssm": ("ssm --input {t} --config {c} --seed 1 --state-dim 4 "
+            "--report {out}", "tc"),
+    "trace": ("trace --value 3.0 --config {c}", "c"),
+}
+# Byte edits of a valid file: (op, position, byte); positions wrap.
+_BYTE_EDITS = st.lists(st.tuples(
+    st.sampled_from(["set", "insert", "delete", "truncate"]),
+    st.integers(0, 1 << 10), st.integers(0, 255)), max_size=3)
+# A config field set to a value of the wrong sign, size or type.
+_FIELD_EDITS = st.none() | st.tuples(
+    st.sampled_from([*CODEC_FIELDS, "percentile", "calib_count"]),
+    st.sampled_from([0.0, -1.0, 5e-324, 1e-300, 0.5, 127.0, 1e39, 1e300,
+                     math.inf, math.nan, "1", None, True, [1.0]]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """The bytes of a valid QSEF tensor, its QSE1 encoding and its config."""
+    d = tmp_path_factory.mktemp("fuzz")
+    x = generate(DistSpec(kind="outlier_mixture", n=100, seed=3))
+    cfg = se.calibrate(x, 99)
+    se.write_tensor(d / "t", x)
+    se.write_packed(d / "q", se.encode_tensor(x, cfg))
+    (d / "c").write_text(cfg.to_json())
+    return {k: (d / k).read_bytes() for k in "tqc"}
+
+
+def _mutate(raw: bytes, edits, field) -> bytes:
+    if field is not None:
+        doc = json.loads(raw)
+        doc[field[0]] = field[1]
+        raw = json.dumps(doc).encode()
+    b = bytearray(raw)
+    for op, pos, byte in edits:
+        pos %= len(b) + 1
+        if op == "set":
+            b[pos:pos + 1] = bytes([byte])
+        elif op == "insert":
+            b[pos:pos] = bytes([byte])
+        else:
+            del b[pos:pos + 1 if op == "delete" else len(b)]
+    return bytes(b)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(form=st.sampled_from(sorted(_FUZZ_FORMS)), data=st.data())
+def test_mutated_inputs_exit_0_1_or_2(fuzz_inputs, form, data):
+    """A QSEF, QSE1 or config file with bytes set, inserted, deleted or cut
+    off, or a config field set to a bad value, exits 0, 1 or 2, never 3; a
+    failed stage leaves no file at its --out and no temporary file. A
+    warning is an error under the warnings-as-errors gate, so it exits 3."""
+    argv, reads = _FUZZ_FORMS[form]
+    target = data.draw(st.sampled_from(reads))
+    edits = data.draw(_BYTE_EDITS)
+    field = data.draw(_FIELD_EDITS) if target == "c" else None
+    with tempfile.TemporaryDirectory() as d:
+        paths = {"out": Path(d, "out")}
+        for key, raw in fuzz_inputs.items():
+            paths[key] = Path(d, key)
+            paths[key].write_bytes(
+                _mutate(raw, edits, field) if key == target else raw)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(argv.format(**paths).split())
+        assert code in (0, 1, 2), err.getvalue()
+        assert code == 0 or not paths["out"].exists()
+        assert not list(Path(d).glob("*.tmp"))

@@ -26,6 +26,7 @@ from softedge import (
     hardware_trace,
     int8_decode,
     int8_encode,
+    mse,
     region_breakdown,
     se_decode,
     se_encode,
@@ -476,6 +477,9 @@ _KERNEL_ENTRIES = {
     "region_breakdown": region_breakdown,
     "sweep": lambda v, cfg: sweep(v, [99, 100]),
     "calibrate": lambda v, cfg: calibrate(v, 99),
+    # a pair report, checked leaf by leaf, with either operand bad
+    "mse_ref": lambda v, cfg: mse(v, np.zeros(np.shape(v))),
+    "mse_approx": lambda v, cfg: mse(np.zeros(np.shape(v)), v),
 }
 _WIDE = np.finfo(np.longdouble).max > np.finfo(np.float64).max
 

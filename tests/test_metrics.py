@@ -81,10 +81,22 @@ class TestMse:
         assert mse(a, a) == 0
 
 
+def _with(n, bad):
+    """n ones with the values of ``bad``, a dict, at its indices."""
+    v = np.ones(n)
+    v[list(bad)] = list(bad.values())
+    return v
+
+
 @pytest.mark.parametrize("metric, ref, approx, index", [
     (mse, [float("nan")], [0.0], 0),
     (sqnr_db, [1.0, float("inf")], [1.0, 0.0], 1),
     (mse, [1.0, 2.0, 3.0], [1.0, 2.0, -float("inf")], 2),
+    # ref is checked first, though approx's leaf fails first in the pass
+    (sqnr_db, _with(3 * metrics.LEAF, {2 * metrics.LEAF + 1: np.nan}),
+     _with(3 * metrics.LEAF, {5: np.inf}), 2 * metrics.LEAF + 1),
+    # a NaN comes before a shape mismatch
+    (mse, [1.0, 2.0, 3.0], [[float("nan"), 1.0]], 0),
 ])
 def test_nonfinite_rejected_with_index(metric, ref, approx, index):
     with pytest.raises(NonFiniteInput) as ei:
@@ -238,13 +250,17 @@ def finite_checks(monkeypatch):
     (lambda x, cfg: sweep(x, [99.0, 100.0], [2.0, 4.0]), 0),
     (lambda x, cfg: calibrate(x, 99.0), 0),
     (lambda x, cfg: run_report(make_params(4, 1), x, cfg), 1),
+    (lambda x, cfg: mse(x, fake_quant(x, cfg)), 0),
+    (lambda x, cfg: sqnr_db(x, fake_quant(x, cfg)), 0),
+    (lambda x, cfg: mse(fake_quant(x, cfg), x), 0),
 ], ids=["compare_quantizers", "region_breakdown", "sweep", "calibrate",
-        "run_report"])
+        "run_report", "mse", "sqnr_db", "mse_approx"])
 def test_a_report_checks_its_input_once(finite_checks, unit_cfg, report,
                                         whole):
     # every pass checks the float64 blocks it reads as it reads them, so no
-    # report or calibration checks its input whole; run_report's one check
-    # is ssm_forward's, which raises InvalidParams
+    # report or calibration checks its input whole, and a pair report checks
+    # neither operand whole; run_report's one check is ssm_forward's, which
+    # raises InvalidParams
     x = generate(DistSpec(kind="outlier_mixture", n=4096, seed=1))
     report(x, unit_cfg)
     assert sum(v is x for v in finite_checks) == whole
@@ -483,7 +499,7 @@ def test_leaf_tree_is_numpy_sum(n, seed, df, cuts):
         column.push(piece)
     assert column.sums == [(float(np.sum(a * a)), 0), (float(np.sum(a)), 0)]
     assert column.top == float(np.max(a))
-    assert metrics._pair_stats(v, v)[0] == (float(np.sum(v * v)), 0)
+    assert metrics._checked_pair(v, v)[0] == (float(np.sum(v * v)), 0)
 
 
 @pytest.mark.parametrize("kind", ["student_t", "outlier_mixture", "gaussian"])
@@ -501,11 +517,10 @@ def test_leaf_tree_is_numpy_sum(n, seed, df, cuts):
         "sqnr_db", "sqnr_db_f32", "run_report_f32"])
 def test_peak_memory_per_element(kind, report, dtype, bound):
     # a report keeps leaf-sized scratch, not n-element temporaries, and
-    # checks each leaf as it reads it; the sweep's sorted |x| (8 B/elem) and
-    # the 1 B/elem masks of mse's and sqnr_db's whole checks are the only
-    # input-sized allocations of the metrics; a sweep's coarse twins hold one
-    # leaf of errors, not a row. The SSM report adds its runs' float64 inputs
-    # and outputs.
+    # checks each leaf of each operand as it reads it; the sweep's |x|, which
+    # its selection partitions (8 B/elem), is the only input-sized allocation
+    # of the metrics; a sweep's coarse twins hold one leaf of errors, not a
+    # row. The SSM report adds its runs' float64 inputs and outputs.
     n = 1 << 20
     x = generate(DistSpec(kind=kind, n=n, seed=0)).astype(dtype)
     cfg = calibrate(x, 99.99)

@@ -30,6 +30,7 @@ from softedge import (
     region_breakdown,
     run_report,
     se_encode,
+    sqnr_db,
     ssm_forward,
     sweep,
     read_packed,
@@ -494,6 +495,9 @@ _ENTRY_POINTS = {
     "calibrate": (lambda v: calibrate(v, 99), NonFiniteInput),
     "mse_ref": (lambda v: mse(v, np.zeros(v.shape)), NonFiniteInput),
     "mse_approx": (lambda v: mse(np.zeros(v.shape), v), NonFiniteInput),
+    "sqnr_db_ref": (lambda v: sqnr_db(v, np.zeros(v.shape)), NonFiniteInput),
+    "sqnr_db_approx": (lambda v: sqnr_db(np.ones(v.shape), v),
+                       NonFiniteInput),
     "compare_quantizers": (lambda v: compare_quantizers(v, _CFG),
                            NonFiniteInput),
     "region_breakdown": (lambda v: region_breakdown(v, _CFG), NonFiniteInput),
