@@ -196,9 +196,14 @@ del _flag, _byte, _keys, _a
 
 def _value(m: np.ndarray, offset, step) -> np.ndarray:
     """offset + m * step, in place over the float64 magnitudes m: the one
-    value expression, which ends the kernel and builds the decode table."""
-    np.multiply(m, step, out=m)
-    return np.add(m, offset, out=m)
+    value expression, which ends the kernel and builds the decode table. A
+    scalar step of 1 or offset of 0 is skipped: m >= +0 and step > 0, so
+    neither changes a bit."""
+    if not (np.isscalar(step) and step == 1):
+        np.multiply(m, step, out=m)
+    if not (np.isscalar(offset) and offset == 0):
+        np.add(m, offset, out=m)
+    return m
 
 
 def _rows(cfg: QuantConfig):

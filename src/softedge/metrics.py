@@ -257,32 +257,36 @@ def _stats(errors: _Column, power=None) -> dict:
         return {**stats, "mean_abs_err": float(np.ldexp(s / errors.count, se))}
 
 
-def _checked_pair(ref, approx):
-    """(power, stats) of one ``_report`` of ref and approx, checked leaf by
-    leaf: ref's power as an (s, e) pair, and ``_stats`` of |ref - approx|.
-    Whole checks, which name the bad operand, run for two shapes, a failed
-    leaf or a dtype that ``check_real`` widens, which is then widened."""
-    r, a = np.asarray(ref), np.asarray(approx)
+def _checked_pair(ref, *approx):
+    """(power, stats) of one ``_report`` of ref and one or more arrays
+    approx, checked leaf by leaf: ref's power as an (s, e) pair, and a list
+    of ``_stats`` of |ref - a|, one per a. Whole checks, which name the bad
+    operand, run for two shapes, a failed leaf or a dtype that
+    ``check_real`` widens, which is then widened."""
+    r, a = np.asarray(ref), [np.asarray(v) for v in approx]
     try:
-        if r.shape == a.shape and all(v.dtype.kind in "biuf"
-                                      and v.itemsize <= 8 for v in (r, a)):
-            power, err = _report(r, [a.reshape(-1)])
-            return power.sums[0], _stats(err, power.sums[0])
+        if all(v.shape == r.shape for v in a) and all(
+                v.dtype.kind in "biuf" and v.itemsize <= 8 for v in (r, *a)):
+            power, *errs = _report(r, [v.reshape(-1) for v in a])
+            return power.sums[0], [_stats(e, power.sums[0]) for e in errs]
     except NonFiniteInput:
         pass  # the named checks raise it
-    r, a = check_finite(r, where="ref: "), check_finite(a, where="approx: ")
-    if r.shape != a.shape:
-        raise LengthMismatch(f"shape mismatch: {r.shape} vs {a.shape}")
-    return _checked_pair(r.astype(np.float64), a.astype(np.float64))
+    r = check_finite(r, where="ref: ")
+    a = [check_finite(v, where="approx: ") for v in a]
+    for v in a:
+        if r.shape != v.shape:
+            raise LengthMismatch(f"shape mismatch: {r.shape} vs {v.shape}")
+    return _checked_pair(r.astype(np.float64),
+                         *(v.astype(np.float64) for v in a))
 
 
 def mse(ref, approx) -> float:
-    return _checked_pair(ref, approx)[1]["mse"]
+    return _checked_pair(ref, approx)[1][0]["mse"]
 
 
 def sqnr_db(ref, approx) -> float:
     """10*log10(signal power / error power); +inf when the error is zero."""
-    power, stats = _checked_pair(ref, approx)
+    power, (stats,) = _checked_pair(ref, approx)
     if power[0] <= 0:
         raise ZeroSignal("reference tensor has zero power")
     return stats["sqnr_db"]

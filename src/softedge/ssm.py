@@ -5,11 +5,18 @@ propagates input-stage quantization error to the output, which is what the
 end-to-end comparison measures. Stability requires |a_i| < 1 for every
 channel. Everything runs in float64.
 
-``ssm_forward`` evaluates the recurrence as a chunked scan, the blocked form
-of the parallel scan in Mamba (Gu & Dao, arXiv 2312.00752; Blelloch 1990): a
+``_scan`` evaluates the recurrence as a chunked scan, the blocked form of
+the parallel scan in Mamba (Gu & Dao, arXiv 2312.00752; Blelloch 1990): a
 closed form inside each block of BLOCK steps, with block-start states from a
-doubling scan (Hillis & Steele 1986). Re-associated, it is not bit for bit
-the step-by-step loop; it stays within k*eps*B/(1 - max|a_i|) of it, with
+doubling scan (Hillis & Steele 1986). It runs in place over the rows of one
+zero-padded float64 buffer, each row an input that becomes its output:
+``ssm_forward`` scans one row, ``run_report`` its three runs at once. The
+rows share the power, kernel and Toeplitz tables, the block-end product and
+the doubling carry, and the Toeplitz and carried-in products run a leaf of
+blocks at a time, written back over the blocks they read, so a scan
+allocates no T-sized temporary besides its buffer; each row's output is bit
+for bit the one-row scan of its input. Re-associated, the scan is not bit
+for bit the step-by-step loop; it stays within k*eps*B/(1 - max|a_i|) of it, with
 k = BLOCK + 2N + 16 + 2*ceil(log2(T/BLOCK)), eps = 2**-52 and
 B = max|x| * sum|c_i b_i| / (1 - max|a_i|) + sum|c_i h0_i|. The loop is the
 test oracle (``tests/conftest.py``, fixture ``ssm_loop``), and
@@ -25,7 +32,8 @@ import numpy as np
 
 from .calibration import QuantConfig
 from .codec import fake_quant
-from .errors import SIZE_MAX, InvalidParams, check_finite, check_integer
+from .errors import (SIZE_MAX, InvalidParams, NonFiniteInput, check_finite,
+                     check_integer)
 from . import metrics
 from .synth import _gaussian_counters, gaussians, uniforms
 
@@ -34,6 +42,7 @@ from .synth import _gaussian_counters, gaussians, uniforms
 # of 5 x 50 passes; 2-vCPU Xeon VM, numpy 2.4.6, OpenBLAS 0.3.31).
 BLOCK = 64
 _MACS = 2 ** 17  # per product slice; OpenBLAS may thread a gemm from 2**18
+_CHUNK = metrics.LEAF // BLOCK  # blocks per Toeplitz and carried-in chunk
 # The largest N whose (BLOCK + 1) x N power table, the largest array
 # ssm_forward builds from N alone, numpy can describe.
 MAX_STATE_DIM = SIZE_MAX // (BLOCK + 1)
@@ -102,36 +111,68 @@ def make_params(state_dim: int, seed: int) -> SsmParams:
     return SsmParams(a=a, b=b, c=c)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def ssm_forward(params: SsmParams, x) -> np.ndarray:
-    """Run the recurrence over a length-T input; returns the length-T output.
-    An output beyond binary64 raises InvalidParams, without a warning.
-
-    The input is zero-padded to rows of BLOCK steps, X[m, j] = x[m*BLOCK + j].
-    With kernel[d] = sum_i c_i b_i a_i^d and s_m the state entering block m,
-        y[m, k] = sum_(j<=k) X[m, j] kernel[k-j] + sum_i c_i a_i^(k+1) s_m,i,
-        s_0 = h0,  s_(m+1) = a^BLOCK s_m + b sum_j a^(BLOCK-1-j) X[m, j].
-    Each sum over j or i is one product for all blocks; a doubling scan
-    over the ceil(T/BLOCK) input blocks carries the states.
-    """
-    xs = check_finite(x, InvalidParams, "input: ").astype(np.float64, copy=False)
+def _input(x) -> np.ndarray:
+    """x as a checked 1-D array, in its own dtype."""
+    xs = check_finite(x, InvalidParams, "input: ")
     if xs.ndim != 1:
         raise InvalidParams("input must be 1-D")
+    return xs
+
+
+def _buffer(rows: int, t: int) -> np.ndarray:
+    """A zeroed (rows, L) float64 buffer for ``_scan``: L is t rounded up to
+    whole Toeplitz product slices of _MACS // BLOCK blocks."""
+    steps = _MACS // BLOCK
+    return np.zeros((rows, -(-t // steps) * steps))
+
+
+def ssm_forward(params: SsmParams, x) -> np.ndarray:
+    """Run the recurrence over a length-T input; returns the length-T output.
+    An output beyond binary64 raises InvalidParams, without a warning."""
+    xs = _input(x)
+    rows = _buffer(1, xs.size)
+    rows[0, :xs.size] = xs
+    _scan(params, rows, xs.size)
+    return check_finite(rows[0, :xs.size], InvalidParams, "output: ")
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _scan(params: SsmParams, rows: np.ndarray, t: int) -> None:
+    """Run the recurrence over the first t steps of each row of a ``_buffer``
+    in place: row r, its input, becomes its output.
+
+    A row is cut into blocks of BLOCK steps, X[m, j] = x[m*BLOCK + j]. With
+    kernel[d] = sum_i c_i b_i a_i^d and s_m the state entering block m,
+        y[m, k] = sum_(j<=k) X[m, j] kernel[k-j] + sum_i c_i a_i^(k+1) s_m,i,
+        s_0 = h0,  s_(m+1) = a^BLOCK s_m + b sum_j a^(BLOCK-1-j) X[m, j].
+    Each sum over j or i is one product over many blocks (the Toeplitz and
+    carried-in ones _CHUNK blocks at a time); a doubling scan over the
+    ceil(t/BLOCK) input blocks carries the states.
+    """
     a, b, c = params.a, params.b, params.c
-    count, group = -(-xs.size // BLOCK), _MACS // BLOCK ** 2
-    blocks = np.zeros((-(-count // group) * group, BLOCK))  # whole Toeplitz slices
-    blocks.ravel()[:xs.size] = xs
+    blocks = rows.reshape(len(rows), -1, BLOCK)
+    count, size = -(-t // BLOCK), blocks.shape[1]
     power = a ** np.arange(BLOCK, -1, -1.0)[:, None]  # power[j, i] = a_i**(BLOCK-j)
     kernel = _product(power[:0:-1], (c * b)[:, None])[:, 0]
     lag = np.arange(BLOCK) - np.arange(BLOCK)[:, None]  # lag[j, k] = k - j
     toeplitz = np.where(lag >= 0, kernel[lag], 0.0)
-    # h0, then each block's zero-state end; scanned, carry[m] = s_m
-    carry = np.vstack([params.h0, _product(blocks, power[1:]) * b])
+    # h0, then each block's zero-state end; scanned, carry[:, m] = s_m
+    carry = np.empty((len(rows), size + 1, a.size))
+    carry[:, 0] = params.h0
+    for x, s in zip(blocks, carry):
+        _product(x, power[1:], out=s[1:])
+    carry[:, 1:] *= b
     for span in 2 ** np.arange(max(count - 1, 0).bit_length()):  # doubling
-        carry[span:count] += a ** (BLOCK * span) * carry[:count - span]
-    y = _product(blocks, toeplitz)
-    y += _product(carry[:-1], (c * power[BLOCK - 1::-1]).T, out=blocks)  # X is spent
-    return check_finite(y.ravel()[:xs.size], InvalidParams, "output: ")
+        carry[:, span:count] += a ** (BLOCK * span) * carry[:, :count - span]
+    weights = (c * power[BLOCK - 1::-1]).T
+    scratch = np.empty((2, min(size, _CHUNK), BLOCK))
+    for x, s in zip(blocks, carry):
+        for lo in range(0, size, _CHUNK):
+            hi = min(lo + _CHUNK, size)
+            y, z = scratch[:, :hi - lo]
+            _product(x[lo:hi], toeplitz, out=y)
+            _product(s[lo:hi], weights, out=z)
+            np.add(y, z, out=x[lo:hi])
 
 
 def _product(x: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
@@ -146,24 +187,44 @@ def _product(x: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
 def run_report(params: SsmParams, x, cfg: QuantConfig) -> SsmRunReport:
     """Full-precision vs soft-edge vs INT8 runs, aggregated into one report.
 
-    Each input is fake-quantized once, to float64; the same array drives its
-    SSM run and its input rows. ``metrics._checked_pair``, mse's path, takes
-    each pair's rows, input and output, in one leaf pass with no n-element
-    error array. The full-precision run is the one check of x; a quantized
-    input is checked as it leaves fake_quant, whose binary32 cast can
-    overflow to infinity, so the error names its quantizer.
+    x and its two fake-quantized copies, each cast from binary32 as it is
+    copied, fill the rows of one buffer, which one ``_scan`` turns into
+    their outputs. ``metrics._checked_pair``, mse's path, takes the input
+    rows in one leaf pass before the scan and the output rows in one after
+    it, with no n-element error array. x is checked first; if a pass finds
+    a non-finite leaf, named checks report the first failure in the order
+    of the runs: the reference output, then each quantizer's input, whose
+    binary32 cast can overflow to infinity, and its output.
     """
-    y_ref = ssm_forward(params, x)
+    x = _input(x)
+    t, runs = x.size, ("soft_edge", "int8")
+    rows = _buffer(3, t)
+    y = rows[:, :t]
+    y[0] = x
+    for row, which in zip(y[1:], runs):
+        row[:] = fake_quant(x, cfg, which)
+    try:
+        _, inputs = metrics._checked_pair(*y)
+    except NonFiniteInput as e:
+        inputs = e  # named after the reference output
+    _scan(params, rows, t)
+    try:
+        _, outputs = metrics._checked_pair(*y)
+        if isinstance(inputs, NonFiniteInput):
+            raise inputs
+    except NonFiniteInput:
+        check_finite(y[0], InvalidParams, "output: ")
+        for which, yq in zip(runs, y[1:]):
+            check_finite(fake_quant(x, cfg, which), InvalidParams,
+                         f"{which}-quantized input: ")
+            check_finite(yq, InvalidParams, "output: ")
+        raise
     fields = {}
-    for which in ("soft_edge", "int8"):
-        xq = check_finite(fake_quant(x, cfg, which), InvalidParams,
-                          f"{which}-quantized input: ").astype(np.float64)
-        _, out = metrics._checked_pair(y_ref, ssm_forward(params, xq))
-        _, inp = metrics._checked_pair(x, xq)
+    for which, inp, out in zip(runs, inputs, outputs):
         fields.update({
             f"output_mse_{which}": out["mse"],
             f"output_sqnr_db_{which}": out["sqnr_db"],
             f"input_mse_{which}": inp["mse"],
             f"input_max_abs_err_{which}": inp["max_abs_err"],
         })
-    return SsmRunReport(y_ref.size, params.state_dim, **fields)
+    return SsmRunReport(t, params.state_dim, **fields)

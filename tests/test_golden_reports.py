@@ -3,8 +3,8 @@
 The digests pin the eval JSON and CSV, a 2x2x2 sweep CSV and the SSM report
 JSON on a small seeded input, and the eval and sweep outputs at two
 multi-leaf sizes, so a refactor of the metrics or SSM code that changes any
-output bit fails here. The SSM report is produced with
-``ssm.ssm_forward`` replaced by the step-by-step loop oracle, because the
+output bit fails here. The SSM report is produced with ``ssm._scan``
+replaced by the step-by-step loop oracle, run on each row, because the
 chunked scan re-associates the recurrence's sums; the report of the scan
 itself must match it field by field within 1e-12 relative.
 """
@@ -49,8 +49,12 @@ def reports(tmp_path_factory, ssm_loop):
         "--out", d / "sweep.csv")
     ssm_run = ("ssm", "--seq-len", 4096, "--state-dim", 8, "--seed", 0,
                "--config", d / "cfg.json", "--report")
+    def loop_scan(params, rows, t):
+        for row in rows:
+            row[:t] = ssm_loop(params, row[:t])
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ssm, "ssm_forward", ssm_loop)
+        mp.setattr(ssm, "_scan", loop_scan)
         run(*ssm_run, d / "ssm.json")
     run(*ssm_run, d / "ssm_scan.json")
     return {name: (d / name).read_bytes()

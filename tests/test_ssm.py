@@ -4,16 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softedge import (
+    QuantConfig,
     SsmParams,
     calibrate,
     derive_config,
     fake_quant,
     make_params,
+    mse,
     run_report,
+    sqnr_db,
     ssm_forward,
 )
+from softedge import ssm
 from softedge.errors import InvalidParams
-from softedge.ssm import _MACS, BLOCK, MAX_STATE_DIM
+from softedge.ssm import (_CHUNK, _MACS, BLOCK, MAX_STATE_DIM, _buffer,
+                          _scan)
 from softedge.synth import DistSpec, generate
 
 
@@ -149,7 +154,7 @@ def test_scan_matches_loop_at_bench_length(ssm_loop):
 @pytest.mark.parametrize("state_dim, seq_len", [(16, 65536), (3000, 4096)])
 def test_products_stay_under_blas_threading_cutoff(monkeypatch, state_dim,
                                                    seq_len):
-    """Every 2-D slice of every product ssm_forward makes has at most
+    """Every 2-D slice of every product a three-row scan makes has at most
     2**17 multiply-adds, half of OpenBLAS's single-thread gemm limit, unless
     one row alone is more: at N = 3,000 one block's row of the block-end or
     carried-in product is 64 x 3,000 multiply-adds, so it is its own slice."""
@@ -162,14 +167,38 @@ def test_products_stay_under_blas_threading_cutoff(monkeypatch, state_dim,
 
     monkeypatch.setattr(np, "matmul", recording)
     params = make_params(state_dim, seed=13)
-    ssm_forward(params, np.random.default_rng(14).normal(size=seq_len))
-    # the kernel, the block-end sums, the Toeplitz and the carried-in products
-    assert len(products) == 4
+    rows = _buffer(3, seq_len)
+    rows[:, :seq_len] = np.random.default_rng(14).normal(size=(3, seq_len))
+    _scan(params, rows, seq_len)
+    # the kernel, then for each row the block-end sums and, in each chunk,
+    # the Toeplitz and the carried-in products
+    chunks = -(-rows.shape[1] // (_CHUNK * BLOCK))
+    assert chunks == (2 if seq_len == 65536 else 1)
+    assert len(products) == 1 + 3 * (1 + 2 * chunks)
     assert any(w == (BLOCK, BLOCK) for _, w in products)
     for x, w in products:
         rows, k = x[-2:]
         row_macs = k * w[-1]
         assert rows * row_macs <= max(2 ** 17, row_macs), (x, w)
+
+
+# Lengths around one block, one Toeplitz slice (2,048 steps), a padded
+# last slice, and the bench's two chunks of a leaf each.
+@pytest.mark.parametrize("state_dim", [1, 16])
+@pytest.mark.parametrize("seq_len", [1, 63, 64, 65, 2047, 2048, 2049, 5000,
+                                     65536])
+def test_scan_rows_are_one_row_runs(state_dim, seq_len):
+    """Each row of a three-row scan is, bit for bit, ssm_forward of its
+    input: the rows share tables and carry, not values."""
+    p = make_params(state_dim, seed=15)
+    params = SsmParams(a=p.a, b=p.b, c=p.c, h0=p.c)
+    x = (np.random.default_rng(16).normal(size=(3, seq_len))
+         * np.array([[1.0], [1e3], [1e-3]]))
+    rows = _buffer(3, seq_len)
+    rows[:, :seq_len] = x
+    _scan(params, rows, seq_len)
+    for row, xr in zip(rows, x):
+        assert row[:seq_len].tobytes() == ssm_forward(params, xr).tobytes()
 
 
 class TestParamsValidation:
@@ -265,3 +294,60 @@ class TestReport:
         assert doc["seq_len"] == 256
         assert doc["state_dim"] == 4
         assert "output_mse_soft_edge" in doc and "input_mse_int8" in doc
+
+    def test_one_scan_of_three_rows(self, monkeypatch, unit_cfg):
+        """run_report scans its three runs at once, and each field is what
+        the pair metrics give for that run on its own."""
+        calls, scan = [], ssm._scan
+
+        def recording(params, rows, t):
+            calls.append((rows.shape[0], t))
+            return scan(params, rows, t)
+
+        monkeypatch.setattr(ssm, "_scan", recording)
+        x = generate(DistSpec(kind="outlier_mixture", n=5000, seed=3, std=8.0))
+        p = make_params(4, seed=3)
+        rep = run_report(p, x, unit_cfg)
+        assert calls == [(3, 5000)]
+        y = ssm_forward(p, x)
+        for which in ("soft_edge", "int8"):
+            xq = fake_quant(x, unit_cfg, which)
+            yq = ssm_forward(p, xq)
+            assert getattr(rep, f"output_mse_{which}") == mse(y, yq)
+            assert getattr(rep, f"output_sqnr_db_{which}") == sqnr_db(y, yq)
+            assert getattr(rep, f"input_mse_{which}") == mse(x, xq)
+            assert (getattr(rep, f"input_max_abs_err_{which}")
+                    == np.max(np.abs(x - xq)))
+
+    # Each case fails at its own point and at every later one it can reach:
+    # a memoryless channel gives y = c*b*x, so c*b = 1e270 takes an input near
+    # 1.5e38 to the edge of binary64, and a scale near 1e37 takes a quantized
+    # 1e300 beyond binary32.
+    @pytest.mark.parametrize("x, cb, cfg, point", [
+        ([1.0, np.nan], 1.0, derive_config(1.0), 0),
+        ([1.0, 1e300], 1e10, derive_config(1e37), 1),
+        ([1.0, 1e300], 1.0, derive_config(1e37), 2),
+        # the soft-edge small row rounds 1.5e38 up to 2e38, beyond c*b's reach
+        ([1.0, 1.5e38], 1e135, derive_config(1e38, fine_divisor=1.0), 3),
+        # the large row keeps 1e300 below 63 coarse steps; INT8 clips it to
+        # 127 scales, beyond binary32
+        ([1.0, 1e300], 1.0, QuantConfig(3e36, 0.5, 1.0, 1.0, 1.0), 4),
+        # the soft-edge small row keeps 1.5e38; INT8 rounds it up to 2e38
+        ([1.0, 1.5e38], 1e135, derive_config(1e38), 5),
+    ], ids=["input", "reference_output", "soft_edge_input", "soft_edge_output",
+            "int8_input", "int8_output"])
+    def test_error_order(self, x, cb, cfg, point, ssm_loop):
+        """run_report raises at the first failure of x, the reference output,
+        the soft-edge input and output, then the INT8 input and output."""
+        params, x = SsmParams(a=[0.0], b=[cb], c=[cb]), np.array(x)
+        if point:  # the case fails first where it says, by the loop oracle
+            with np.errstate(over="ignore", invalid="ignore"):
+                q = [fake_quant(x, cfg, w) for w in ("soft_edge", "int8")]
+                y = [ssm_loop(params, v) for v in (x, *q)]
+            points = (x, y[0], q[0], y[1], q[1], y[2])
+            assert [np.isfinite(v).all() for v in points].index(False) == point
+        where = ("input: ", "output: ", "soft_edge-quantized input: ",
+                 "output: ", "int8-quantized input: ", "output: ")[point]
+        with pytest.raises(InvalidParams, match=f"^{where}") as ei:
+            run_report(params, x, cfg)
+        assert ei.value.index == 1
