@@ -7,8 +7,9 @@ of floating point summation", SIAM J. Sci. Comput. 1993): n splits at n/2,
 rounded down to a multiple of 8. Every statistic (``mse``, ``sqnr_db`` and
 ``ssm.run_report`` too) comes from a walk of that tree down to leaves of at
 most ``LEAF`` (2**15) elements that makes one pass over each leaf while it
-is in cache: it widens and checks the leaf of x, and of a given array a,
-in ``codec._walk``, takes |x| once, forms each row's errors from
+is in cache: past one dtype gate, ``errors.check_real``, which widens an
+extended float whole, it widens and checks the leaf of x, and of a given
+array a, in ``codec._walk``, takes |x| once, forms each row's errors from
 magnitudes, ||x| - m| with m the codec's ``_magnitude``, or |x - a| (a
 sweep's coarse twins redo only elements above H), and takes the partial
 sums and max. The partials are added up the same tree. A region row sums
@@ -21,7 +22,8 @@ are staged in a leaf-sized buffer that is summed whenever a leaf of its
 tree fills. A pair whose difference overflows binary64 (opposite signs
 near +-1e308) reruns the pass with its operands halved leaf by leaf, and a
 sum that overflows reruns it on values scaled by 2**-k. No pass builds an
-n-element float temporary.
+n-element float temporary. ``mse`` and ``sqnr_db`` name a bad operand only
+after a failed pass.
 
 A lossless tensor has infinite SQNR; the JSON serialization spells that as
 the string "inf".
@@ -257,31 +259,34 @@ def _stats(errors: _Column, power=None) -> dict:
         return {**stats, "mean_abs_err": float(np.ldexp(s / errors.count, se))}
 
 
-def _checked_pair(ref, *approx):
-    """(power, stats) of one ``_report`` of ref and one or more arrays
-    approx, checked leaf by leaf: ref's power as an (s, e) pair, and a list
-    of ``_stats`` of |ref - a|, one per a. Whole checks, which name the bad
-    operand, run for two shapes, a failed leaf or a dtype that
-    ``check_real`` widens, which is then widened."""
-    r, a = np.asarray(ref), [np.asarray(v) for v in approx]
+def _pass(x, approximations) -> tuple:
+    """x's power as an (s, e) pair and the ``QuantizerStats`` of each
+    approximation's column, of one ``_report``: the one step from a pass to
+    quantizer statistics."""
+    power, *rows = _report(x, approximations)
+    power = power.sums[0]
+    return power, [QuantizerStats(**_stats(c, power)) for c in rows]
+
+
+def _checked_pair(ref, approx):
+    """``_pass`` of ref and one array approx, with one job of its own: to
+    name the bad operand. A same-shape pair of bool, integer or real-float
+    arrays goes straight to the pass, whose gate, ``check_real``, widens an
+    extended float as it does any operand. Only after a failed pass, or for
+    any other pair, do the named checks run: ref's, approx's, then shapes."""
+    r, a = np.asarray(ref), np.asarray(approx)
     try:
-        if all(v.shape == r.shape for v in a) and all(
-                v.dtype.kind in "biuf" and v.itemsize <= 8 for v in (r, *a)):
-            power, *errs = _report(r, [v.reshape(-1) for v in a])
-            return power.sums[0], [_stats(e, power.sums[0]) for e in errs]
+        if r.shape == a.shape and {r.dtype.kind, a.dtype.kind} <= set("biuf"):
+            return _pass(r, [a.reshape(-1)])
     except NonFiniteInput:
         pass  # the named checks raise it
-    r = check_finite(r, where="ref: ")
-    a = [check_finite(v, where="approx: ") for v in a]
-    for v in a:
-        if r.shape != v.shape:
-            raise LengthMismatch(f"shape mismatch: {r.shape} vs {v.shape}")
-    return _checked_pair(r.astype(np.float64),
-                         *(v.astype(np.float64) for v in a))
+    check_finite(r, where="ref: ")
+    check_finite(a, where="approx: ")
+    raise LengthMismatch(f"shape mismatch: {r.shape} vs {a.shape}")
 
 
 def mse(ref, approx) -> float:
-    return _checked_pair(ref, approx)[1][0]["mse"]
+    return _checked_pair(ref, approx)[1][0].mse
 
 
 def sqnr_db(ref, approx) -> float:
@@ -289,7 +294,7 @@ def sqnr_db(ref, approx) -> float:
     power, (stats,) = _checked_pair(ref, approx)
     if power[0] <= 0:
         raise ZeroSignal("reference tensor has zero power")
-    return stats["sqnr_db"]
+    return stats.sqnr_db
 
 
 def _region_counts(flat: np.ndarray, cfg: QuantConfig) -> tuple:
@@ -452,10 +457,8 @@ def sweep(values, percentiles, fine_divisors=(4.0,),
     if not configs:
         return []
     int8 = {cfg.scale: cfg for cfg in configs}  # one per distinct scale
-    power, *rows = _report(values, [(cfg, "soft_edge") for cfg in configs]
-                           + [(cfg, "int8") for cfg in int8.values()])
-    power = power.sums[0]
-    rows = [QuantizerStats(**_stats(c, power)) for c in rows]
+    _, rows = _pass(values, [(cfg, "soft_edge") for cfg in configs]
+                    + [(cfg, "int8") for cfg in int8.values()])
     int8 = dict(zip(int8, rows[len(configs):]))
     return [SweepRow(cfg, row, int8[cfg.scale])
             for cfg, row in zip(configs, rows)]

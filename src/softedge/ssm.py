@@ -189,12 +189,12 @@ def run_report(params: SsmParams, x, cfg: QuantConfig) -> SsmRunReport:
 
     x and its two fake-quantized copies, each cast from binary32 as it is
     copied, fill the rows of one buffer, which one ``_scan`` turns into
-    their outputs. ``metrics._checked_pair``, mse's path, takes the input
-    rows in one leaf pass before the scan and the output rows in one after
-    it, with no n-element error array. x is checked first; if a pass finds
-    a non-finite leaf, named checks report the first failure in the order
-    of the runs: the reference output, then each quantizer's input, whose
-    binary32 cast can overflow to infinity, and its output.
+    their outputs. ``metrics._pass`` takes the input rows in one leaf pass
+    before the scan and the output rows in one after it, with no n-element
+    error array. x is checked first; if a pass finds a non-finite leaf, the
+    named checks here report the first failure in the order of the runs: the
+    reference output, then each quantizer's input, whose binary32 cast can
+    overflow to infinity, and its output.
     """
     x = _input(x)
     t, runs = x.size, ("soft_edge", "int8")
@@ -204,12 +204,12 @@ def run_report(params: SsmParams, x, cfg: QuantConfig) -> SsmRunReport:
     for row, which in zip(y[1:], runs):
         row[:] = fake_quant(x, cfg, which)
     try:
-        _, inputs = metrics._checked_pair(*y)
+        _, inputs = metrics._pass(y[0], list(y[1:]))
     except NonFiniteInput as e:
-        inputs = e  # named after the reference output
+        inputs = e  # the named checks below report it
     _scan(params, rows, t)
     try:
-        _, outputs = metrics._checked_pair(*y)
+        _, outputs = metrics._pass(y[0], list(y[1:]))
         if isinstance(inputs, NonFiniteInput):
             raise inputs
     except NonFiniteInput:
@@ -219,12 +219,7 @@ def run_report(params: SsmParams, x, cfg: QuantConfig) -> SsmRunReport:
                          f"{which}-quantized input: ")
             check_finite(yq, InvalidParams, "output: ")
         raise
-    fields = {}
-    for which, inp, out in zip(runs, inputs, outputs):
-        fields.update({
-            f"output_mse_{which}": out["mse"],
-            f"output_sqnr_db_{which}": out["sqnr_db"],
-            f"input_mse_{which}": inp["mse"],
-            f"input_max_abs_err_{which}": inp["max_abs_err"],
-        })
-    return SsmRunReport(t, params.state_dim, **fields)
+    (se_in, int8_in), (se_out, int8_out) = inputs, outputs
+    return SsmRunReport(t, params.state_dim, se_out.mse, se_out.sqnr_db,
+                        int8_out.mse, int8_out.sqnr_db, se_in.mse,
+                        se_in.max_abs_err, int8_in.mse, int8_in.max_abs_err)

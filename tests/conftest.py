@@ -1,7 +1,10 @@
+import builtins
+import os
+
 import numpy as np
 import pytest
 
-from softedge import derive_config
+from softedge import derive_config, tensor_io
 
 
 @pytest.fixture
@@ -26,3 +29,36 @@ def _ssm_loop(params, x):
 @pytest.fixture(scope="session")
 def ssm_loop():
     return _ssm_loop
+
+
+class _Shrinking:
+    """An unbuffered binary file whose size shrinks by one byte just before
+    each ``readinto``: another writer truncating it while it is read. (A
+    buffered one could hold a small file's body from its first read.)"""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def readinto(self, buffer):
+        os.truncate(self.f.name, os.fstat(self.f.fileno()).st_size - 1)
+        return self.f.readinto(buffer)
+
+
+@pytest.fixture
+def shrinking_reads(monkeypatch):
+    """``tensor_io`` opens every file it reads as a ``_Shrinking`` one."""
+    def shrinking_open(path, mode="r", *args, **kwargs):
+        if mode == "rb":
+            return _Shrinking(builtins.open(path, mode, buffering=0))
+        return builtins.open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(tensor_io, "open", shrinking_open, raising=False)

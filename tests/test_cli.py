@@ -304,6 +304,24 @@ class TestMalformedInput:
         assert all(m in err for m in message)
         assert not paths["out"].exists()
 
+    @pytest.mark.parametrize("argv", [
+        "calibrate --input {mix} --percentile 99 --out {out}",
+        "quantize --input {mix} --config {cfg} --out {out}",
+        "dequantize --input {qse} --out {out}",
+        "eval --input {mix} --config {cfg} --out {out}",
+        "sweep --input {mix} --percentiles 99 --out {out}",
+        "ssm --seed 1 --config {cfg} --input {mix} --report {out}",
+    ], ids=lambda argv: argv.split()[0])
+    def test_input_that_shrinks_while_read_exit_2(self, tmp_path, mixture_file,
+                                                  unit_cfg_file, argv, capsys,
+                                                  shrinking_reads):
+        qse, out = tmp_path / "t.qse", tmp_path / "out"
+        se.write_packed(qse, se.encode_tensor([1.0, -2.0], se.derive_config(1.0)))
+        assert run(*argv.format(mix=mixture_file, cfg=unit_cfg_file, qse=qse,
+                                out=out).split()) == 2
+        assert "file shrank while it was read" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", [
         se.derive_config(1.0).to_json().replace('"scale": 1.0', '"scale": "abc"'),
         se.derive_config(1.0).to_json().replace('"scale": 1.0', '"scale": null'),

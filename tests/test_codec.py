@@ -321,6 +321,11 @@ class TestTensorCodec:
             assert q == want
             assert (q.flags.dtype, q.codes.dtype) == (bool, np.uint8)
 
+    def test_quantized_tensor_equals_only_quantized_tensors(self, unit_cfg):
+        q = QuantizedTensor(unit_cfg, [False, True], [5, 255])
+        assert (q == 5) is False
+        assert q != [[False, True], [5, 255]]
+
 
 def _one_pass(x, cfg):
     """The dense rule over the whole array at once: soft-edge and INT8

@@ -104,6 +104,30 @@ def test_nonfinite_rejected_with_index(metric, ref, approx, index):
     assert ei.value.index == index
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).max == np.finfo(np.float64).max,
+                    reason="longdouble is binary64 on this platform")
+@pytest.mark.parametrize("metric", [mse, sqnr_db], ids=["mse", "sqnr_db"])
+def test_extended_floats_read_as_their_binary64_values(metric):
+    # an extended float takes the pass's one dtype gate, which widens it
+    # whole: its statistics are those of the same values in binary64, with
+    # bits below binary64's precision rounded off, against a longdouble or
+    # a binary32 operand, across leaves, in either order
+    rng = np.random.default_rng(12)
+    ref = rng.standard_normal(2 * metrics.LEAF + 5)
+    approx = (ref + rng.normal(0.0, 1e-3, ref.size)).astype(np.float32)
+    wide = ref.astype(np.longdouble) * (1 + np.longdouble(2.0) ** -60)
+    assert not np.array_equal(wide, ref)
+    narrow = wide.astype(np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert metric(wide, approx.astype(np.longdouble)) == metric(
+            narrow, approx.astype(np.float64))
+        assert metric(wide, approx) == metric(narrow, approx)
+        assert metric(approx, wide) == metric(approx, narrow)
+        assert metric(wide.reshape(1, -1), wide.reshape(1, -1)[:, ::-1]) == (
+            metric(narrow.reshape(1, -1), narrow.reshape(1, -1)[:, ::-1]))
+
+
 class TestSqnr:
     def test_lossless_is_inf(self):
         assert sqnr_db([1, 2], [1, 2]) == math.inf
@@ -264,6 +288,16 @@ def test_a_report_checks_its_input_once(finite_checks, unit_cfg, report,
     x = generate(DistSpec(kind="outlier_mixture", n=4096, seed=1))
     report(x, unit_cfg)
     assert sum(v is x for v in finite_checks) == whole
+
+
+@pytest.mark.parametrize("grid", [([],), ([99.0], []), ([99.0], [4.0], [])],
+                         ids=["percentiles", "fine_divisors",
+                              "coarse_multipliers"])
+@pytest.mark.parametrize("x", [np.ones(3), [np.nan], []],
+                         ids=["finite", "nan", "empty"])
+def test_sweep_of_an_empty_grid_is_empty(grid, x):
+    # an empty grid has no row, and checks nothing
+    assert sweep(x, *grid) == []
 
 
 def test_sweep_twins_match_per_row_reports():

@@ -345,6 +345,20 @@ class TestAtomicWrite:
         assert os.listdir(tmp_path) == ["t.qsef"]
 
 
+@pytest.mark.parametrize("write, read", [
+    (lambda p: write_tensor(p, [1.0, -2.5, 0.0]), read_tensor),
+    (lambda p: write_packed(p, encode_tensor([1.0, -2.5], derive_config(1.0))),
+     read_packed),
+], ids=["qsef", "qse1"])
+def test_file_that_shrinks_while_read(tmp_path, shrinking_reads, write, read):
+    # the size matched the header when it was taken, then the body came short
+    p = tmp_path / "t"
+    write(p)
+    with pytest.raises(TruncatedPayload,
+                       match=f"^{re.escape(str(p))}: file shrank while it was read$"):
+        read(p)
+
+
 def test_quantized_tensor_length_mismatch():
     from softedge.errors import LengthMismatch
 
