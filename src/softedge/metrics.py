@@ -5,25 +5,26 @@ flattened array, so reports are deterministic and accurate. np.sum adds a
 contiguous float64 array along a fixed pairwise tree (Higham, "The accuracy
 of floating point summation", SIAM J. Sci. Comput. 1993): n splits at n/2,
 rounded down to a multiple of 8. Every statistic (``mse``, ``sqnr_db`` and
-``ssm.run_report`` too) comes from a walk of that tree down to leaves of at
-most ``LEAF`` (2**15) elements that makes one pass over each leaf while it
-is in cache: past one dtype gate, ``errors.check_real``, which widens an
-extended float whole, it widens and checks the leaf of x, and of a given
-array a, in ``codec._walk``, takes |x| once, forms each row's errors from
-magnitudes, ||x| - m| with m the codec's ``_magnitude``, or |x - a| (a
-sweep's coarse twins redo only elements above H), and takes the partial
-sums and max. The partials are added up the same tree. A region row sums
-its region's compacted errors, whose tree splits on the region's count:
-the counts are taken first, in a walk of their own, as the sizes of the
-index sets of the codec's ``_regions`` (this module compares no
-thresholds), which split each leaf's errors in input order; the soft-edge
-kernel of the leaf reads the same sets, taken once. Each region's errors
-are staged in a leaf-sized buffer that is summed whenever a leaf of its
-tree fills. A pair whose difference overflows binary64 (opposite signs
-near +-1e308) reruns the pass with its operands halved leaf by leaf, and a
-sum that overflows reruns it on values scaled by 2**-k. No pass builds an
-n-element float temporary. ``mse`` and ``sqnr_db`` name a bad operand only
-after a failed pass.
+``ssm.run_report`` too) comes from ``_report``, the one step from a pass to
+statistics: a walk of that tree down to leaves of at most ``LEAF`` (2**15)
+elements that makes one pass over each leaf while it is in cache: past one
+dtype gate, ``errors.check_real``, which widens an extended float whole, it
+widens and checks the leaf of x, and of a given array a, in
+``codec._walk``, takes |x| once, forms each row's errors from magnitudes,
+||x| - m| with m the codec's ``_magnitude``, or |x - a| (a sweep's coarse
+twins redo only elements above H), and takes the partial sums and max. The
+partials are added up the same tree. A region row sums its region's
+compacted errors, whose tree splits on the region's count: the counts are
+taken first, in a walk of their own, as the sizes of the index sets of the
+codec's ``_regions`` (this module compares no thresholds), which split each
+leaf's errors in input order; the soft-edge kernel of the leaf reads the
+same sets, taken once. Each region's errors are staged in a leaf-sized
+buffer that is summed whenever a leaf of its tree fills. A pair whose
+difference overflows binary64 (opposite signs near +-1e308) reruns the pass
+with its operands halved leaf by leaf, and a sum that overflows, or
+underflows to 0 over nonzero values (as the squares of 1e-170 do), reruns
+it on values scaled by 2**-k. No pass builds an n-element float temporary.
+``mse`` and ``sqnr_db`` name a bad operand only after a failed pass.
 
 A lossless tensor has infinite SQNR; the JSON serialization spells that as
 the string "inf".
@@ -204,12 +205,14 @@ class _Column:
 
     def rescaled(self):
         """The scale of a rerun: k = frexp(max)[1], so that the scaled values
-        stay below 1, for each sum that overflowed over finite values; None
-        when no sum did."""
+        stay below 1 and the largest at least 1/2, for each sum over finite
+        values that overflowed or, over a nonzero max, underflowed to 0;
+        None when no sum did."""
         if not math.isfinite(self.top):
             return None
         k = math.frexp(self.top)[1]
-        scale = tuple(0 if math.isfinite(s) else k for s, _ in self.sums)
+        scale = tuple(0 if math.isfinite(s) and (s or not self.top) else k
+                      for s, _ in self.sums)
         return scale if any(scale) else None
 
 
@@ -218,7 +221,8 @@ def _rerun(run, pairs) -> list:
     """The columns of ``run(halves, scales)``, the one place a pass is rerun:
     run once; if the max of a pair's column (its index in ``pairs``) is +inf,
     again with the indices of those columns as ``halves``; then, if a sum
-    overflowed, again with each column's ``rescaled()`` scale."""
+    overflowed or underflowed to 0, again with each column's ``rescaled()``
+    scale."""
     columns = run((), None)
     halves = [i for i in pairs if columns[i].top == math.inf]
     if halves:
@@ -259,25 +263,18 @@ def _stats(errors: _Column, power=None) -> dict:
         return {**stats, "mean_abs_err": float(np.ldexp(s / errors.count, se))}
 
 
-def _pass(x, approximations) -> tuple:
-    """x's power as an (s, e) pair and the ``QuantizerStats`` of each
-    approximation's column, of one ``_report``: the one step from a pass to
-    quantizer statistics."""
-    power, *rows = _report(x, approximations)
-    power = power.sums[0]
-    return power, [QuantizerStats(**_stats(c, power)) for c in rows]
-
-
 def _checked_pair(ref, approx):
-    """``_pass`` of ref and one array approx, with one job of its own: to
-    name the bad operand. A same-shape pair of bool, integer or real-float
-    arrays goes straight to the pass, whose gate, ``check_real``, widens an
-    extended float as it does any operand. Only after a failed pass, or for
-    any other pair, do the named checks run: ref's, approx's, then shapes."""
+    """``_report``, the one step from a pass to statistics, which reruns a
+    sum that overflows or underflows to 0, of ref and one array approx, with
+    one job of its own: to name the bad operand. A same-shape pair of bool,
+    integer or real-float arrays goes straight to the pass, whose gate,
+    ``check_real``, widens an extended float as it does any operand. Only
+    after a failed pass, or for any other pair, do the named checks run:
+    ref's, approx's, then shapes."""
     r, a = np.asarray(ref), np.asarray(approx)
     try:
         if r.shape == a.shape and {r.dtype.kind, a.dtype.kind} <= set("biuf"):
-            return _pass(r, [a.reshape(-1)])
+            return _report(r, [a.reshape(-1)])
     except NonFiniteInput:
         pass  # the named checks raise it
     check_finite(r, where="ref: ")
@@ -291,7 +288,7 @@ def mse(ref, approx) -> float:
 
 def sqnr_db(ref, approx) -> float:
     """10*log10(signal power / error power); +inf when the error is zero."""
-    power, (stats,) = _checked_pair(ref, approx)
+    power, (stats,), _ = _checked_pair(ref, approx)
     if power[0] <= 0:
         raise ZeroSignal("reference tensor has zero power")
     return stats.sqnr_db
@@ -330,13 +327,14 @@ def _twins(approximations) -> list:
     return [bool(k) and k == prev for prev, k in zip([False] + keys, keys)]
 
 
-def _report(x, approximations, regions: bool = False) -> list:
-    """The columns of one pass over the leaves of x, the one place an empty
-    input raises (after the dtype gate): |x| (the input's power), then
-    |x - a| of each approximation a, a (cfg, which) pair for fake_quant(x,
-    cfg, which) or an array shaped like the flattened x, then, given
-    ``regions``, the errors of the first, a (cfg, "soft_edge") pair, in
-    each of its regions, small, medium, large.
+def _report(x, approximations, regions: bool = False) -> tuple:
+    """The statistics of one pass over the leaves of x: every report's one
+    step from a pass to statistics, and the one place an empty input raises
+    (after the dtype gate). They are x's power as an (s, e) pair; the
+    ``QuantizerStats`` of |x - a| for each approximation a, a (cfg, which)
+    pair for fake_quant(x, cfg, which) or an array shaped like the flattened
+    x; and, given ``regions``, the (small, medium, large) ``RegionStats`` of
+    the errors of the first, a (cfg, "soft_edge") pair, else ().
 
     Each leaf of x, and of an array a, is read through ``_walk``, which widens
     and checks it, and |x| taken once; it stays in cache while every
@@ -344,7 +342,9 @@ def _report(x, approximations, regions: bool = False) -> list:
     staged. A soft-edge row takes the leaf's ``_regions`` sets once, for its
     kernel, the region split and its coarse twins (``_twins``), which take the
     errors of the row before and redo them in place at the leaf's large set: a
-    column keeps no pushed array, so one leaf of errors is held at a time."""
+    column keeps no pushed array, so one leaf of errors is held at a time. A
+    sum that overflows, or underflows to 0 over nonzero values, reruns the
+    pass (``_rerun``) before any statistic is taken."""
     flat = check_real(x).reshape(-1)  # a non-real x raises, even if empty
     if flat.size == 0:
         raise EmptyTensor("metrics need at least one element")
@@ -385,14 +385,13 @@ def _report(x, approximations, regions: bool = False) -> list:
                                                      e.take(big))):
                         column.push(v)
         return [power, *rows, *by_region]
-    return _rerun(run, [i for i, a in enumerate(approximations, 1)
-                        if not isinstance(a, tuple)])
-
-
-def _region_rows(columns, n: int) -> tuple:
-    return tuple(RegionStats(region, c.count, c.count / n, **_stats(c))
-                 if c.count else RegionStats(region, 0, 0.0, 0.0, 0.0, 0.0)
-                 for region, c in zip(RegionClass, columns))
+    power, *columns = _rerun(run, [i for i, a in enumerate(approximations, 1)
+                                   if not isinstance(a, tuple)])
+    power, n = power.sums[0], len(approximations)
+    return (power, [QuantizerStats(**_stats(c, power)) for c in columns[:n]],
+            tuple(RegionStats(region, c.count, c.count / flat.size, **_stats(c))
+                  if c.count else RegionStats(region, 0, 0.0, 0.0, 0.0, 0.0)
+                  for region, c in zip(RegionClass, columns[n:])))
 
 
 def region_breakdown(values, cfg: QuantConfig):
@@ -400,8 +399,7 @@ def region_breakdown(values, cfg: QuantConfig):
 
     Returns (small, medium, large) RegionStats; counts sum to n.
     """
-    power, _, *regions = _report(values, [(cfg, "soft_edge")], True)
-    return _region_rows(regions, power.count)
+    return _report(values, [(cfg, "soft_edge")], True)[2]
 
 
 def _delta(a: float, b: float) -> float:
@@ -413,15 +411,14 @@ def _delta(a: float, b: float) -> float:
 
 def compare_quantizers(values, cfg: QuantConfig) -> ComparisonReport:
     """Side-by-side soft-edge vs baseline INT8 report on one tensor."""
-    power, se, base, *regions = _report(
+    _, (se, base), regions = _report(
         values, [(cfg, "soft_edge"), (cfg, "int8")], True)
-    se, base = (QuantizerStats(**_stats(c, power.sums[0])) for c in (se, base))
     return ComparisonReport(
         config=cfg,
-        n=power.count,
+        n=sum(r.count for r in regions),
         soft_edge=se,
         int8=base,
-        regions=_region_rows(regions, power.count),
+        regions=regions,
         delta_mse=_delta(se.mse, base.mse),
         delta_sqnr_db=_delta(se.sqnr_db, base.sqnr_db),
         delta_max_abs_err=_delta(se.max_abs_err, base.max_abs_err),
@@ -457,8 +454,8 @@ def sweep(values, percentiles, fine_divisors=(4.0,),
     if not configs:
         return []
     int8 = {cfg.scale: cfg for cfg in configs}  # one per distinct scale
-    _, rows = _pass(values, [(cfg, "soft_edge") for cfg in configs]
-                    + [(cfg, "int8") for cfg in int8.values()])
+    _, rows, _ = _report(values, [(cfg, "soft_edge") for cfg in configs]
+                         + [(cfg, "int8") for cfg in int8.values()])
     int8 = dict(zip(int8, rows[len(configs):]))
     return [SweepRow(cfg, row, int8[cfg.scale])
             for cfg, row in zip(configs, rows)]

@@ -189,12 +189,14 @@ def run_report(params: SsmParams, x, cfg: QuantConfig) -> SsmRunReport:
 
     x and its two fake-quantized copies, each cast from binary32 as it is
     copied, fill the rows of one buffer, which one ``_scan`` turns into
-    their outputs. ``metrics._pass`` takes the input rows in one leaf pass
-    before the scan and the output rows in one after it, with no n-element
-    error array. x is checked first; if a pass finds a non-finite leaf, the
-    named checks here report the first failure in the order of the runs: the
-    reference output, then each quantizer's input, whose binary32 cast can
-    overflow to infinity, and its output.
+    their outputs. ``metrics._report``, every report's one step from a pass
+    to statistics, takes the input rows in one leaf pass before the scan and
+    the output rows in one after it, with no n-element error array; each
+    pass reruns a sum that overflows or underflows to 0, as every report's.
+    x is checked first; if a pass finds a non-finite leaf, the named checks
+    here report the first failure in the order of the runs: the reference
+    output, then each quantizer's input, whose binary32 cast can overflow to
+    infinity, and its output.
     """
     x = _input(x)
     t, runs = x.size, ("soft_edge", "int8")
@@ -204,12 +206,12 @@ def run_report(params: SsmParams, x, cfg: QuantConfig) -> SsmRunReport:
     for row, which in zip(y[1:], runs):
         row[:] = fake_quant(x, cfg, which)
     try:
-        _, inputs = metrics._pass(y[0], list(y[1:]))
+        _, inputs, _ = metrics._report(y[0], list(y[1:]))
     except NonFiniteInput as e:
         inputs = e  # the named checks below report it
     _scan(params, rows, t)
     try:
-        _, outputs = metrics._pass(y[0], list(y[1:]))
+        _, outputs, _ = metrics._report(y[0], list(y[1:]))
         if isinstance(inputs, NonFiniteInput):
             raise inputs
     except NonFiniteInput:

@@ -380,6 +380,30 @@ def test_huge_inputs_do_not_overflow(unit_cfg):
     assert math.isfinite(doc["output_sqnr_db_soft_edge"])
 
 
+def test_tiny_inputs_do_not_underflow(unit_cfg):
+    """Squares of 1e-170 and -3e-171 underflow binary64 to 0: MSE reads 0,
+    but SQNR keeps its finite true value, a nonzero reference is no zero
+    signal and a nonzero error is not lossless, with no RuntimeWarning."""
+    x = np.array([1e-170, -3e-171])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mse(x, x / 2) == 0.0
+        assert sqnr_db(x, x / 2) == pytest.approx(20 * math.log10(2),
+                                                  rel=1e-12)
+        assert sqnr_db([1e-170], [0.0]) == 0.0
+        r = compare_quantizers(x, unit_cfg)
+        (row,) = sweep(x, [100])
+        ssm = run_report(SsmParams(a=[0.5], b=[0.5], c=[0.5]), x, unit_cfg)
+    # every element quantizes to 0, so each error is the input itself
+    for q in (r.soft_edge, r.int8):
+        assert q == metrics.QuantizerStats(0.0, 0.0, 1e-170)
+    assert r.regions[0].mse == 0.0 and r.regions[0].mean_abs_err > 0
+    assert math.isfinite(row.soft_edge.sqnr_db)
+    assert row.soft_edge == compare_quantizers(x, row.config).soft_edge
+    assert ssm.output_sqnr_db_soft_edge == ssm.output_sqnr_db_int8 == 0.0
+    assert ssm.input_max_abs_err_soft_edge == 1e-170
+
+
 def test_infinite_error_beside_an_overflowing_square():
     """A reconstruction beyond binary32 errs by inf; a second error whose
     square exceeds binary64 must not make the summed report warn."""

@@ -336,9 +336,12 @@ class TestReport:
         ([1.0, 1.5e38], 1e135, derive_config(1e38), 5),
     ], ids=["input", "reference_output", "soft_edge_input", "soft_edge_output",
             "int8_input", "int8_output"])
-    def test_error_order(self, x, cb, cfg, point, ssm_loop):
+    def test_error_order(self, x, cb, cfg, point, ssm_loop, monkeypatch):
         """run_report raises at the first failure of x, the reference output,
-        the soft-edge input and output, then the INT8 input and output."""
+        the soft-edge input and output, then the INT8 input and output. A
+        failed input pass is held back until after the scan; run again with a
+        scan whose outputs are all zero, a quantized input's case raises it
+        from there, with the same error."""
         params, x = SsmParams(a=[0.0], b=[cb], c=[cb]), np.array(x)
         if point:  # the case fails first where it says, by the loop oracle
             with np.errstate(over="ignore", invalid="ignore"):
@@ -348,6 +351,13 @@ class TestReport:
             assert [np.isfinite(v).all() for v in points].index(False) == point
         where = ("input: ", "output: ", "soft_edge-quantized input: ",
                  "output: ", "int8-quantized input: ", "output: ")[point]
-        with pytest.raises(InvalidParams, match=f"^{where}") as ei:
-            run_report(params, x, cfg)
-        assert ei.value.index == 1
+
+        def raises_where():
+            with pytest.raises(InvalidParams, match=f"^{where}") as ei:
+                run_report(params, x, cfg)
+            assert ei.value.index == 1
+
+        raises_where()
+        if point in (2, 4):  # a quantized input's case
+            monkeypatch.setattr(ssm, "_scan", lambda p, rows, t: rows.fill(0))
+            raises_where()
