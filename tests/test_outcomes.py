@@ -70,6 +70,15 @@ def _base(n: int = 2 * BLOCK + 3) -> np.ndarray:
     return x
 
 
+def _overflowing() -> np.ndarray:
+    """``_base()`` times 1e36, and 1e160 at every 4099th element, in every
+    leaf: the p99.9 H is 1.55e38, within binary32, and p100 puts 1e160 at H,
+    so no leaf holds an element above it."""
+    x = _base() * 1e36
+    x[::4099] = 1e160
+    return x
+
+
 def _at(position: int, value: float) -> np.ndarray:
     x = _base()
     x[position] = value
@@ -104,6 +113,9 @@ RECIPES = {
         bytes.fromhex("0000803f0100807f0000803f"), "<f4"), None),
     "multi_leaf": lambda: (_base(), None),
     "multi_leaf_f4": lambda: (_base().astype(np.float32), None),
+    # squares overflow, so every form reruns scaled; a sweep's p99.9 coarse
+    # twins overflow binary32 where the row before them does not
+    "multi_leaf_overflow": lambda: (_overflowing(), None),
     "empty": lambda: (np.array([]), None),
     "zero_d": lambda: (np.array(2.5), None),
     "two_d": lambda: (np.arange(-12.0, 12.0).reshape(4, 6) * 1.75, None),
