@@ -26,7 +26,12 @@ signs it like x; the metrics' reports subtract it from |x|. The 512-entry
 decode table, indexed by flag<<8 | byte, is built from the same value
 expression wherever it is read, so fake-quant is decode-then-cast. The
 binary32 rule, in ``_magnitude``, ``fake_quant`` and a binary32
-``decode_tensor``: a value beyond binary32 casts to +/-inf, quietly.
+``decode_tensor``: a value beyond binary32 casts to +/-inf, quietly. The
+kernel's helpers set no ``np.errstate``: each entry point holds it once for
+both overflows, the rule's and a huge |x| over a small step in ``_round``.
+They are ``fake_quant``, ``encode_tensor``, ``_decode_table`` (and
+``decode_tensor``'s cast), the scalar API and the metrics' pass, under
+``metrics._rerun``.
 """
 
 from __future__ import annotations
@@ -61,7 +66,6 @@ REGION_BIT = 0x40
 MAGNITUDE_MASK = 0x3F
 MAX_MAGNITUDE = 63
 NEGATIVE_ZERO = 0x100 | SIGN_BIT  # flag<<8 | byte of the non-canonical code
-_TOP = (MAX_MAGNITUDE, MAX_STANDARD_CODE, MAX_MAGNITUDE)  # caps, by region
 # Elements per block of the tensor kernels: a block's float64 temporaries
 # (256 KiB each) stay in cache instead of streaming through memory.
 BLOCK = 1 << 15
@@ -169,9 +173,9 @@ class TraceRecord:
 def _regions(ax: np.ndarray, cfg: QuantConfig):
     """The indices of |x| >= L in the 1-d ax = |x|, their magnitudes, and the
     positions among them of |x| > H, in input order; |x| = L, H are medium."""
-    mid = np.flatnonzero(ax >= cfg.low_threshold)
+    mid = (ax >= cfg.low_threshold).nonzero()[0]
     medium = ax.take(mid)
-    return mid, medium, np.flatnonzero(medium > cfg.high_threshold)
+    return mid, medium, (medium > cfg.high_threshold).nonzero()[0]
 
 
 # The key layout, written once: region index, sign bit and magnitude (the
@@ -197,11 +201,11 @@ del _flag, _byte, _keys, _a
 def _value(m: np.ndarray, offset, step) -> np.ndarray:
     """offset + m * step, in place over the float64 magnitudes m: the one
     value expression, which ends the kernel and builds the decode table. A
-    scalar step of 1 or offset of 0 is skipped: m >= +0 and step > 0, so
-    neither changes a bit."""
-    if not (np.isscalar(step) and step == 1):
+    scalar step of 1 or offset of 0 (the table's rows are arrays) is skipped:
+    m >= +0 and step > 0, so neither changes a bit."""
+    if isinstance(step, np.ndarray) or step != 1:
         np.multiply(m, step, out=m)
-    if not (np.isscalar(offset) and offset == 0):
+    if isinstance(offset, np.ndarray) or offset != 0:
         np.add(m, offset, out=m)
     return m
 
@@ -215,56 +219,60 @@ def _rows(cfg: QuantConfig):
 # The decode table holds all 512 keys: also -128 (flag 0, byte 0x80), never
 # emitted but accepted, the negative-zero key (-0.0), and values that
 # overflow or do not fit binary32, which are read only if their code occurs.
-@np.errstate(over="ignore")
 def _decode_table(cfg: QuantConfig) -> np.ndarray:
     """float64 reconstruction of each flag<<8 | byte."""
     offset, step = np.array(_rows(cfg))[:, _KEY_REGION]
-    value = _value(_KEY_MAGNITUDE.astype(float), offset, step)
+    with np.errstate(over="ignore"):
+        value = _value(_KEY_MAGNITUDE.astype(float), offset, step)
     return np.copysign(value, np.where(_KEY_SIGN, -1.0, 1.0), out=value)
 
 
-# Huge finite inputs overflow the quotient to +inf, which the minimum clamps
-# to the top code; that overflow is expected, not an error.
-@np.errstate(over="ignore")
 def _round(a: np.ndarray, step, top) -> np.ndarray:
     """The one rounding rule, min(floor(a / step + 0.5), top), of the float64
     magnitudes ``a`` (>= 0, the large row's already less H), as a new array,
-    so it rounds half away from zero."""
+    so it rounds half away from zero. A huge finite a overflows the quotient
+    to +inf, which the minimum clamps to the top code: an expected overflow,
+    which the caller's entry point lets pass."""
     m = np.divide(a, step)
     np.add(m, 0.5, out=m)
     np.floor(m, out=m)
     return np.minimum(m, top, out=m)
 
 
-def _kernel(ax: np.ndarray, cfg: QuantConfig, offset, step,
+def _kernel(ax: np.ndarray, cfg: QuantConfig, steps, offset, step,
             sets=None) -> np.ndarray:
     """The one magnitude kernel: offset[r] + m * step[r] of each element of
-    the 1-d float64 magnitudes ax = |x|, m and r being its rounded magnitude
-    and region. Every element is rounded with the small row; the ``_regions``
-    sets at |x| >= L (``sets``, if the caller has them) are redone with the
-    medium row, those above H, as |x| - H, with the large."""
+    the 1-d float64 magnitudes ax = |x|, m and r being its magnitude rounded
+    with the config's ``steps`` and its region. Every element is rounded with
+    the small row; the ``_regions`` sets at |x| >= L (``sets``, if the caller
+    has them) are redone with the medium row, those above H, as |x| - H, with
+    the large."""
     mid, medium, big = _regions(ax, cfg) if sets is None else sets
-    rows = zip((ax, medium, medium.take(big) - cfg.high_threshold),
-               _rows(cfg)[1], _TOP)
-    out, medium, large = (_value(_round(*row), offset[r], step[r])
-                          for r, row in enumerate(rows))
-    medium[big] = large
+    large = medium.take(big)
+    large -= cfg.high_threshold
+    out = _value(_round(ax, steps[0], MAX_MAGNITUDE), offset[0], step[0])
+    medium = _value(_round(medium, steps[1], MAX_STANDARD_CODE), offset[1],
+                    step[1])
+    medium[big] = _value(_round(large, steps[2], MAX_MAGNITUDE), offset[2],
+                         step[2])
     out[mid] = medium
     return out
 
 
-@np.errstate(over="ignore")  # the binary32 rule
 def _magnitude(ax: np.ndarray, cfg: QuantConfig, which: str,
-               dtype=np.float32, sets=None) -> np.ndarray:
+               dtype=np.float32, sets=None, rows=None) -> np.ndarray:
     """|fake_quant| of the 1-d float64 magnitudes ax, as ``dtype``: the
-    kernel's value (soft_edge; ``sets`` are ax's ``_regions``, if the caller
-    has them) or the INT8 code times the scale (int8), cast once, so in
-    binary32 a value beyond it is +inf. The one magnitude behind
-    ``fake_quant`` and the reports."""
+    kernel's value (soft_edge; ``sets`` are ax's ``_regions`` and ``rows``
+    the config's ``_rows``, if the caller has them) or the INT8 code times
+    the scale (int8), cast once, so in binary32 a value beyond it is +inf
+    (an overflow the caller's entry point lets pass). The one magnitude
+    behind ``fake_quant`` and the reports."""
     if which == "soft_edge":
-        m = _kernel(ax, cfg, *_rows(cfg), sets)
+        offset, step = rows or _rows(cfg)
+        m = _kernel(ax, cfg, step, offset, step, sets)
     else:
-        m = _round(ax, cfg.scale, MAX_STANDARD_CODE) * cfg.scale
+        m = _round(ax, cfg.scale, MAX_STANDARD_CODE)
+        m *= cfg.scale
     return m.astype(dtype, copy=False)
 
 
@@ -272,7 +280,8 @@ def _encode_index(x: np.ndarray, cfg: QuantConfig) -> np.ndarray:
     """Encoder kernel: flag<<8 | byte (uint16) of each element of x, looked
     up at region << 8 | negative << 7 | m; the kernel with offset region << 8
     and step 1 gives region << 8 | m."""
-    key = _kernel(np.abs(x), cfg, (0, 256, 512), (1, 1, 1)).astype(np.intp)
+    key = _kernel(np.abs(x), cfg, _rows(cfg)[1], (0, 256, 512),
+                  (1, 1, 1)).astype(np.intp)
     key |= np.left_shift(x < 0, 7, dtype=np.intp)
     return _CODE_INDEX.take(key)
 
@@ -294,6 +303,9 @@ def classify(x: float, cfg: QuantConfig) -> RegionClass:
     return _REGIONS[mid.size + big.size]
 
 
+# The scalar API, as every entry point to the kernel, lets pass the
+# overflows that ``_round`` expects.
+@np.errstate(over="ignore")
 def se_encode(x: float, cfg: QuantConfig) -> SoftEdgeCode:
     key = int(_encode_index(_one(x), cfg)[0])
     return SoftEdgeCode(se_flag=key >> 8, byte=key & 0xFF)
@@ -304,6 +316,7 @@ def se_decode(c: SoftEdgeCode, cfg: QuantConfig, strict: bool = True) -> float:
     return float(decode_tensor(q, strict)[0])
 
 
+@np.errstate(over="ignore")
 def int8_encode(x: float, cfg: QuantConfig) -> int:
     return int(_int8_round(_one(x), cfg)[0])
 
@@ -338,7 +351,8 @@ def _blocked(values, dtype, kernel):
 
 
 def encode_tensor(values, cfg: QuantConfig) -> QuantizedTensor:
-    key = _blocked(values, np.uint16, lambda b: _encode_index(b, cfg))
+    with np.errstate(over="ignore"):  # as in ``_round``
+        key = _blocked(values, np.uint16, lambda b: _encode_index(b, cfg))
     return QuantizedTensor(config=cfg, flags=key > 0xFF,
                            codes=key.astype(np.uint8))
 
@@ -385,10 +399,11 @@ def fake_quant(values, cfg: QuantConfig, which: str = "soft_edge") -> np.ndarray
         if which == "soft_edge":
             m += 0.0
         return m
-    with np.errstate(over="ignore"):  # the binary32 rule
+    with np.errstate(over="ignore"):  # the binary32 rule, and ``_round``'s
         return _blocked(values, np.float32, kernel)
 
 
+@np.errstate(over="ignore")
 def hardware_trace(x: float, cfg: QuantConfig) -> TraceRecord:
     """Bit-exact behavioral trace of the datapath for a single value."""
     v = _one(x)

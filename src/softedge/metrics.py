@@ -12,8 +12,11 @@ dtype gate, ``errors.check_real``, which widens an extended float whole, it
 widens and checks the leaf of x, and of a given array a, in
 ``codec._walk``, takes |x| once, forms each row's errors from magnitudes,
 ||x| - m| with m the codec's ``_magnitude``, or |x - a| (a sweep's coarse
-twins redo only elements above H), and takes the partial sums and max. The
-partials are added up the same tree. A region row sums its region's
+twins redo only elements above H, and re-sum the row before's squares), and
+takes the partial sums and max. Magnitudes, errors and squares go into one
+set of leaf-sized buffers; each quantizer row's column takes its leaf's
+partial sum and max as they are, and one walk up the same tree adds the
+partials of every such column. A region row sums its region's
 compacted errors, whose tree splits on the region's count: the counts are
 taken first, in a walk of their own, as the sizes of the index sets of the
 codec's ``_regions`` (this module compares no thresholds), which split each
@@ -21,9 +24,11 @@ leaf's errors in input order; the soft-edge kernel of the leaf reads the
 same sets, taken once. Each region's errors are staged in a leaf-sized
 buffer that is summed whenever a leaf of its tree fills. A pair whose
 difference overflows binary64 (opposite signs near +-1e308) reruns the pass
-with its operands halved leaf by leaf, and a sum that overflows, or
-underflows to 0 over nonzero values (as the squares of 1e-170 do), reruns
-it on values scaled by 2**-k. No pass builds an n-element float temporary.
+with its operands halved leaf by leaf, and a sum that overflows, or falls
+below 2**-1022 over nonzero values (as the squares of 1e-160 do, in part),
+reruns it on values scaled by 2**-k. The pass holds ``np.errstate`` once,
+in ``_rerun``, for the overflows that a rerun retakes and that the codec
+kernel expects. No pass builds an n-element float temporary.
 ``mse`` and ``sqnr_db`` name a bad operand only after a failed pass.
 
 A lossless tensor has infinite SQNR; the JSON serialization spells that as
@@ -47,7 +52,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .calibration import QuantConfig, calibrate_grid
-from .codec import BLOCK as LEAF, RegionClass, _magnitude, _regions, _walk
+from .codec import (BLOCK as LEAF, RegionClass, _magnitude, _regions,
+                    _rows, _walk)
 from .errors import (EmptyTensor, LengthMismatch, NonFiniteInput, ZeroSignal,
                      check_finite, check_real)
 
@@ -151,24 +157,40 @@ def _leaves(n: int):
 
 
 class _Column:
-    """Statistics of the non-negative float64 values pushed to it, in order,
+    """Statistics of the non-negative float64 values given to it, in order,
     whose total ``count`` is known up front: their max, and the sums of v*v
     and, if ``linear``, of v, each with the bits of np.sum over all the
-    values. A leaf of the count's tree that arrives whole is summed where it
-    lies; one that arrives in pieces is staged in a leaf-sized buffer. Each
-    sum is taken of v * 2**-k, its k in ``scale`` (0 but in a rerun). The
-    values are errors * 2**-half: ``half`` is 1 for a halved pair."""
+    values. Each sum is taken of v * 2**-k, its k in ``scale`` (0 but in a
+    rerun). The values are errors * 2**-half: ``half`` is 1 for a halved
+    pair.
+
+    A column of whole leaves (the input power and each quantizer row) is
+    handed each leaf's partial sum of squares and max (``leaf``), and the
+    pass adds the partials of all such columns up the tree at once
+    (``_close``). A region row is pushed its values in pieces (``push``): a
+    leaf of its count's tree that arrives whole is summed where it lies; one
+    that arrives in pieces is staged in a leaf-sized buffer."""
 
     def __init__(self, count: int, linear: bool = False, scale=None,
                  half: int = 0):
         self.count, self.top, self.fill, self.half = count, 0.0, 0, half
         self.scale = scale or (0,) * (1 + linear)
-        self.sizes = _tree(count, lambda m: [m])
         self.parts, self.buf = [], None
+
+    def leaf(self, s: float, top: float):
+        """A whole leaf's sum of squares, at the column's scale, and max."""
+        self.parts.append((s,))
+        if top > self.top:
+            self.top = top
+
+    @functools.cached_property
+    def sizes(self) -> list:
+        """The leaf sizes of the count's tree, which ``push`` fills."""
+        return _tree(self.count, lambda m: [m])
 
     def push(self, v: np.ndarray):
         if v.size:
-            self.top = max(self.top, float(np.max(v)))
+            self.top = max(self.top, float(v.max()))
         while v.size:
             size = self.sizes[len(self.parts)]
             take = min(size - self.fill, v.size)
@@ -188,47 +210,59 @@ class _Column:
         out = []
         for k, square in zip(self.scale, (True, False)):
             w = np.ldexp(v, -k) if k else v
-            out.append(float(np.sum(w * w if square else w)))
+            out.append(float((w * w if square else w).sum()))
         return out
 
     @functools.cached_property
     def sums(self) -> list:
         """(s, e) of the sum of the errors' squares, then (if linear) of the
-        errors, once every value is pushed: each sum is s * 2**e. A sum over
-        an infinite value is +inf as it stands."""
-        out = []
-        for i, k in enumerate(self.scale):
-            parts = iter([p[i] for p in self.parts] or [0.0])  # 0 if empty
-            out.append((_tree(self.count, lambda m: next(parts)),
-                        (k + self.half) * (1 if i else 2)))
-        return out
+        errors, once every value is given: each sum is s * 2**e. A sum over
+        an infinite value is +inf as it stands. The pass sets it for its
+        whole-leaf columns (``_close``)."""
+        return _close([self])[0]
 
     def rescaled(self):
         """The scale of a rerun: k = frexp(max)[1], so that the scaled values
         stay below 1 and the largest at least 1/2, for each sum over finite
-        values that overflowed or, over a nonzero max, underflowed to 0;
-        None when no sum did."""
+        values that overflowed or, over a nonzero max, fell below 2**-1022,
+        binary64's least normal, where its terms have underflowed in part or
+        whole; None when no sum did."""
         if not math.isfinite(self.top):
             return None
-        k = math.frexp(self.top)[1]
-        scale = tuple(0 if math.isfinite(s) and (s or not self.top) else k
-                      for s, _ in self.sums)
+        k, normal = math.frexp(self.top)[1], 2.0 ** -1022
+        scale = tuple(0 if math.isfinite(s) and (s >= normal or not self.top)
+                      else k for s, _ in self.sums)
         return scale if any(scale) else None
 
 
-@np.errstate(over="ignore")  # a rerun retakes what overflowed
+def _close(columns) -> list:
+    """The ``sums`` of columns of one count and width: their leaf partials
+    added up the count's tree in one walk for all of them, numpy adding them
+    elementwise with the bits of a Python float's +. A sum of no element is
+    0."""
+    parts = np.array([c.parts or [[0.0] * len(c.scale)] for c in columns])
+    leaves = iter(parts.transpose(1, 0, 2))  # by leaf, then column
+    totals = _tree(columns[0].count, lambda m: next(leaves))
+    return [[(float(s), (k + c.half) * (1 if i else 2))
+             for i, (s, k) in enumerate(zip(total, c.scale))]
+            for c, total in zip(columns, totals)]
+
+
 def _rerun(run, pairs) -> list:
     """The columns of ``run(halves, scales)``, the one place a pass is rerun:
     run once; if the max of a pair's column (its index in ``pairs``) is +inf,
     again with the indices of those columns as ``halves``; then, if a sum
-    overflowed or underflowed to 0, again with each column's ``rescaled()``
-    scale."""
-    columns = run((), None)
-    halves = [i for i in pairs if columns[i].top == math.inf]
-    if halves:
-        columns = run(halves, None)
-    scales = [c.rescaled() for c in columns]
-    return run(halves, scales) if any(scales) else columns
+    overflowed or fell below 2**-1022, again with each column's
+    ``rescaled()`` scale. The runs hold ``np.errstate`` for the pass: a
+    rerun retakes what overflowed, and the codec kernel's overflows are
+    expected."""
+    with np.errstate(over="ignore"):
+        columns = run((), None)
+        halves = [i for i in pairs if columns[i].top == math.inf]
+        if halves:
+            columns = run(halves, None)
+        scales = [c.rescaled() for c in columns]
+        return run(halves, scales) if any(scales) else columns
 
 
 def _sqnr(power, noise) -> float:
@@ -294,26 +328,36 @@ def sqnr_db(ref, approx) -> float:
     return stats.sqnr_db
 
 
-def _region_counts(flat: np.ndarray, cfg: QuantConfig) -> tuple:
+def _region_counts(flat: np.ndarray, cfg: QuantConfig, leaves,
+                   ax: np.ndarray) -> tuple:
     """Elements of the flat input in each region, small, medium and large:
-    the sizes of the codec's ``_regions`` index sets, leaf by leaf."""
+    the sizes of the codec's ``_regions`` index sets, leaf by leaf, each
+    leaf's magnitudes taken into the leaf-sized buffer ax."""
     mid = big = 0
-    for _, _, b in _walk(flat, _leaves(flat.size)):
-        m, _, g = _regions(np.abs(b), cfg)
+    for lo, hi, b in _walk(flat, leaves):
+        m, _, g = _regions(np.abs(b, out=ax[:hi - lo]), cfg)
         mid, big = mid + m.size, big + g.size
     return flat.size - mid, mid - big, big
 
 
 def _magnitude_error(ax: np.ndarray, cfg: QuantConfig, which: str,
-                     sets=None):
+                     sets=None, rows=None, out=None):
     """|ax - m| of the float64 magnitudes ax = |b| of a leaf b and their
     binary32 m = ``_magnitude(ax, cfg, which)`` (given ax's ``_regions``
-    ``sets``, the soft-edge kernel takes them): the bits of
-    |b - fake_quant(b, cfg, which)|. fake_quant(b) is s * m, s the sign of b
-    (but a zero's, which no absolute error shows), and round-to-nearest and
-    IEEE subtraction are symmetric in sign, so b - s * m = s * (ax - m)."""
-    err = ax - _magnitude(ax, cfg, which, np.float32, sets)
+    ``sets`` and the config's ``_rows``, the soft-edge kernel takes them),
+    into ``out`` if given: the bits of |b - fake_quant(b, cfg, which)|.
+    fake_quant(b) is s * m, s the sign of b (but a zero's, which no absolute
+    error shows), and round-to-nearest and IEEE subtraction are symmetric in
+    sign, so b - s * m = s * (ax - m)."""
+    err = np.subtract(ax, _magnitude(ax, cfg, which, np.float32, sets, rows),
+                      out=out)
     return np.abs(err, out=err)
+
+
+def _squares(v: np.ndarray, k: int, out: np.ndarray) -> float:
+    """The sum of the squares of v * 2**-k, formed in out, shaped like v."""
+    w = np.ldexp(v, -k, out=out) if k else v
+    return float(np.multiply(w, w, out=out).sum())
 
 
 def _twins(approximations) -> list:
@@ -336,20 +380,31 @@ def _report(x, approximations, regions: bool = False) -> tuple:
     x; and, given ``regions``, the (small, medium, large) ``RegionStats`` of
     the errors of the first, a (cfg, "soft_edge") pair, else ().
 
-    Each leaf of x, and of an array a, is read through ``_walk``, which widens
-    and checks it, and |x| taken once; it stays in cache while every
-    approximation of it is formed or read, and its errors summed, compacted and
-    staged. A soft-edge row takes the leaf's ``_regions`` sets once, for its
-    kernel, the region split and its coarse twins (``_twins``), which take the
-    errors of the row before and redo them in place at the leaf's large set: a
-    column keeps no pushed array, so one leaf of errors is held at a time. A
-    sum that overflows, or underflows to 0 over nonzero values, reruns the
-    pass (``_rerun``) before any statistic is taken."""
+    The leaf list, each config's ``_rows`` and three leaf-sized buffers, for
+    magnitudes, errors and squares, are taken once. Each leaf of x, and of
+    an array a, is read through ``_walk``, which widens and checks it, and
+    |x| taken once; it stays in cache while every approximation of it is
+    formed or read, and its errors summed, compacted and staged. Every row's
+    column gets the leaf's sum of squares and max. A soft-edge row takes the
+    leaf's ``_regions`` sets once, for its kernel, the region split and its
+    coarse twins (``_twins``): a twin redoes the errors of the row before at
+    the leaf's set above H in place, and, where both sum at one scale,
+    re-sums the row before's squares with only that set's replaced, and
+    takes its max from theirs and the row before's max over the rest; at a
+    leaf with no element above H, it copies the row before's sum and max. A
+    sum that overflows, or falls below 2**-1022 over nonzero values, reruns
+    the pass (``_rerun``) before any statistic is taken."""
     flat = check_real(x).reshape(-1)  # a non-real x raises, even if empty
     if flat.size == 0:
         raise EmptyTensor("metrics need at least one element")
-    counts = _region_counts(flat, approximations[0][0]) if regions else ()
+    leaves = list(_leaves(flat.size))
+    buffers = np.empty((3, max(hi - lo for lo, hi in leaves)))
+    counts = (_region_counts(flat, approximations[0][0], leaves, buffers[0])
+              if regions else ())
     twins = _twins(approximations)
+    plans = list(zip(twins, twins[1:] + [False],
+                     [_rows(a[0]) if isinstance(a, tuple) else None
+                      for a in approximations]))
 
     def run(halves, scales):
         scales = iter(scales or ())
@@ -357,34 +412,61 @@ def _report(x, approximations, regions: bool = False) -> tuple:
                                 half=int(i in halves))
                         for i in range(1 + len(approximations)))
         by_region = [_Column(c, True, next(scales, None)) for c in counts]
-        sources = [a if isinstance(a, tuple) else _walk(a, _leaves(flat.size))
+        sources = [a if isinstance(a, tuple) else _walk(a, leaves)
                    for a in approximations]
-        for _, _, b in _walk(flat, _leaves(flat.size)):
-            ax = np.abs(b)
-            power.push(ax)
-            for row, a, twin in zip(rows, sources, twins):
-                if twin:  # the errors of the row before, redone above H
-                    if large is None:
-                        mid, _, big = sets or _regions(ax, a[0])
-                        large = mid.take(big)
+        for lo, hi, b in _walk(flat, leaves):
+            ax, err, sq = buffers[:, :hi - lo]
+            np.abs(b, out=ax)
+            power.leaf(_squares(ax, power.scale[0], sq), float(ax.max()))
+            for row, a, (twin, twinned, cfg_rows) in zip(rows, sources,
+                                                         plans):
+                k = row.scale[0]
+                if twin:  # the row before's errors and squares, redone above H
                     if large.size:
-                        err[large] = _magnitude_error(ax.take(large), *a)
+                        e = _magnitude_error(ax.take(large), *a, None, cfg_rows)
+                        err[large] = e
+                        top = max(other, float(e.max()))
+                    if k != kept:  # the twin sums its own scaled errors
+                        s = _squares(err, k, sq)
+                    elif large.size:
+                        w = np.ldexp(e, -k) if k else e
+                        sq[large] = w * w
+                        s = float(sq.sum())
                 elif isinstance(a, tuple):
                     sets = _regions(ax, a[0]) if a[1] == "soft_edge" else None
-                    err, large = _magnitude_error(ax, *a, sets), None
+                    _magnitude_error(ax, *a, sets, cfg_rows, err)
+                    if regions and row is rows[0]:  # by the codec's index sets
+                        mid, _, big = sets
+                        e = err.take(mid)
+                        for column, v in zip(by_region, (np.delete(err, mid),
+                                                         np.delete(e, big),
+                                                         e.take(big))):
+                            column.push(v)
+                    s = _squares(err, k, sq)
+                    if twinned:  # the max over the rest, kept for the twins
+                        mid, _, big = sets
+                        large = mid.take(big)
+                        e = err.take(large)
+                        err[large] = 0.0
+                        other = float(err.max())
+                        top = max(other, float(e.max(initial=0.0)))
+                    else:
+                        top = float(err.max())
                 else:  # a pair's leaf, halved if its difference overflowed
                     d = next(a)[2]
-                    err = b * 0.5 - d * 0.5 if row.half else b - d
+                    if row.half:
+                        np.subtract(np.multiply(b, 0.5, out=err),
+                                    np.multiply(d, 0.5, out=sq), out=err)
+                    else:
+                        np.subtract(b, d, out=err)
                     np.abs(err, out=err)
-                row.push(err)
-                if regions and row is rows[0]:  # by the codec's index sets
-                    mid, _, big = sets
-                    e = err.take(mid)
-                    for column, v in zip(by_region, (np.delete(err, mid),
-                                                     np.delete(e, big),
-                                                     e.take(big))):
-                        column.push(v)
-        return [power, *rows, *by_region]
+                    s, top = _squares(err, k, sq), float(err.max())
+                row.leaf(s, top)
+                kept = k
+        whole = [power, *rows]
+        for column, sums in zip(whole, _close(whole)):
+            column.sums = sums
+        return [*whole, *by_region]
     power, *columns = _rerun(run, [i for i, a in enumerate(approximations, 1)
                                    if not isinstance(a, tuple)])
     power, n = power.sums[0], len(approximations)

@@ -162,8 +162,13 @@ def _scan(params: SsmParams, rows: np.ndarray, t: int) -> None:
     for x, s in zip(blocks, carry):
         _product(x, power[1:], out=s[1:])
     carry[:, 1:] *= b
-    for span in 2 ** np.arange(max(count - 1, 0).bit_length()):  # doubling
-        carry[:, span:count] += a ** (BLOCK * span) * carry[:, :count - span]
+    # the doubling scan, over the states laid end to end so that each step
+    # is one contiguous multiply-add, not one of N elements per block
+    flat, n = carry.reshape(len(rows), -1), a.size
+    for span in 2 ** np.arange(max(count - 1, 0).bit_length()):
+        flat[:, span * n:count * n] += (np.tile(a ** (BLOCK * span),
+                                                count - span)
+                                        * flat[:, :(count - span) * n])
     weights = (c * power[BLOCK - 1::-1]).T
     scratch = np.empty((2, min(size, _CHUNK), BLOCK))
     for x, s in zip(blocks, carry):

@@ -210,7 +210,18 @@ class TestFakeQuant:
             i8 = fake_quant(x, unit_cfg, "int8")
             traces = [hardware_trace(v, unit_cfg) for v in x]
             codes = [int8_encode(v, unit_cfg) for v in x]
+            se_codes = [se_encode(v, unit_cfg) for v in x]
+            regions = [classify(v, unit_cfg) for v in x]
+            report = compare_quantizers(x, unit_cfg)
+            large = region_breakdown(x, unit_cfg)[2]
+            # p100 would make the scale overflow: the sweep stays at p50
+            rows = sweep(x + [1.0] * 12, [50], [4.0], [4.0, 8.0])
         np.testing.assert_array_equal(decoded, [379, -379, 379, -379])
+        assert [(c.se_flag, c.byte) for c in se_codes] == [
+            (1, 0x7F), (1, 0xFF), (1, 0x7F), (1, 0xFF)]
+        assert regions == [RegionClass.LARGE] * 4
+        assert report.regions[2] == large and large.count == 4
+        assert len(rows) == 2
         np.testing.assert_array_equal(se, np.float32([379, -379, 379, -379]))
         np.testing.assert_array_equal(i8, np.float32([127, -127, 127, -127]))
         assert [t.reconstructed for t in traces] == [379, -379, 379, -379]

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 import tracemalloc
 import warnings
 
@@ -402,6 +403,17 @@ def test_tiny_inputs_do_not_underflow(unit_cfg):
     assert row.soft_edge == compare_quantizers(x, row.config).soft_edge
     assert ssm.output_sqnr_db_soft_edge == ssm.output_sqnr_db_int8 == 0.0
     assert ssm.input_max_abs_err_soft_edge == 1e-170
+    # squares that underflow only in part, to a subnormal sum, rerun too
+    x = np.array([1e-160, -3e-161])
+    y = np.array([1e-158, -3e-159])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sqnr_db(x, x / 2) == pytest.approx(20 * math.log10(2),
+                                                  rel=1e-12)
+        assert sqnr_db(y, 0.999 * y) == pytest.approx(60.0, rel=1e-12)
+        error = mse(x, x / 2)
+    exact = sum((Fraction(float(v)) / 2) ** 2 for v in x) / 2
+    assert 0 < error == float(exact)  # correctly rounded, though subnormal
 
 
 def test_infinite_error_beside_an_overflowing_square():
