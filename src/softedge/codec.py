@@ -259,21 +259,24 @@ def _kernel(ax: np.ndarray, cfg: QuantConfig, steps, offset, step,
     return out
 
 
-def _magnitude(ax: np.ndarray, cfg: QuantConfig, which: str,
-               dtype=np.float32, sets=None, rows=None) -> np.ndarray:
-    """|fake_quant| of the 1-d float64 magnitudes ax, as ``dtype``: the
-    kernel's value (soft_edge; ``sets`` are ax's ``_regions`` and ``rows``
-    the config's ``_rows``, if the caller has them) or the INT8 code times
-    the scale (int8), cast once, so in binary32 a value beyond it is +inf
-    (an overflow the caller's entry point lets pass). The one magnitude
-    behind ``fake_quant`` and the reports."""
+def _magnitude(ax: np.ndarray, cfg: QuantConfig, which: str, out=None,
+               sets=None, rows=None) -> np.ndarray:
+    """|fake_quant| of the 1-d float64 magnitudes ax: the kernel's value
+    (soft_edge; ``sets`` are ax's ``_regions`` and ``rows`` the config's
+    ``_rows``, if the caller has them) or the INT8 code times the scale
+    (int8), in float64, or cast once into ``out``, shaped like ax, so in
+    binary32 a value beyond it is +inf (an overflow the caller's entry point
+    lets pass). The one magnitude behind ``fake_quant`` and the reports."""
     if which == "soft_edge":
         offset, step = rows or _rows(cfg)
         m = _kernel(ax, cfg, step, offset, step, sets)
     else:
         m = _round(ax, cfg.scale, MAX_STANDARD_CODE)
         m *= cfg.scale
-    return m.astype(dtype, copy=False)
+    if out is None:
+        return m
+    np.copyto(out, m)
+    return out
 
 
 def _encode_index(x: np.ndarray, cfg: QuantConfig) -> np.ndarray:
@@ -394,7 +397,7 @@ def fake_quant(values, cfg: QuantConfig, which: str = "soft_edge") -> np.ndarray
         raise ValueError(f"unknown quantizer {which!r}")
 
     def kernel(b):
-        m = _magnitude(np.abs(b), cfg, which, np.float64)
+        m = _magnitude(np.abs(b), cfg, which)
         np.copysign(m, b, out=m)
         if which == "soft_edge":
             m += 0.0

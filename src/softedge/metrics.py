@@ -13,8 +13,8 @@ widens and checks the leaf of x, and of a given array a, in
 ``codec._walk``, takes |x| once, forms each row's errors from magnitudes,
 ||x| - m| with m the codec's ``_magnitude``, or |x - a| (a sweep's coarse
 twins redo only elements above H, and re-sum the row before's squares), and
-takes the partial sums and max. Magnitudes, errors and squares go into one
-set of leaf-sized buffers; each quantizer row's column takes its leaf's
+takes the partial sums and max. |x|, the binary32 m, errors and squares go
+into one set of leaf-sized buffers; each quantizer row's column takes its leaf's
 partial sum and max as they are, and one walk up the same tree adds the
 partials of every such column. A region row sums its region's
 compacted errors, whose tree splits on the region's count: the counts are
@@ -340,18 +340,21 @@ def _region_counts(flat: np.ndarray, cfg: QuantConfig, leaves,
     return flat.size - mid, mid - big, big
 
 
-def _magnitude_error(ax: np.ndarray, cfg: QuantConfig, which: str,
-                     sets=None, rows=None, out=None):
-    """|ax - m| of the float64 magnitudes ax = |b| of a leaf b and their
-    binary32 m = ``_magnitude(ax, cfg, which)`` (given ax's ``_regions``
-    ``sets`` and the config's ``_rows``, the soft-edge kernel takes them),
-    into ``out`` if given: the bits of |b - fake_quant(b, cfg, which)|.
-    fake_quant(b) is s * m, s the sign of b (but a zero's, which no absolute
-    error shows), and round-to-nearest and IEEE subtraction are symmetric in
-    sign, so b - s * m = s * (ax - m)."""
-    err = np.subtract(ax, _magnitude(ax, cfg, which, np.float32, sets, rows),
-                      out=out)
-    return np.abs(err, out=err)
+def _magnitude_error(ax: np.ndarray, cfg: QuantConfig, which: str, sets,
+                     rows, m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|ax - m| into out, of the float64 magnitudes ax = |b| of a leaf b and
+    their binary32 m, a buffer shaped like ax, into which
+    ``_magnitude(ax, cfg, which)`` is cast (given ax's ``_regions`` ``sets``
+    and the config's ``_rows``, the soft-edge kernel takes them): the bits of
+    |b - fake_quant(b, cfg, which)|. fake_quant(b) is s * m, s the sign of b
+    (but a zero's, which no absolute error shows), and round-to-nearest and
+    IEEE subtraction are symmetric in sign, so b - s * m = s * (ax - m). m
+    is widened into out, exactly, before the subtraction: numpy casts a
+    mixed-type operand in small buffered pieces, which took more time than
+    the widening and the subtraction apart."""
+    np.copyto(out, _magnitude(ax, cfg, which, m, sets, rows))
+    np.subtract(ax, out, out=out)
+    return np.abs(out, out=out)
 
 
 def _squares(v: np.ndarray, k: int, out: np.ndarray) -> float:
@@ -380,8 +383,8 @@ def _report(x, approximations, regions: bool = False) -> tuple:
     x; and, given ``regions``, the (small, medium, large) ``RegionStats`` of
     the errors of the first, a (cfg, "soft_edge") pair, else ().
 
-    The leaf list, each config's ``_rows`` and three leaf-sized buffers, for
-    magnitudes, errors and squares, are taken once. Each leaf of x, and of
+    The leaf list, each config's ``_rows`` and the leaf-sized buffers, for
+    |x|, errors, squares and the binary32 m, are taken once. Each leaf of x, and of
     an array a, is read through ``_walk``, which widens and checks it, and
     |x| taken once; it stays in cache while every approximation of it is
     formed or read, and its errors summed, compacted and staged. Every row's
@@ -398,7 +401,8 @@ def _report(x, approximations, regions: bool = False) -> tuple:
     if flat.size == 0:
         raise EmptyTensor("metrics need at least one element")
     leaves = list(_leaves(flat.size))
-    buffers = np.empty((3, max(hi - lo for lo, hi in leaves)))
+    width = max(hi - lo for lo, hi in leaves)
+    buffers, binary32 = np.empty((3, width)), np.empty(width, np.float32)
     counts = (_region_counts(flat, approximations[0][0], leaves, buffers[0])
               if regions else ())
     twins = _twins(approximations)
@@ -416,6 +420,7 @@ def _report(x, approximations, regions: bool = False) -> tuple:
                    for a in approximations]
         for lo, hi, b in _walk(flat, leaves):
             ax, err, sq = buffers[:, :hi - lo]
+            m = binary32[:hi - lo]
             np.abs(b, out=ax)
             power.leaf(_squares(ax, power.scale[0], sq), float(ax.max()))
             for row, a, (twin, twinned, cfg_rows) in zip(rows, sources,
@@ -423,7 +428,9 @@ def _report(x, approximations, regions: bool = False) -> tuple:
                 k = row.scale[0]
                 if twin:  # the row before's errors and squares, redone above H
                     if large.size:
-                        e = _magnitude_error(ax.take(large), *a, None, cfg_rows)
+                        e = _magnitude_error(ax.take(large), *a, None,
+                                             cfg_rows, m[:large.size],
+                                             np.empty(large.size))
                         err[large] = e
                         top = max(other, float(e.max()))
                     if k != kept:  # the twin sums its own scaled errors
@@ -434,7 +441,7 @@ def _report(x, approximations, regions: bool = False) -> tuple:
                         s = float(sq.sum())
                 elif isinstance(a, tuple):
                     sets = _regions(ax, a[0]) if a[1] == "soft_edge" else None
-                    _magnitude_error(ax, *a, sets, cfg_rows, err)
+                    _magnitude_error(ax, *a, sets, cfg_rows, m, err)
                     if regions and row is rows[0]:  # by the codec's index sets
                         mid, _, big = sets
                         e = err.take(mid)
