@@ -460,13 +460,10 @@ def _report(x, approximations, regions: bool = False) -> tuple:
                     else:
                         top = float(err.max())
                 else:  # a pair's leaf, halved if its difference overflowed
-                    d = next(a)[2]
+                    u, v = b, next(a)[2]
                     if row.half:
-                        np.subtract(np.multiply(b, 0.5, out=err),
-                                    np.multiply(d, 0.5, out=sq), out=err)
-                    else:
-                        np.subtract(b, d, out=err)
-                    np.abs(err, out=err)
+                        u, v = np.multiply(u, 0.5, out=err), v * 0.5
+                    np.abs(np.subtract(u, v, out=err), out=err)
                     s, top = _squares(err, k, sq), float(err.max())
                 row.leaf(s, top)
                 kept = k
